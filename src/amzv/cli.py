@@ -10,6 +10,7 @@ error, 3 verification found failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -186,9 +187,15 @@ def _run(args) -> int:
     raise AssertionError(f"unhandled command {cmd}")
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process-wide parser; parsing leaves it unchanged, so one serves
+    every call of :func:`main`."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except UsageError as exc:

@@ -217,6 +217,7 @@ class FieldSpec:
             self._gpow.append(self._gpow[-1] * self.g)
         self._log = {e.idx: j for j, e in enumerate(self._gpow)}
 
+        self._idx_ops: tuple | None = None
         self._memos: dict[str, dict] = {}
 
     # -- construction helpers -------------------------------------------------
@@ -255,6 +256,21 @@ class FieldSpec:
             if order == target:
                 return cand
         raise AssertionError("no generator found; field tables are broken")
+
+    @property
+    def idx_ops(self) -> tuple:
+        """``(add, mul, neg)`` on element indices: ``add[a][b]`` is the index
+        of ``elements[a] + elements[b]``, likewise ``mul``; ``neg[a]`` that of
+        ``-elements[a]``.  Built on first use and kept for the life of the
+        spec; :meth:`clear_memos` does not touch them."""
+        ops = self._idx_ops
+        if ops is None:
+            ops = self._idx_ops = (
+                tuple(tuple(e.idx for e in row) for row in self._add),
+                tuple(tuple(e.idx for e in row) for row in self._mul),
+                tuple(e.idx for e in self._neg),
+            )
+        return ops
 
     # -- element access and I/O ----------------------------------------------
 

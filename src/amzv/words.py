@@ -53,10 +53,6 @@ def word_weight(w: Word) -> int:
     return sum(lt.n for lt in w)
 
 
-def word_depth(w: Word) -> int:
-    return len(w)
-
-
 def word_key(spec: FieldSpec, w: Word):
     """Canonical sort key: (weight, depth, lexicographic on (n, exponent))."""
     return (word_weight(w), len(w), tuple((lt.n, spec.log(lt.eps)) for lt in w))

@@ -28,6 +28,17 @@ up a factor q from each coefficient that cannot influence the window, and
 q = 0 in characteristic p, so the whole power sum vanishes below the horizon;
 the kernel therefore only ever enumerates q^d vectors with d(s+1) < N.  This
 route is cross-checked against the chain enumerator in the test suite.
+
+Coefficients are stored as field indices: a series window is a tuple of ints,
+and ``+``, ``-``, ``*`` and scaling look their results up in the per-field
+``add``/``mul``/``neg`` index tables (:attr:`FieldSpec.idx_ops`), which are
+built once per field and survive memo clearing.  Products of series, the
+inverse powers 1/a^s of the chain enumerator and the depth-one kernel share
+one truncated convolution (``_conv``) and one unit-series inverse
+(``_unit_inv``).  :class:`FieldElem` values appear only at the boundary:
+the constructor, ``coeff``, ``coeffs``, ``scale``'s argument, and the text
+functions ``format_laurent`` / ``parse_laurent``.  Each binary operation
+checks once that both operands live over the same field.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ import re
 from dataclasses import dataclass
 
 from .ff import FieldElem, FieldSpec
-from .words import EMPTY, Element, Word, letter
+from .words import Element, Word, letter
 
 DEFAULT_BUDGET = 10**6
 
@@ -154,101 +165,113 @@ def monic_enum(d: int, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> list[Po
 class Laurent:
     """Series with exact coefficients for all exponents below ``prec``.
 
-    ``coeffs[i]`` is the coefficient of u^(val+i); exponents below ``val``
-    are exactly zero.  Normal form has no zero at either end of the window.
+    ``idx[i]`` is the field index (see :attr:`FieldSpec.idx_ops`) of the
+    coefficient of u^(val+i); exponents below ``val`` are exactly zero.
+    Normal form has no zero at either end of the window.  The constructor
+    takes :class:`FieldElem` coefficients; arithmetic stays on indices.
     """
 
-    __slots__ = ("spec", "val", "coeffs", "prec")
+    __slots__ = ("spec", "val", "idx", "prec")
 
     def __init__(self, spec: FieldSpec, val: int, coeffs, prec: int):
-        coeffs = list(coeffs)
-        if val + len(coeffs) > prec:
-            coeffs = coeffs[: max(0, prec - val)]
-        while coeffs and coeffs[0].idx == 0:
-            coeffs.pop(0)
-            val += 1
-        while coeffs and coeffs[-1].idx == 0:
-            coeffs.pop()
-        if not coeffs:
-            val = prec
-        self.spec = spec
-        self.val = val
-        self.coeffs = tuple(coeffs)
-        self.prec = prec
+        idx = []
+        for c in coeffs:
+            _check_field(spec, c.spec)
+            idx.append(c.idx)
+        _normalize(self, spec, val, idx, prec)
 
     @classmethod
     def zero(cls, spec: FieldSpec, prec: int) -> "Laurent":
-        return cls(spec, prec, (), prec)
+        return _laurent(spec, prec, (), prec)
 
     @classmethod
     def one(cls, spec: FieldSpec, prec: int) -> "Laurent":
-        return cls(spec, 0, (spec.one,), prec)
+        return _laurent(spec, 0, (1,), prec)
+
+    @property
+    def coeffs(self) -> tuple[FieldElem, ...]:
+        """The window as field elements: ``coeffs[i]`` multiplies u^(val+i)."""
+        elements = self.spec.elements
+        return tuple(elements[c] for c in self.idx)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.idx
 
     def valuation(self) -> int | None:
         """Valuation of the known part; None if zero below the horizon."""
-        return self.val if self.coeffs else None
+        return self.val if self.idx else None
 
     def coeff(self, e: int) -> FieldElem:
         if e >= self.prec:
             raise ValueError(f"coefficient of u^{e} is beyond precision {self.prec}")
-        if self.val <= e < self.val + len(self.coeffs):
-            return self.coeffs[e - self.val]
+        if self.val <= e < self.val + len(self.idx):
+            return self.spec.elements[self.idx[e - self.val]]
         return self.spec.zero
 
     def truncate(self, prec: int) -> "Laurent":
         if prec >= self.prec:
             return self
-        return Laurent(self.spec, self.val, self.coeffs, prec)
+        return _laurent(self.spec, self.val, self.idx, prec)
 
     def __add__(self, other: "Laurent") -> "Laurent":
+        spec = self.spec
+        _check_field(spec, other.spec)
         prec = min(self.prec, other.prec)
-        if not self.coeffs:
+        a, b = self.idx, other.idx
+        if not a:
             return other.truncate(prec)
-        if not other.coeffs:
+        if not b:
             return self.truncate(prec)
-        lo = min(self.val, other.val)
-        hi = min(prec, max(self.val + len(self.coeffs), other.val + len(other.coeffs)))
-        out = []
-        for e in range(lo, hi):
-            a = self.coeffs[e - self.val] if self.val <= e < self.val + len(self.coeffs) else self.spec.zero
-            b = other.coeffs[e - other.val] if other.val <= e < other.val + len(other.coeffs) else other.spec.zero
-            out.append(a + b)
-        return Laurent(self.spec, lo, out, prec)
+        lo, hi = self.val, other.val
+        if lo > hi:
+            a, b, lo, hi = b, a, hi, lo
+        # a starts at u^lo, b at u^hi >= u^lo; the sum is known below prec
+        width = min(prec, max(lo + len(a), hi + len(b))) - lo
+        out = list(a[:width])
+        out += [0] * (width - len(out))
+        add = spec.idx_ops[0]
+        k = hi - lo
+        for c in b[: max(0, width - k)]:
+            if c:
+                out[k] = add[out[k]][c]
+            k += 1
+        return _laurent(spec, lo, out, prec)
+
+    def __neg__(self) -> "Laurent":
+        neg = self.spec.idx_ops[2]
+        return _laurent(self.spec, self.val, [neg[c] for c in self.idx], self.prec)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + other.scale(-self.spec.one)
+        return self + -other
 
     def scale(self, c: FieldElem) -> "Laurent":
+        _check_field(self.spec, c.spec)
+        if c.idx == 1:
+            return self
         if c.idx == 0:
             return Laurent.zero(self.spec, self.prec)
-        return Laurent(self.spec, self.val, [c * x for x in self.coeffs], self.prec)
+        row = self.spec.idx_ops[1][c.idx]
+        return _laurent(self.spec, self.val, [row[x] for x in self.idx], self.prec)
 
     def __mul__(self, other: "Laurent") -> "Laurent":
+        spec = self.spec
+        _check_field(spec, other.spec)
         # unknown tail of one factor first pollutes exponent prec_a + val_b
         prec = min(self.prec + other.val, other.prec + self.val)
-        if not self.coeffs or not other.coeffs:
-            return Laurent.zero(self.spec, prec)
+        a, b = self.idx, other.idx
+        if not a or not b:
+            return Laurent.zero(spec, prec)
         lo = self.val + other.val
-        width = min(prec - lo, len(self.coeffs) + len(other.coeffs) - 1)
-        out = [self.spec.zero] * width
-        for i, a in enumerate(self.coeffs):
-            if a.idx == 0:
-                continue
-            jmax = min(len(other.coeffs), width - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b.idx:
-                    out[i + j] = out[i + j] + a * b
-        return Laurent(self.spec, lo, out, prec)
+        width = min(prec - lo, len(a) + len(b) - 1)
+        add, mul, _ = spec.idx_ops
+        return _laurent(spec, lo, _conv(a, b, width, add, mul), prec)
 
     def agrees_with(self, other: "Laurent") -> bool:
         """Coefficient equality on the common guaranteed range."""
+        _check_field(self.spec, other.spec)
         prec = min(self.prec, other.prec)
         a, b = self.truncate(prec), other.truncate(prec)
-        return a.val == b.val and a.coeffs == b.coeffs
+        return a.val == b.val and a.idx == b.idx
 
     def __eq__(self, other):
         if not isinstance(other, Laurent):
@@ -256,15 +279,95 @@ class Laurent:
         return (
             self.spec.key == other.spec.key
             and self.val == other.val
-            and self.coeffs == other.coeffs
+            and self.idx == other.idx
             and self.prec == other.prec
         )
 
     def __hash__(self):
-        return hash((self.spec.key, self.val, self.coeffs, self.prec))
+        return hash((self.spec.key, self.val, self.idx, self.prec))
 
     def __repr__(self):
         return format_laurent(self)
+
+
+def _check_field(spec: FieldSpec, other: FieldSpec) -> None:
+    if other is not spec and other.key != spec.key:
+        raise ValueError(f"field mismatch: F_{spec.q} vs F_{other.q}")
+
+
+def _normalize(x: Laurent, spec: FieldSpec, val: int, idx, prec: int) -> None:
+    """Fill ``x`` with the window ``idx`` at ``val``, cut at ``prec`` and
+    stripped of zeros at both ends."""
+    hi = max(0, min(len(idx), prec - val))
+    lo = 0
+    while lo < hi and not idx[lo]:
+        lo += 1
+    while hi > lo and not idx[hi - 1]:
+        hi -= 1
+    x.spec = spec
+    x.prec = prec
+    if lo == hi:
+        x.val, x.idx = prec, ()
+    else:
+        x.val, x.idx = val + lo, tuple(idx[lo:hi])
+
+
+def _laurent(spec: FieldSpec, val: int, idx, prec: int) -> Laurent:
+    """A :class:`Laurent` from a window of field indices."""
+    x = object.__new__(Laurent)
+    _normalize(x, spec, val, idx, prec)
+    return x
+
+
+# -- the series kernel: truncated power series as lists of field indices ---------
+
+
+def _conv(a, b, width: int, add, mul) -> list[int]:
+    """The first ``width`` coefficients of the product of index series a, b."""
+    width = max(0, width)
+    out = [0] * width
+    for i, ai in enumerate(a[:width]):
+        if ai:
+            row = mul[ai]
+            k = i
+            for bj in b[: width - i]:
+                if bj:
+                    out[k] = add[out[k]][row[bj]]
+                k += 1
+    return out
+
+
+def _unit_inv(h, M: int, add, mul, neg) -> list[int]:
+    """The first M coefficients of 1/(1 + h_1 u + h_2 u^2 + ...), where
+    ``h[t - 1]`` is h_t."""
+    # (t, row of h_t in the product table) for every nonzero h_t
+    terms = [(t, mul[ht]) for t, ht in enumerate(h[: M - 1], 1) if ht]
+    g = [0] * M
+    if M:
+        g[0] = 1
+    for m in range(1, M):
+        acc = 0
+        for t, row in terms:
+            if t > m:
+                break
+            acc = add[acc][row[g[m - t]]]
+        g[m] = neg[acc]
+    return g
+
+
+def _unit_inv_pow(h, s: int, M: int, ops) -> list[int]:
+    """The first M coefficients of (1 + h_1 u + h_2 u^2 + ...)^(-s)."""
+    add, mul, neg = ops
+    if s > 1:
+        pw, cur = [1], [1, *h]
+        while s:
+            if s & 1:
+                pw = _conv(pw, cur, M, add, mul)
+            s >>= 1
+            if s:
+                cur = _conv(cur, cur, M, add, mul)
+        h = pw[1:]
+    return _unit_inv(h, M, add, mul, neg)
 
 
 def _fmt_exp(e: int) -> str:
@@ -273,16 +376,16 @@ def _fmt_exp(e: int) -> str:
 
 def format_laurent(x: Laurent) -> str:
     parts = []
-    for i, c in enumerate(x.coeffs):
-        if c.idx == 0:
+    elements = x.spec.elements
+    for e, c in enumerate(x.idx, x.val):
+        if c == 0:
             continue
-        e = x.val + i
-        cs = x.spec.format_elem(c)
+        cs = x.spec.format_elem(elements[c])
         if e == 0:
-            parts.append("1" if c.idx == 1 else cs)
+            parts.append("1" if c == 1 else cs)
         else:
             ue = "u" if e == 1 else _fmt_exp(e)
-            parts.append(ue if c.idx == 1 else f"{cs}*{ue}")
+            parts.append(ue if c == 1 else f"{cs}*{ue}")
     if not parts:
         parts = ["0"]
     parts.append(f"O({_fmt_exp(x.prec)})")
@@ -383,25 +486,15 @@ def laurent_inv_pow(a: Poly, s: int, prec_coeffs: int) -> Laurent:
         raise ValueError("exponent must be >= 1")
     spec = a.spec
     cache = spec.memo("inv_pow")
-    key = (a.coeffs, s, prec_coeffs)
+    key = (tuple(c.idx for c in a.coeffs), s, prec_coeffs)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    b = a**s
-    v = b.degree
-    # a^s = theta^v (1 + h(u)) with h_t the coefficient of theta^(v-t)
-    h = [spec.zero] * prec_coeffs
-    for t in range(1, min(v, prec_coeffs - 1) + 1):
-        h[t] = b.coeffs[v - t]
-    g = [spec.zero] * prec_coeffs
-    g[0] = spec.one
-    for m in range(1, prec_coeffs):
-        acc = spec.zero
-        for t in range(1, m + 1):
-            if h[t].idx:
-                acc = acc + h[t] * g[m - t]
-        g[m] = -acc
-    out = Laurent(spec, v, g, v + prec_coeffs)
+    d = a.degree
+    # a = theta^d (1 + h(u)) with h_t the coefficient of theta^(d-t)
+    h = [a.coeffs[d - t].idx for t in range(1, min(d, prec_coeffs - 1) + 1)]
+    g = _unit_inv_pow(h, s, prec_coeffs, spec.idx_ops)
+    out = _laurent(spec, d * s, g, d * s + prec_coeffs)
     cache[key] = out
     return out
 
@@ -465,31 +558,7 @@ def power_sum_lt_element(e: Element, d: int, N: int, budget: int = DEFAULT_BUDGE
     return acc
 
 
-def power_sum_d_element(e: Element, d: int, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
-    """Linear extension of S_d; the empty word maps to 1 for d = 0, else 0."""
-    spec = e.spec
-    acc = Laurent.zero(spec, N)
-    for w, c in e.terms.items():
-        if not w:
-            if d == 0:
-                acc = acc + Laurent.one(spec, N).scale(c)
-        else:
-            acc = acc + power_sum_d(word_to_array(w), d, N, budget).scale(c)
-    return acc
-
-
 # -- fast per-degree kernel for the zeta map --------------------------------------
-
-
-def _idx_tables(spec: FieldSpec):
-    cache = spec.memo("idx_tables")
-    hit = cache.get("t")
-    if hit is None:
-        add = [[e.idx for e in row] for row in spec._add]
-        mul = [[e.idx for e in row] for row in spec._mul]
-        neg = [e.idx for e in spec._neg]
-        hit = cache["t"] = (add, mul, neg)
-    return hit
 
 
 def _depth1_power_sum(spec: FieldSpec, s: int, d: int, N: int,
@@ -511,53 +580,16 @@ def _depth1_power_sum(spec: FieldSpec, s: int, d: int, N: int,
     if q**d > budget:
         raise BudgetExceededError(f"q^d = {q}^{d} exceeds budget {budget}")
     M = N - v
-    add, mul, neg = _idx_tables(spec)
+    ops = spec.idx_ops
+    add = ops[0]
     total = [0] * M
-    for vec in itertools.product(range(q), repeat=d):
-        base = [0] * M
-        base[0] = 1
-        for t in range(1, d + 1):
-            base[t] = vec[t - 1]
-        # (1 + h)^s, then its reciprocal, both mod u^M
-        pw = base if s == 1 else _series_pow(base, s, M, add, mul)
-        g = [0] * M
-        g[0] = 1
-        for m in range(1, M):
-            acc = 0
-            for t in range(1, m + 1):
-                ht = pw[t]
-                if ht:
-                    acc = add[acc][mul[ht][g[m - t]]]
-            g[m] = neg[acc]
+    for h in itertools.product(range(q), repeat=d):
+        # the unit part (1 + h_1 u + ... + h_d u^d)^(-s) of 1/a^s, mod u^M
+        g = _unit_inv_pow(h, s, M, ops)
         for m in range(M):
             total[m] = add[total[m]][g[m]]
-    out = Laurent(spec, v, [spec.elements[i] for i in total], N)
+    out = _laurent(spec, v, total, N)
     cache[key] = out
-    return out
-
-
-def _series_pow(base: list[int], s: int, M: int, add, mul) -> list[int]:
-    out = [0] * M
-    out[0] = 1
-    cur = base
-    while s:
-        if s & 1:
-            out = _series_mul(out, cur, M, add, mul)
-        s >>= 1
-        if s:
-            cur = _series_mul(cur, cur, M, add, mul)
-    return out
-
-
-def _series_mul(a: list[int], b: list[int], M: int, add, mul) -> list[int]:
-    out = [0] * M
-    for i, ai in enumerate(a):
-        if ai:
-            row = mul[ai]
-            for j in range(M - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] = add[out[i + j]][row[bj]]
     return out
 
 

@@ -128,3 +128,42 @@ def test_verify_text_format(capsys):
     assert code == 0
     assert re.search(r"PASS thm-", out)
     assert "5 checks, 0 failures" in out
+
+
+def _call(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the command line itself
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
+    steps = [
+        (None, ["shuffle", "--q", "3", "x[2,1]x[1,0]", "x[1,1]"]),
+        (None, ["shuffle", "--q", "3", "x[1,9]", "x[1,0]"]),       # bad letter: exit 2
+        (None, ["powsum", "--q", "2", "x[1,0]"]),                  # no --d: exit 2
+        ("3", ["shuffle", "x[1,1]", "x[1,1]"]),                    # AMZV_Q default
+        (None, ["shuffle", "x[1,1]", "x[1,1]"]),                   # AMZV_Q unset again: exit 2
+        (None, ["powsum", "--q", "3", "--d", "15", "--prec", "6", "x[1,0]"]),  # budget: exit 1
+        (None, ["zeta", "--q", "2", "--prec", "4", "x[1,0]"]),
+    ]
+
+    def run(fresh):
+        got = []
+        for env, argv in steps * 2:
+            if env is None:
+                monkeypatch.delenv("AMZV_Q", raising=False)
+            else:
+                monkeypatch.setenv("AMZV_Q", env)
+            if fresh:
+                cli._parser.cache_clear()
+            got.append(_call(capsys, argv))
+        return got
+
+    cached = run(fresh=False)
+    assert [c for c, _, _ in cached] == [0, 2, 2, 0, 2, 1, 0] * 2
+    assert cached == run(fresh=True)
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli._parser()
