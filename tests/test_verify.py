@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -138,6 +139,43 @@ def test_antipode_sign_trips_hopf(spec_q3):
     assert rep.failures
     assert any(f.startswith("antipode") for f in rep.failures)
     assert check_hopf(spec_q3, 3).passed
+
+
+# mode -> (tripped check, instances, failures, SHA-256 of the failure lines),
+# recorded at q=3 before the fault switches moved out of the algebra code
+FAULT_PINS = {
+    faults.DELTA_CORRUPT: (
+        lambda spec: check_algebra(spec, 4), 792, 128,
+        "54befe2874955afe06f87714d01d5f3a1530249aef7e2d6ed30deb0c5c035427",
+    ),
+    faults.DROP_UNIT_TENSOR: (
+        lambda spec: check_coalgebra(spec, 3), 215, 83,
+        "ef48bb414b92b0535ef93a41cd4738b3f5ebc15e2cfc6ac0f6f7fdc863ce211d",
+    ),
+    faults.ANTIPODE_SIGN: (
+        lambda spec: check_hopf(spec, 3), 102, 56,
+        "393ab70cd406c795c7b69af102b3a4a652dc738af7fbd3b0d4113a6a394498c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", faults.ALL_MODES)
+def test_negative_control_reports_are_pinned(mode, spec_q3):
+    check, instances, failures, digest = FAULT_PINS[mode]
+    with faults.inject_fault(mode, spec_q3):
+        rep = check(spec_q3)
+    body = "".join(f + "\n" for f in rep.failures)
+    assert (rep.instances, len(rep.failures)) == (instances, failures)
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+    assert check(spec_q3).passed
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_antipode_sign_is_a_no_op_in_characteristic_two(q):
+    # the flipped sign is -1 = +1 here, so the control cannot trip
+    spec = get_spec(q)
+    with faults.inject_fault(faults.ANTIPODE_SIGN, spec):
+        assert check_hopf(spec, 3).passed
 
 
 def test_fault_requires_known_mode(spec_q3):
