@@ -41,7 +41,6 @@ of positive weight),
 
 from __future__ import annotations
 
-from . import faults
 from .ff import FieldElem, FieldSpec
 from .products import binom_mod_p, delta_coeff, bracket, shuffle, triangle, _shuffle_words
 from .words import (
@@ -50,9 +49,12 @@ from .words import (
     Letter,
     TensorElement,
     Word,
+    accumulate,
+    accumulate_outer,
+    bilinear,
     compositions,
     letter,
-    word_weight,
+    linear,
     _clean,
 )
 
@@ -65,9 +67,7 @@ def coproduct_letter(x: Letter) -> TensorElement:
     if hit is not None:
         return hit
     n, eps = x
-    acc: dict = {}
-    if faults.active() != faults.DROP_UNIT_TENSOR:
-        acc[(EMPTY, (x,))] = spec.one
+    acc: dict = {(EMPTY, (x,)): spec.one}
     for r in range(1, n + 1):
         left = (letter(spec, r, eps),)
         for comp in compositions(n - r):
@@ -79,14 +79,8 @@ def coproduct_letter(x: Letter) -> TensorElement:
             br = bracket(word, spec)
             if br.is_zero():
                 continue
-            cbf = spec.residue(cb)
-            for w, c in br.terms.items():
-                k = (left, w)
-                cc = cbf * c
-                prev = acc.get(k)
-                acc[k] = cc if prev is None else prev + cc
-    out = TensorElement(spec, _clean(acc))
-    cache[x] = out
+            accumulate_outer(acc, {left: spec.one}, br.terms, spec.residue(cb))
+    out = cache[x] = TensorElement(spec, _clean(acc))
     return out
 
 
@@ -102,35 +96,19 @@ def _coproduct_word(spec: FieldSpec, u: Word) -> TensorElement:
     head, v = u[0], u[1:]
     dh = coproduct_letter(head)
     dv = _coproduct_word(spec, v)
-    acc: dict = {}
-    if faults.active() != faults.DROP_UNIT_TENSOR:
-        acc[(EMPTY, u)] = spec.one
+    acc: dict = {(EMPTY, u): spec.one}
     for (al, bl), c1 in dh.terms.items():
         if not al:
             continue
         for (cl, dl), c2 in dv.terms.items():
-            c12 = c1 * c2
-            left = al + cl
-            for w, c3 in _shuffle_words(spec, bl, dl).terms.items():
-                k = (left, w)
-                cc = c12 * c3
-                prev = acc.get(k)
-                acc[k] = cc if prev is None else prev + cc
-    out = TensorElement(spec, _clean(acc))
-    cache[u] = out
+            accumulate_outer(acc, {al + cl: c1 * c2}, _shuffle_words(spec, bl, dl).terms)
+    out = cache[u] = TensorElement(spec, _clean(acc))
     return out
 
 
 def coproduct(e: Element) -> TensorElement:
     """Δ extended linearly to the whole algebra; Δ(1) = 1 ⊗ 1."""
-    spec = e.spec
-    acc: dict = {}
-    for w, c in e.terms.items():
-        for k, cw in _coproduct_word(spec, w).terms.items():
-            cc = c * cw
-            prev = acc.get(k)
-            acc[k] = cc if prev is None else prev + cc
-    return TensorElement(spec, _clean(acc))
+    return linear(_coproduct_word, e)
 
 
 def counit(e: Element) -> FieldElem:
@@ -141,21 +119,11 @@ def counit(e: Element) -> FieldElem:
 def tensor_shuffle(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise shuffle on ordered pairs:
     (a ⊗ b) ⧢ (c ⊗ d) = (a ⧢ c) ⊗ (b ⧢ d), extended bilinearly."""
-    spec = s.spec
-    acc: dict = {}
-    for (a, b), c1 in s.terms.items():
-        for (c, d), c2 in t.terms.items():
-            c12 = c1 * c2
-            left = _shuffle_words(spec, a, c)
-            right = _shuffle_words(spec, b, d)
-            for lw, lc in left.terms.items():
-                clc = c12 * lc
-                for rw, rc in right.terms.items():
-                    k = (lw, rw)
-                    cc = clc * rc
-                    prev = acc.get(k)
-                    acc[k] = cc if prev is None else prev + cc
-    return TensorElement(spec, _clean(acc))
+    return bilinear(_shuffle_pairs, s, t)
+
+
+def _shuffle_pairs(spec: FieldSpec, ab: tuple, cd: tuple) -> tuple:
+    return _shuffle_words(spec, ab[0], cd[0]), _shuffle_words(spec, ab[1], cd[1])
 
 
 def _antipode_word(spec: FieldSpec, u: Word) -> Element:
@@ -165,24 +133,18 @@ def _antipode_word(spec: FieldSpec, u: Word) -> Element:
     hit = cache.get(u)
     if hit is not None:
         return hit
-    lead = spec.one if faults.active() == faults.ANTIPODE_SIGN else -spec.one
-    out = Element(spec, {u: lead})
+    acc: dict = {u: -spec.one}
     for (l, r), c in _coproduct_word(spec, u).terms.items():
-        if not l or not r:
-            continue
-        term = shuffle(_antipode_word(spec, l), Element.from_word(spec, r))
-        out = out - term.scale(c)
-    cache[u] = out
+        if l and r:
+            term = shuffle(_antipode_word(spec, l), Element.from_word(spec, r))
+            accumulate(acc, term.terms, -c)
+    out = cache[u] = Element(spec, _clean(acc))
     return out
 
 
 def antipode(e: Element) -> Element:
     """The antipode of the connected graded structure; weight-preserving."""
-    spec = e.spec
-    out = Element.zero(spec)
-    for w, c in e.terms.items():
-        out = out + _antipode_word(spec, w).scale(c)
-    return out
+    return linear(_antipode_word, e)
 
 
 # -- independent weight-recursive oracle (trivial characters) -----------------
@@ -230,20 +192,10 @@ def _mzv_word(spec: FieldSpec, u: Word) -> TensorElement:
         if not al:
             continue
         for (cl, dl), c2 in dv.terms.items():
-            c12 = c1 * c2
-            left = triangle(
-                Element.from_word(spec, al), Element.from_word(spec, cl)
-            )
+            left = triangle(Element.from_word(spec, al), Element.from_word(spec, cl))
             right = _shuffle_words(spec, bl, dl)
-            for lw, lc in left.terms.items():
-                clc = c12 * lc
-                for rw, rc in right.terms.items():
-                    k = (lw, rw)
-                    cc = clc * rc
-                    prev = acc.get(k)
-                    acc[k] = cc if prev is None else prev + cc
-    out = TensorElement(spec, _clean(acc))
-    cache[u] = out
+            accumulate_outer(acc, left.terms, right.terms, c1 * c2)
+    out = cache[u] = TensorElement(spec, _clean(acc))
     return out
 
 

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from math import comb
 
-from . import faults
 from .ff import FieldElem, FieldSpec
-from .words import EMPTY, Element, Letter, Word, letter, word_weight, _clean
+from .words import Element, Word, accumulate, bilinear, letter, _clean
 
 
 def binom_mod_p(a: int, b: int, p: int) -> int:
@@ -59,21 +58,15 @@ def delta_coeff(r: int, s: int, i: int, spec: FieldSpec) -> FieldElem:
     """The overlap coefficient D(r,s,i) as an element of the prime subfield."""
     if r < 1 or s < 1 or not 1 <= i <= r + s - 1:
         raise ValueError(f"delta index out of range: r={r} s={s} i={i}")
-    fault = faults.active() == faults.DELTA_CORRUPT
-    if not fault:
-        cache = spec.memo("delta")
-        hit = cache.get((r, s, i))
-        if hit is not None:
-            return hit
+    cache = spec.memo("delta")
+    hit = cache.get((r, s, i))
+    if hit is not None:
+        return hit
     if i % (spec.q - 1) == 0:
         m = (-1) ** (r - 1) * comb(i - 1, r - 1) + (-1) ** (s - 1) * comb(i - 1, s - 1)
     else:
         m = 0
-    if fault and (r, s, i) == (1, 2, 2):
-        m += 1
-    val = spec.residue(m)
-    if not fault:
-        cache[(r, s, i)] = val
+    val = cache[(r, s, i)] = spec.residue(m)
     return val
 
 
@@ -94,21 +87,10 @@ def _shuffle_words(spec: FieldSpec, u: Word, v: Word) -> Element:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    acc: dict = {}
-    x, y = u[0], v[0]
-    for w, c in _shuffle_words(spec, u[1:], v).terms.items():
-        k = (x,) + w
-        prev = acc.get(k)
-        acc[k] = c if prev is None else prev + c
-    for w, c in _shuffle_words(spec, u, v[1:]).terms.items():
-        k = (y,) + w
-        prev = acc.get(k)
-        acc[k] = c if prev is None else prev + c
-    for w, c in _diamond_words(spec, u, v).terms.items():
-        prev = acc.get(w)
-        acc[w] = c if prev is None else prev + c
-    out = Element(spec, _clean(acc))
-    cache[key] = out
+    acc = accumulate({}, _shuffle_words(spec, u[1:], v).terms, head=u[:1])
+    accumulate(acc, _shuffle_words(spec, u, v[1:]).terms, head=v[:1])
+    accumulate(acc, _diamond_words(spec, u, v).terms)
+    out = cache[key] = Element(spec, _clean(acc))
     return out
 
 
@@ -134,14 +116,8 @@ def _diamond_words(spec: FieldSpec, u: Word, v: Word) -> Element:
         if dc.idx == 0:
             continue
         xj = _word_elem(spec, (letter(spec, j, spec.one),))
-        mid = letter(spec, n - j, eab)
-        for w, c in shuffle(xj, tail).terms.items():
-            k = (mid,) + w
-            cc = dc * c
-            prev = acc.get(k)
-            acc[k] = cc if prev is None else prev + cc
-    out = Element(spec, _clean(acc))
-    cache[key] = out
+        accumulate(acc, shuffle(xj, tail).terms, dc, (letter(spec, n - j, eab),))
+    out = cache[key] = Element(spec, _clean(acc))
     return out
 
 
@@ -158,32 +134,19 @@ def _triangle_words(spec: FieldSpec, u: Word, v: Word) -> Element:
 # -- bilinear wrappers -----------------------------------------------------------
 
 
-def _bilinear(op, a: Element, b: Element) -> Element:
-    spec = a.spec
-    acc: dict = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            c = ca * cb
-            for w, cw in op(spec, wa, wb).terms.items():
-                cc = c * cw
-                prev = acc.get(w)
-                acc[w] = cc if prev is None else prev + cc
-    return Element(spec, _clean(acc))
-
-
 def shuffle(a: Element, b: Element) -> Element:
     """The shuffle product; commutative, associative, unit 1."""
-    return _bilinear(_shuffle_words, a, b)
+    return bilinear(_shuffle_words, a, b)
 
 
 def diamond(a: Element, b: Element) -> Element:
     """The diamond (overlap) product; commutative, associative, unit 1."""
-    return _bilinear(_diamond_words, a, b)
+    return bilinear(_diamond_words, a, b)
 
 
 def triangle(a: Element, b: Element) -> Element:
     """The triangle product a ▷ b = x_{a1,alpha}(a' ⧢ b); not commutative."""
-    return _bilinear(_triangle_words, a, b)
+    return bilinear(_triangle_words, a, b)
 
 
 def shuffle_words(spec: FieldSpec, *ws: Word) -> Element:
@@ -202,14 +165,11 @@ def horizontal(alpha: FieldElem, a: Element) -> Element:
     spec = a.spec
     if alpha.idx == 1:
         return a
-    acc: dict = {}
-    for w, c in a.terms.items():
-        if w:
-            lt = w[0]
-            w = (letter(spec, lt.n, alpha * lt.eps),) + w[1:]
-        prev = acc.get(w)
-        acc[w] = c if prev is None else prev + c
-    return Element(spec, _clean(acc))
+    # a bijection on words, so no two terms land on one word
+    return Element(spec, {
+        (letter(spec, w[0].n, alpha * w[0].eps),) + w[1:] if w else w: c
+        for w, c in a.terms.items()
+    })
 
 
 def bracket(w: Word, spec: FieldSpec) -> Element:

@@ -13,9 +13,9 @@ informational only.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
+from math import comb
 
 from .coalgebra import (
     antipode,
@@ -32,15 +32,19 @@ from .words import (
     EMPTY,
     Element,
     TensorElement,
+    accumulate,
+    accumulate_outer,
     basis_words,
     format_element,
     format_tensor,
     format_word,
+    letter,
+    linear,
     word_weight,
+    _clean,
 )
 from .zeta import (
     DEFAULT_BUDGET,
-    Laurent,
     ZetaArray,
     format_laurent,
     power_sum_d,
@@ -147,9 +151,7 @@ def random_element(rng: Rng, max_weight: int, max_terms: int, spec: FieldSpec) -
         w = 1 + rng.below(max_weight)
         words = _basis(spec, w)
         word = words[rng.below(len(words))]
-        c = spec.unit_from_exp(rng.below(spec.q - 1))
-        prev = acc.get(word)
-        acc[word] = c if prev is None else prev + c
+        accumulate(acc, {word: spec.unit_from_exp(rng.below(spec.q - 1))})
     return Element.from_terms(spec, acc)
 
 
@@ -310,7 +312,6 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
     diamond-coproduct law."""
     rep = CheckReport("thm-compatibility-coassociativity", spec.q, max_weight, {})
     units = [spec.unit_from_exp(j) for j in range(spec.q - 1)]
-    one_t = TensorElement.from_pair(spec, EMPTY, EMPTY)
     with _Timer() as tm:
         for u in _words_up_to(spec, max_weight):
             eu = _welem(spec, u)
@@ -325,36 +326,24 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
             if left_unit != [(EMPTY, u)] or du.terms[(EMPTY, u)].idx != 1:
                 rep.failures.append(f"unit-tensorand u={format_word(u, spec)}")
 
-            # counit axioms
-            lhs = Element.zero(spec)
-            rhs = Element.zero(spec)
-            for (l, r), c in du.terms.items():
-                lhs = lhs + Element.from_word(spec, r).scale(c * counit(_welem(spec, l)))
-                rhs = rhs + Element.from_word(spec, l).scale(c * counit(_welem(spec, r)))
+            # counit axioms: (ε ⊗ 1)Δ(u) = u = (1 ⊗ ε)Δ(u)
+            lhs = linear(lambda sp, lr: _welem(sp, lr[1]).scale(counit(_welem(sp, lr[0]))), du)
+            rhs = linear(lambda sp, lr: _welem(sp, lr[0]).scale(counit(_welem(sp, lr[1]))), du)
             rep.instances += 2
             if lhs != eu:
                 rep.failures.append(f"counit-left u={format_word(u, spec)}")
             if rhs != eu:
                 rep.failures.append(f"counit-right u={format_word(u, spec)}")
 
-            # coassociativity via three-slot expansions
+            # coassociativity via three-slot expansions: (1 ⊗ Δ)Δ(u) keyed
+            # (l, rl, rr) against (Δ ⊗ 1)Δ(u) keyed ((ll, lr), r)
             rep.instances += 1
             left3: dict = {}
             right3: dict = {}
             for (l, r), c in du.terms.items():
-                for (rl, rr), c2 in coproduct(_welem(spec, r)).terms.items():
-                    k = (l, rl, rr)
-                    cc = c * c2
-                    prev = left3.get(k)
-                    left3[k] = cc if prev is None else prev + cc
-                for (ll, lr), c2 in coproduct(_welem(spec, l)).terms.items():
-                    k = (ll, lr, r)
-                    cc = c * c2
-                    prev = right3.get(k)
-                    right3[k] = cc if prev is None else prev + cc
-            if {k: v for k, v in left3.items() if v.idx} != {
-                k: v for k, v in right3.items() if v.idx
-            }:
+                accumulate(left3, coproduct(_welem(spec, r)).terms, c, (l,))
+                accumulate_outer(right3, coproduct(_welem(spec, l)).terms, {r: c})
+            if _clean(left3) != {lk + (r,): v for (lk, r), v in _clean(right3).items()}:
                 rep.failures.append(f"coassociativity u={format_word(u, spec)}")
 
             # coproduct after a horizontal twist
@@ -362,23 +351,18 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
                 for eps in units:
                     rep.instances += 1
                     lhs_t = coproduct(horizontal(eps, eu))
-                    twisted: dict = {}
-                    for (l, r), c in du.terms.items():
-                        if l:
-                            hl = horizontal(eps, _welem(spec, l))
-                            (lw, lc), = hl.terms.items()
-                            k = (lw, r)
-                            cc = c * lc
-                        else:
-                            k = (l, r)
-                            cc = c
-                        prev = twisted.get(k)
-                        twisted[k] = cc if prev is None else prev + cc
-                    rhs_t = TensorElement.from_terms(spec, twisted)
-                    hu = horizontal(eps, eu)
-                    (hw, hc), = hu.terms.items()
-                    rhs_t = rhs_t + TensorElement.from_pair(spec, EMPTY, hw, hc)
-                    rhs_t = rhs_t - TensorElement.from_pair(spec, EMPTY, u)
+                    # twist every left tensorand but the unit; the twist is a
+                    # bijection on words, so no two terms collide
+                    twisted = {
+                        (next(iter(horizontal(eps, _welem(spec, l)).terms)) if l else l, r): c
+                        for (l, r), c in du.terms.items()
+                    }
+                    (hw, hc), = horizontal(eps, eu).terms.items()
+                    rhs_t = (
+                        TensorElement.from_terms(spec, twisted)
+                        + TensorElement.from_pair(spec, EMPTY, hw, hc)
+                        - TensorElement.from_pair(spec, EMPTY, u)
+                    )
                     if lhs_t != rhs_t:
                         rep.failures.append(
                             f"coproduct-horizontal u={format_word(u, spec)} "
@@ -405,26 +389,16 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
             rep.instances += 1
             lhs_t = coproduct(diamond(ea, eb))
             da, db = coproduct(ea), coproduct(eb)
-            acc: dict = {}
-            for w, c in diamond(ea, eb).terms.items():
-                k = (EMPTY, w)
-                prev = acc.get(k)
-                acc[k] = c if prev is None else prev + c
+            acc = accumulate_outer({}, {EMPTY: spec.one}, diamond(ea, eb).terms)
             for (l1, r1), c1 in da.terms.items():
                 if not l1:
                     continue
                 for (l2, r2), c2 in db.terms.items():
                     if not l2:
                         continue
-                    c12 = c1 * c2
                     dpart = diamond(_welem(spec, l1), _welem(spec, l2))
                     spart = shuffle(_welem(spec, r1), _welem(spec, r2))
-                    for lw, lc in dpart.terms.items():
-                        for rw, rc in spart.terms.items():
-                            k = (lw, rw)
-                            cc = c12 * lc * rc
-                            prev = acc.get(k)
-                            acc[k] = cc if prev is None else prev + cc
+                    accumulate_outer(acc, dpart.terms, spart.terms, c1 * c2)
             rhs_t = TensorElement.from_terms(spec, acc)
             if lhs_t != rhs_t:
                 rep.failures.append(
@@ -450,11 +424,13 @@ def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> Che
             su = antipode(eu)
             target = Element.one(spec).scale(counit(eu))
 
-            lhs = Element.zero(spec)
-            rhs = Element.zero(spec)
-            for (l, r), c in du.terms.items():
-                lhs = lhs + shuffle(antipode(_welem(spec, l)), _welem(spec, r)).scale(c)
-                rhs = rhs + shuffle(_welem(spec, l), antipode(_welem(spec, r))).scale(c)
+            # m(S ⊗ 1)Δ(u) and m(1 ⊗ S)Δ(u) against ε(u)·1
+            lhs = linear(
+                lambda sp, lr: shuffle(antipode(_welem(sp, lr[0])), _welem(sp, lr[1])), du
+            )
+            rhs = linear(
+                lambda sp, lr: shuffle(_welem(sp, lr[0]), antipode(_welem(sp, lr[1]))), du
+            )
             rep.instances += 2
             if lhs != target:
                 rep.failures.append(
@@ -484,8 +460,6 @@ def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> Che
                     f"antipode-homomorphism u={format_word(a, spec)} "
                     f"v={format_word(b, spec)}"
                 )
-
-        from math import comb
 
         for w in range(dim_weight + 1):
             rep.instances += 1
@@ -520,9 +494,7 @@ def check_coproduct_oracle(
         one = spec.one
         for n in range(1, max_n + 1):
             rep.instances += 1
-            from .words import letter as mkletter
-
-            direct = coproduct_letter(mkletter(spec, n, one))
+            direct = coproduct_letter(letter(spec, n, one))
             rec = coproduct_mzv_recursive(n, spec)
             if direct != rec:
                 rep.failures.append(

@@ -2,9 +2,15 @@
 
 A letter carries a positive weight n and a unit character eps of F_q.  A word
 is a tuple of letters; the empty tuple is the empty word, written ``1``.
-:class:`Element` is a finite F_q-linear combination of words (sparse map, no
-zero coefficients stored); :class:`TensorElement` is the analogue on ordered
-pairs of words and is the target of the coproduct.
+:class:`Element` is a finite F_q-linear combination (sparse map, no zero
+coefficients stored) whose keys are words, or ordered pairs of words for the
+tensor square that the coproduct lands in; ``TensorElement`` is an alias.
+
+Every sum of such combinations in the package goes through one accumulation
+kernel: :func:`accumulate` (``acc += c·terms``, optionally with a word
+prefixed to every key), :func:`accumulate_outer` (``acc += c·(left ⊗
+right)``), and the :func:`linear` and :func:`bilinear` extensions of maps on
+words built on them.
 
 Text forms:
 
@@ -20,7 +26,7 @@ Formatting is canonical: terms are sorted by (weight, depth, letterwise
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .ff import FieldElem, FieldSpec
 
@@ -65,7 +71,8 @@ def _clean(terms: dict) -> dict:
 
 
 class Element:
-    """A finite F_q-linear combination of words.  Immutable by convention:
+    """A finite F_q-linear combination of words, or of ordered pairs of words
+    (the tensor square, target of the coproduct).  Immutable by convention:
     nothing mutates ``terms`` after construction, so instances are safe to
     cache and share."""
 
@@ -91,44 +98,52 @@ class Element:
         return cls(spec, {w: c})
 
     @classmethod
+    def from_pair(cls, spec: FieldSpec, left: Word, right: Word,
+                  coeff: FieldElem | None = None) -> "Element":
+        return cls.from_word(spec, (left, right), coeff)
+
+    @classmethod
     def from_terms(cls, spec: FieldSpec, terms: dict) -> "Element":
         return cls(spec, _clean(dict(terms)))
 
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _check_field(self, other: "Element") -> None:
+        if other.spec is not self.spec and other.spec.key != self.spec.key:
+            raise ValueError(f"field mismatch: F_{self.spec.q} vs F_{other.spec.q}")
+
     def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
-        return Element(self.spec, _clean(out))
+        self._check_field(other)
+        return Element(self.spec, _clean(accumulate(dict(self.terms), other.terms)))
 
     def __sub__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            out[w] = -c if prev is None else prev - c
+        self._check_field(other)
+        out = accumulate(dict(self.terms), other.terms, -self.spec.one)
         return Element(self.spec, _clean(out))
 
     def __neg__(self) -> "Element":
-        return Element(self.spec, {w: -c for w, c in self.terms.items()})
+        return Element(self.spec, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c: FieldElem) -> "Element":
         if c.idx == 0:
             return Element(self.spec, {})
         if c.idx == 1:
             return self
-        return Element(self.spec, {w: c * v for w, v in self.terms.items()})
+        return Element(self.spec, {k: c * v for k, v in self.terms.items()})
 
-    def coeff(self, w: Word) -> FieldElem:
-        return self.terms.get(w, self.spec.zero)
+    def coeff(self, key) -> FieldElem:
+        """Coefficient of a word, or of a pair ``(left, right)`` of words."""
+        return self.terms.get(key, self.spec.zero)
 
     def weights(self) -> set[int]:
         return {word_weight(w) for w in self.terms}
 
     def graded_part(self, w: int) -> "Element":
         return Element(self.spec, {k: v for k, v in self.terms.items() if word_weight(k) == w})
+
+    def bidegrees(self) -> set[tuple[int, int]]:
+        return {(word_weight(l), word_weight(r)) for l, r in self.terms}
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -139,89 +154,84 @@ class Element:
         return hash((self.spec.key, frozenset(self.terms.items())))
 
     def __repr__(self):
+        key = next(iter(self.terms), EMPTY)
+        # a word's entries are letters, a pair's entries are words
+        if key and not isinstance(key[0], Letter):
+            return format_tensor(self)
         return format_element(self)
 
 
-class TensorElement:
-    """A finite F_q-linear combination of ordered word pairs."""
-
-    __slots__ = ("spec", "terms")
-
-    def __init__(self, spec: FieldSpec, terms: dict):
-        self.spec = spec
-        self.terms = terms
-
-    @classmethod
-    def zero(cls, spec: FieldSpec) -> "TensorElement":
-        return cls(spec, {})
-
-    @classmethod
-    def from_pair(cls, spec: FieldSpec, left: Word, right: Word,
-                  coeff: FieldElem | None = None) -> "TensorElement":
-        c = spec.one if coeff is None else coeff
-        if c.idx == 0:
-            return cls(spec, {})
-        return cls(spec, {(left, right): c})
-
-    @classmethod
-    def from_terms(cls, spec: FieldSpec, terms: dict) -> "TensorElement":
-        return cls(spec, _clean(dict(terms)))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            out[k] = c if prev is None else prev + c
-        return TensorElement(self.spec, _clean(out))
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            out[k] = -c if prev is None else prev - c
-        return TensorElement(self.spec, _clean(out))
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.spec, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c: FieldElem) -> "TensorElement":
-        if c.idx == 0:
-            return TensorElement(self.spec, {})
-        if c.idx == 1:
-            return self
-        return TensorElement(self.spec, {k: c * v for k, v in self.terms.items()})
-
-    def coeff(self, left: Word, right: Word) -> FieldElem:
-        return self.terms.get((left, right), self.spec.zero)
-
-    def bidegrees(self) -> set[tuple[int, int]]:
-        return {(word_weight(l), word_weight(r)) for l, r in self.terms}
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.spec.key == other.spec.key and self.terms == other.terms
-
-    def __repr__(self):
-        return format_tensor(self)
+# the coproduct's target is an Element keyed by pairs of words
+TensorElement = Element
 
 
-# -- products that live at the word level ------------------------------------
+# -- the accumulation kernel -------------------------------------------------------
+
+
+def accumulate(acc: dict, terms: dict, c: FieldElem | None = None, head: Word = EMPTY) -> dict:
+    """In place, ``acc += c · head·terms`` and return ``acc``: ``head`` is
+    prefixed to every key, ``c`` defaults to 1, and zero coefficients stay in
+    ``acc`` until ``_clean``."""
+    if c is not None and c.idx == 1:  # spare a field product per term
+        c = None
+    get = acc.get
+    for k, v in terms.items():
+        if head:
+            k = head + k
+        if c is not None:
+            v = c * v
+        prev = get(k)
+        acc[k] = v if prev is None else prev + v
+    return acc
+
+
+def accumulate_outer(acc: dict, left: dict, right: dict, c: FieldElem | None = None) -> dict:
+    """In place, ``acc += c · (left ⊗ right)``, one pair key ``(l, r)`` per
+    pair of terms, and return ``acc``; ``c`` defaults to 1."""
+    if c is not None and c.idx == 1:
+        c = None
+    get = acc.get
+    for lk, lc in left.items():
+        if c is not None:
+            lc = c * lc
+        for rk, rc in right.items():
+            k = (lk, rk)
+            v = lc * rc
+            prev = get(k)
+            acc[k] = v if prev is None else prev + v
+    return acc
+
+
+def linear(op, e: Element) -> Element:
+    """The linear extension of ``op(spec, key) -> Element`` to ``e``."""
+    spec = e.spec
+    acc: dict = {}
+    for k, c in e.terms.items():
+        accumulate(acc, op(spec, k).terms, c)
+    return Element(spec, _clean(acc))
+
+
+def bilinear(op, a: Element, b: Element) -> Element:
+    """The bilinear extension of ``op(spec, key_a, key_b)`` to ``a`` and ``b``.
+
+    ``op`` returns an Element, or a pair ``(L, R)`` of Elements standing for
+    ``L ⊗ R``, which is accumulated without being built.
+    """
+    spec = a.spec
+    acc: dict = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            got = op(spec, ka, kb)
+            if type(got) is tuple:
+                accumulate_outer(acc, got[0].terms, got[1].terms, ca * cb)
+            else:
+                accumulate(acc, got.terms, ca * cb)
+    return Element(spec, _clean(acc))
 
 
 def concat(a: Element, b: Element) -> Element:
     """Bilinear extension of word concatenation; the empty word is the unit."""
-    out: dict = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            w = wa + wb
-            c = ca * cb
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
-    return Element(a.spec, _clean(out))
+    return bilinear(lambda spec, u, v: Element(spec, {u + v: spec.one}), a, b)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -318,9 +328,7 @@ def parse_element(text: str, spec: FieldSpec) -> Element:
             c = spec.parse_elem(coeff_txt)
         else:
             c, word_txt = spec.one, term
-        w = parse_word(word_txt, spec)
-        prev = out.get(w)
-        out[w] = c if prev is None else prev + c
+        accumulate(out, {parse_word(word_txt, spec): c})
     return Element(spec, _clean(out))
 
 
@@ -338,7 +346,7 @@ def format_element(e: Element) -> str:
     return " + ".join(parts)
 
 
-def format_tensor(t: TensorElement, ascii_tensor: bool = False) -> str:
+def format_tensor(t: Element, ascii_tensor: bool = False) -> str:
     if not t.terms:
         return "0"
     spec = t.spec

@@ -1,0 +1,73 @@
+"""Static checks on the package's imports, made with ``ast`` alone.
+
+Every name a module under ``src/amzv`` imports (``__init__`` excepted, whose
+imports are its exports) must be used in that module, and the algebra
+modules must not import the fault switches: the negative controls install
+their corruptions from outside.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "amzv"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+FAULT_FREE = ("products.py", "coalgebra.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported(tree):
+    """(bound name, module imported from) for each import in the module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                out.append((a.asname or a.name.split(".")[0], a.name))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                out.append((a.asname or a.name, f"{'.' * node.level}{node.module or ''}"))
+    return out
+
+
+def _annotations(tree):
+    for n in ast.walk(tree):
+        if isinstance(n, ast.arg):
+            yield n.annotation
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield n.returns
+        elif isinstance(n, ast.AnnAssign):
+            yield n.annotation
+
+
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _used(tree):
+    names = _names(tree)
+    # names inside quoted annotations such as "Element"
+    for ann in filter(None, _annotations(tree)):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                names |= _names(ast.parse(n.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    used = _used(tree)
+    unused = sorted(name for name, _ in _imported(tree) if name not in used)
+    assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+@pytest.mark.parametrize("name", FAULT_FREE)
+def test_algebra_modules_do_not_import_faults(name):
+    for bound, source in _imported(_tree(SRC / name)):
+        assert "faults" not in (bound, *source.strip(".").split(".")), (
+            f"{name} imports {bound} from {source or 'the top level'}"
+        )

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 
 import pytest
 
@@ -176,6 +177,35 @@ def test_antipode_sign_is_a_no_op_in_characteristic_two(q):
     spec = get_spec(q)
     with faults.inject_fault(faults.ANTIPODE_SIGN, spec):
         assert check_hopf(spec, 3).passed
+
+
+def _amzv_bindings():
+    return {
+        (modname, attr): obj
+        for modname, m in list(sys.modules.items())
+        if m is not None and (modname == "amzv" or modname.startswith("amzv."))
+        for attr, obj in vars(m).items()
+    }
+
+
+def _rebound(before, now):
+    return sorted(k for k, obj in before.items() if now.get(k) is not obj)
+
+
+@pytest.mark.parametrize("mode", faults.ALL_MODES)
+def test_inject_fault_restores_every_name(mode, spec_q3):
+    before = _amzv_bindings()
+    with faults.inject_fault(mode, spec_q3):
+        during = _amzv_bindings()
+    assert ("amzv.coalgebra" if mode != faults.DELTA_CORRUPT else "amzv.products") in {
+        modname for modname, _ in _rebound(before, during)
+    }
+    assert _rebound(before, _amzv_bindings()) == []
+    with pytest.raises(RuntimeError, match="inside the block"):
+        with faults.inject_fault(mode, spec_q3):
+            assert _rebound(before, _amzv_bindings())
+            raise RuntimeError("inside the block")
+    assert _rebound(before, _amzv_bindings()) == []
 
 
 def test_fault_requires_known_mode(spec_q3):

@@ -1,4 +1,5 @@
 import itertools
+import operator
 from math import comb
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from amzv import (
     Element,
+    field_from_q,
     basis_words,
     concat,
     format_element,
@@ -15,7 +17,15 @@ from amzv import (
     parse_word,
     word_weight,
 )
-from amzv.words import EMPTY, word_key
+from amzv.words import (
+    EMPTY,
+    TensorElement,
+    accumulate,
+    accumulate_outer,
+    bilinear,
+    linear,
+    word_key,
+)
 
 from conftest import get_spec
 
@@ -163,3 +173,62 @@ def test_graded_decomposition(spec_q3):
         assert p.weights() <= {word_weight(next(iter(p.terms)))}
         total = total + p
     assert total == e
+
+
+# -- one sparse type for words and word pairs ------------------------------------
+
+
+def test_tensor_element_is_element(spec_q3):
+    assert TensorElement is Element
+    u, v = W(spec_q3, "x[1,0]"), W(spec_q3, "x[2,1]")
+    t = Element.from_pair(spec_q3, u, v, spec_q3.residue(2))
+    assert t.coeff((u, v)) == spec_q3.residue(2)
+    assert t.coeff((v, u)) == spec_q3.zero
+    assert t.bidegrees() == {(1, 2)}
+    assert repr(t) == "g^1*x[1,0] ⊗ x[2,1]"
+    assert repr(Element.from_word(spec_q3, u + v)) == "x[1,0]x[2,1]"
+    assert repr(Element.one(spec_q3)) == "1"
+    assert repr(Element.from_pair(spec_q3, EMPTY, EMPTY)) == "1 ⊗ 1"
+    assert repr(Element.zero(spec_q3)) == "0"
+    assert (t - t).is_zero() and t + t == t.scale(spec_q3.residue(2))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_field_mismatch_is_rejected(op):
+    s2, s3 = get_spec(2), get_spec(3)
+    with pytest.raises(ValueError, match="field mismatch"):
+        op(parse_element("x[1,0]", s2), parse_element("x[2,1]", s3))
+    pair2 = Element.from_pair(s2, W(s2, "x[1,0]"), EMPTY)
+    pair3 = Element.from_pair(s3, EMPTY, W(s3, "x[1,1]"))
+    with pytest.raises(ValueError, match="field mismatch"):
+        op(pair2, pair3)
+    with pytest.raises(ValueError, match="field mismatch"):
+        op(Element.zero(s2), pair3)
+    # equal fields built separately still mix
+    other3 = field_from_q(3)
+    assert op(parse_element("x[1,0]", other3), parse_element("x[2,1]", s3)).spec is other3
+
+
+def test_accumulate_kernel(spec_q3):
+    one, two = spec_q3.one, spec_q3.residue(2)
+    u, v = W(spec_q3, "x[1,0]"), W(spec_q3, "x[2,1]")
+    acc = accumulate({}, {u: one, v: two})
+    assert accumulate(acc, {v: one}) is acc and acc == {u: one, v: spec_q3.zero}
+    assert accumulate({}, {v: one}, two, head=u) == {u + v: two}
+    outer = accumulate_outer({}, {u: one, v: two}, {EMPTY: two}, two)
+    assert outer == {(u, EMPTY): one, (v, EMPTY): two}
+
+
+def test_linear_and_bilinear_extensions(spec_q3):
+    e = parse_element("x[1,0] + g^1*x[2,1]", spec_q3)
+    assert linear(lambda spec, w: Element.from_word(spec, w + w), e) == parse_element(
+        "x[1,0]x[1,0] + g^1*x[2,1]x[2,1]", spec_q3
+    )
+    assert linear(lambda spec, w: Element.zero(spec), e).is_zero()
+    f = parse_element("x[1,1]", spec_q3)
+    pairs = bilinear(
+        lambda spec, a, b: (Element.from_word(spec, a), Element.from_word(spec, b)), e, f
+    )
+    u, v, w = W(spec_q3, "x[1,0]"), W(spec_q3, "x[2,1]"), W(spec_q3, "x[1,1]")
+    assert pairs.terms == {(u, w): spec_q3.one, (v, w): spec_q3.residue(2)}
+    assert bilinear(lambda spec, a, b: Element.from_word(spec, a + b), e, f) == concat(e, f)
