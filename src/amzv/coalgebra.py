@@ -66,7 +66,7 @@ def coproduct_letter(x: Letter) -> TensorElement:
     hit = cache.get(x)
     if hit is not None:
         return hit
-    n, eps = x
+    n, eps = x.n, x.eps
     acc: dict = {(EMPTY, (x,)): spec.one}
     for r in range(1, n + 1):
         left = (letter(spec, r, eps),)

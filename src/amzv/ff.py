@@ -188,6 +188,13 @@ class FieldSpec:
         self.modulus = modulus
         self.key = (p, k, modulus)
         q = self.q
+        # ``key`` as one int: p, then k < 8, then the modulus's low k
+        # coefficients read in base p (m < q <= MAX_Q = 2**6).  Equal keys
+        # give equal codes, different keys different ones, all below 2**15.
+        m = 0
+        for c in reversed(modulus[:k]):
+            m = m * p + c
+        self.code = (p << 3 | k) << 6 | m
 
         self.elements: tuple[FieldElem, ...] = tuple(
             FieldElem(self._digits(v), self, v) for v in range(q)
@@ -218,6 +225,9 @@ class FieldSpec:
         self._log = {e.idx: j for j, e in enumerate(self._gpow)}
 
         self._idx_ops: tuple | None = None
+        # the shared word letters, filled on demand by ``amzv.words.letter``;
+        # like ``idx_ops`` they outlive :meth:`clear_memos`
+        self.letters: dict = {}
         self._memos: dict[str, dict] = {}
 
     # -- construction helpers -------------------------------------------------

@@ -104,10 +104,10 @@ def _diamond_words(spec: FieldSpec, u: Word, v: Word) -> Element:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    a1, alpha = u[0]
-    b1, beta = v[0]
+    x, y = u[0], v[0]
+    a1, b1 = x.n, y.n
     tail = _shuffle_words(spec, u[1:], v[1:])
-    eab = alpha * beta
+    eab = x.eps * y.eps
     n = a1 + b1
     head = letter(spec, n, eab)
     acc: dict = {(head,) + w: c for w, c in tail.terms.items()}

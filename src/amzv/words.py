@@ -1,10 +1,15 @@
 """Words over the alphabet {x_{n,eps}} and the free F_q-spans they generate.
 
-A letter carries a positive weight n and a unit character eps of F_q.  A word
-is a tuple of letters; the empty tuple is the empty word, written ``1``.
-:class:`Element` is a finite F_q-linear combination (sparse map, no zero
-coefficients stored) whose keys are words, or ordered pairs of words for the
-tensor square that the coproduct lands in; ``TensorElement`` is an alias.
+A letter carries a positive weight n and a unit character eps = g^j of F_q.
+:class:`Letter` is an ``int`` whose value encodes (n, j, field) injectively,
+so hashing, ``==`` and ordering of letters, and of the words built from
+them, run in C; within one field the value order is the (n, j) order.
+Each letter keeps ``n`` and ``eps`` as attributes, and :func:`letter` hands
+out one shared instance per (field, n, eps).  A word is a tuple of letters;
+the empty tuple is the empty word, written ``1``.  :class:`Element` is a
+finite F_q-linear combination (sparse map, no zero coefficients stored)
+whose keys are words, or ordered pairs of words for the tensor square that
+the coproduct lands in; ``TensorElement`` is an alias.
 
 Every sum of such combinations in the package goes through one accumulation
 kernel: :func:`accumulate` (``acc += c·terms``, optionally with a word
@@ -26,14 +31,35 @@ Formatting is canonical: terms are sorted by (weight, depth, letterwise
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .ff import FieldElem, FieldSpec
 
+# a letter's value is ((n << _CHAR_BITS | j) << _CODE_BITS) | spec.code:
+# j <= q - 2 < 2**6 and every FieldSpec.code is below 2**15
+_CHAR_BITS = 6
+_CODE_BITS = 24
 
-class Letter(NamedTuple):
-    n: int
-    eps: FieldElem
+
+class Letter(int):
+    """The letter x_{n,eps} with eps = g^j, as the int
+    ``((n << 6 | j) << 24) | spec.code``.
+
+    Letters over fields with equal keys are equal, letters over different
+    fields never are, and within one field they order as (n, j) does.
+    ``n`` and ``eps`` stay readable as attributes.  Use :func:`letter` for
+    the shared instance.
+    """
+
+    def __new__(cls, n: int, eps: FieldElem) -> "Letter":
+        spec = eps.spec
+        lt = super().__new__(cls, (n << _CHAR_BITS | spec.log(eps)) << _CODE_BITS | spec.code)
+        lt.n = n
+        lt.eps = eps
+        return lt
+
+    def __repr__(self):
+        return f"Letter(n={self.n}, eps={self.eps!r})"
 
 
 Word = tuple  # tuple[Letter, ...]
@@ -42,16 +68,21 @@ EMPTY: Word = ()
 
 
 def letter(spec: FieldSpec, n: int, eps: FieldElem) -> Letter:
-    """Shared letter instance for (n, eps); n >= 1, eps a unit."""
-    cache = spec.memo("letters")
+    """Shared letter instance for (n, eps); n >= 1, eps a unit of ``spec``
+    (or of a field with the same key).  The instances live in
+    ``spec.letters``, which memo clearing keeps."""
     key = (n, eps.idx)
-    lt = cache.get(key)
+    lt = spec.letters.get(key)
+    if lt is not None and lt.eps is eps:
+        return lt
+    if n < 1:
+        raise ValueError("letter weight must be >= 1")
+    if eps.idx == 0:
+        raise ValueError("letter character must be a unit")
+    if eps.spec is not spec and eps.spec.key != spec.key:
+        raise ValueError(f"field mismatch: F_{spec.q} vs F_{eps.spec.q}")
     if lt is None:
-        if n < 1:
-            raise ValueError("letter weight must be >= 1")
-        if eps.idx == 0:
-            raise ValueError("letter character must be a unit")
-        lt = cache[key] = Letter(n, eps)
+        lt = spec.letters[key] = Letter(n, spec.elements[eps.idx])
     return lt
 
 
@@ -60,8 +91,10 @@ def word_weight(w: Word) -> int:
 
 
 def word_key(spec: FieldSpec, w: Word):
-    """Canonical sort key: (weight, depth, lexicographic on (n, exponent))."""
-    return (word_weight(w), len(w), tuple((lt.n, spec.log(lt.eps)) for lt in w))
+    """Canonical sort key: (weight, depth, lexicographic on (n, exponent)).
+    Within one field a letter's value orders as (n, exponent) does, so the
+    word itself is the last entry."""
+    return (word_weight(w), len(w), w)
 
 
 def _clean(terms: dict) -> dict:
@@ -203,8 +236,14 @@ def accumulate_outer(acc: dict, left: dict, right: dict, c: FieldElem | None = N
 
 
 def linear(op, e: Element) -> Element:
-    """The linear extension of ``op(spec, key) -> Element`` to ``e``."""
+    """The linear extension of ``op(spec, key) -> Element`` to ``e``.  On a
+    single key with coefficient 1 this is ``op``'s own result, uncopied:
+    Elements are immutable by convention."""
     spec = e.spec
+    if len(e.terms) == 1:
+        (k, c), = e.terms.items()
+        if c.idx == 1:
+            return op(spec, k)
     acc: dict = {}
     for k, c in e.terms.items():
         accumulate(acc, op(spec, k).terms, c)
@@ -215,9 +254,19 @@ def bilinear(op, a: Element, b: Element) -> Element:
     """The bilinear extension of ``op(spec, key_a, key_b)`` to ``a`` and ``b``.
 
     ``op`` returns an Element, or a pair ``(L, R)`` of Elements standing for
-    ``L ⊗ R``, which is accumulated without being built.
+    ``L ⊗ R``, which is accumulated without being built.  On two single keys
+    with coefficient 1, an Element from ``op`` is returned uncopied, as in
+    :func:`linear`.
     """
     spec = a.spec
+    if len(a.terms) == 1 and len(b.terms) == 1:
+        (ka, ca), = a.terms.items()
+        (kb, cb), = b.terms.items()
+        if ca.idx == 1 and cb.idx == 1:
+            got = op(spec, ka, kb)
+            if type(got) is not tuple:
+                return got
+            return Element(spec, _clean(accumulate_outer({}, got[0].terms, got[1].terms)))
     acc: dict = {}
     for ka, ca in a.terms.items():
         for kb, cb in b.terms.items():
@@ -248,36 +297,28 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def compositions_with_parts(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions_with_parts(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def basis_words(w: int, spec: FieldSpec) -> list[Word]:
-    """All words of weight exactly w, in canonical order ([1] for w = 0)."""
+    """All words of weight exactly w, in canonical order ([1] for w = 0).
+
+    Built in that order, depth by depth: the words of weight w and depth r
+    are every letter (n, j), in (n, j) order, followed by each word of
+    weight w - n and depth r - 1, and those tails are built once and shared.
+    """
     if w < 0:
         raise ValueError("weight must be >= 0")
-    if w == 0:
-        return [EMPTY]
-    out: list[Word] = []
     units = [spec.unit_from_exp(j) for j in range(spec.q - 1)]
-    for depth in range(1, w + 1):
-        for comp in compositions_with_parts(w, depth):
-            stack: list[Word] = [EMPTY]
-            for n in comp:
-                stack = [word + (letter(spec, n, u),) for word in stack for u in units]
-            out.extend(stack)
-    out.sort(key=lambda x: word_key(spec, x))
-    return out
+    tails: dict = {(0, 0): [EMPTY]}
+
+    def words(weight: int, depth: int) -> list[Word]:
+        got = tails.get((weight, depth))
+        if got is None:
+            got = tails[(weight, depth)] = []
+            for n in range(1, weight - depth + 2) if depth else ():
+                rest = words(weight - n, depth - 1)
+                got += [(letter(spec, n, u),) + t for u in units for t in rest]
+        return got
+
+    return [u for depth in range(1 if w else 0, w + 1) for u in words(w, depth)]
 
 
 # -- parsing and formatting -----------------------------------------------------

@@ -540,21 +540,31 @@ def power_sum_d(arr: ZetaArray, d: int, N: int, budget: int = DEFAULT_BUDGET) ->
 def power_sum_lt(arr: ZetaArray, d: int, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
     """S_{<d}(arr) = sum of S_m(arr) over 0 <= m < d, absolute precision N."""
     spec = arr.spec
+    cache = spec.memo("power_sum_lt")
+    key = (arr.key(), d, N)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     acc = Laurent.zero(spec, N)
     for m in range(max(d, 0)):
         acc = acc + power_sum_d(arr, m, N, budget)
+    cache[key] = acc
     return acc
 
 
 def power_sum_lt_element(e: Element, d: int, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
     """Linear extension of S_{<d} to the word algebra; the empty word maps to 1."""
     spec = e.spec
+    arrays = spec.memo("word_array")
     acc = Laurent.zero(spec, N)
     for w, c in e.terms.items():
         if not w:
             acc = acc + Laurent.one(spec, N).scale(c)
-        else:
-            acc = acc + power_sum_lt(word_to_array(w), d, N, budget).scale(c)
+            continue
+        arr = arrays.get(w)
+        if arr is None:
+            arr = arrays[w] = word_to_array(w)
+        acc = acc + power_sum_lt(arr, d, N, budget).scale(c)
     return acc
 
 

@@ -232,3 +232,19 @@ def test_linear_and_bilinear_extensions(spec_q3):
     u, v, w = W(spec_q3, "x[1,0]"), W(spec_q3, "x[2,1]"), W(spec_q3, "x[1,1]")
     assert pairs.terms == {(u, w): spec_q3.one, (v, w): spec_q3.residue(2)}
     assert bilinear(lambda spec, a, b: Element.from_word(spec, a + b), e, f) == concat(e, f)
+
+
+def _dimension(q, w):
+    return 1 if w == 0 else sum(comb(w - 1, r - 1) * (q - 1) ** r for r in range(1, w + 1))
+
+
+@pytest.mark.parametrize("q, top", [(2, 8), (3, 8), (4, 8), (5, 6)])
+def test_basis_words_come_in_canonical_order(q, top):
+    spec = get_spec(q)
+    for w in range(top + 1):
+        words = basis_words(w, spec)
+        assert len(words) == _dimension(q, w)
+        assert words == sorted(words, key=lambda x: word_key(spec, x))
+        # the same order spelled out from the letters' attributes
+        assert words == sorted(words, key=lambda x: (
+            word_weight(x), len(x), [(lt.n, spec.log(lt.eps)) for lt in x]))
