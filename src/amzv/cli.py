@@ -41,26 +41,28 @@ class UsageError(ValueError):
 
 
 def _field_from_args(args) -> FieldSpec:
-    if args.p is not None:
-        if args.k is None:
-            raise UsageError("--p requires --k")
-        modulus = None
-        if args.modulus:
-            try:
-                modulus = tuple(int(c) for c in args.modulus.split(","))
-            except ValueError:
-                raise UsageError(f"bad --modulus {args.modulus!r}") from None
-        return field_make(args.p, args.k, modulus)
-    qtext = args.q if args.q is not None else os.environ.get("AMZV_Q")
-    if qtext is None:
-        raise UsageError("no field given: use --q or --p/--k (or set AMZV_Q)")
-    qtext = str(qtext)
+    """The field named by --q, --p/--k/--modulus or AMZV_Q; every bad value
+    is a usage error."""
     try:
+        if args.p is not None:
+            if args.k is None:
+                raise UsageError("--p requires --k")
+            modulus = None
+            if args.modulus:
+                try:
+                    modulus = tuple(int(c) for c in args.modulus.split(","))
+                except ValueError:
+                    raise UsageError(f"bad --modulus {args.modulus!r}") from None
+            return field_make(args.p, args.k, modulus)
+        qtext = args.q if args.q is not None else os.environ.get("AMZV_Q")
+        if qtext is None:
+            raise UsageError("no field given: use --q or --p/--k (or set AMZV_Q)")
+        qtext = str(qtext)
         if "^" in qtext:
             p, k = qtext.split("^", 1)
             return field_make(int(p), int(k))
         return field_from_q(int(qtext))
-    except ValueError as exc:
+    except ValueError as exc:  # a UsageError passes through unchanged
         raise UsageError(str(exc)) from None
 
 
@@ -69,6 +71,12 @@ def _parse_operand(text: str, spec: FieldSpec) -> Element:
         return parse_element(text, spec)
     except ValueError as exc:
         raise UsageError(f"bad element {text!r}: {exc}") from None
+
+
+def _prec(args) -> int:
+    if args.prec < 0:
+        raise UsageError(f"--prec must be >= 0, got {args.prec}")
+    return args.prec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,14 +178,13 @@ def _run(args) -> int:
         if not w:
             raise UsageError("power sums need a nonempty word")
         arr = word_to_array(w)
-        ps = power_sum_lt(arr, args.d, args.prec) if args.lt else power_sum_d(
-            arr, args.d, args.prec
-        )
+        prec = _prec(args)
+        ps = power_sum_lt(arr, args.d, prec) if args.lt else power_sum_d(arr, args.d, prec)
         print(format_laurent(ps))
         return 0
     if cmd == "zeta":
         a = _parse_operand(args.a, spec)
-        print(format_laurent(zeta_trunc(a, args.prec)))
+        print(format_laurent(zeta_trunc(a, _prec(args))))
         return 0
     if cmd == "basis":
         for w in range(args.weight_max + 1):

@@ -41,7 +41,7 @@ of positive weight),
 
 from __future__ import annotations
 
-from .ff import FieldElem, FieldSpec
+from .ff import FieldElem, FieldSpec, memoized
 from .products import binom_mod_p, delta_coeff, bracket, shuffle, triangle, _shuffle_words
 from .words import (
     EMPTY,
@@ -61,11 +61,11 @@ from .words import (
 
 def coproduct_letter(x: Letter) -> TensorElement:
     """Δ of a single letter, by the closed formula above."""
-    spec = x.eps.spec
-    cache = spec.memo("coproduct_letter")
-    hit = cache.get(x)
-    if hit is not None:
-        return hit
+    return _coproduct_letter(x.eps.spec, x)
+
+
+@memoized("coproduct_letter")
+def _coproduct_letter(spec: FieldSpec, x: Letter) -> TensorElement:
     n, eps = x.n, x.eps
     acc: dict = {(EMPTY, (x,)): spec.one}
     for r in range(1, n + 1):
@@ -80,8 +80,7 @@ def coproduct_letter(x: Letter) -> TensorElement:
             if br.is_zero():
                 continue
             accumulate_outer(acc, {left: spec.one}, br.terms, spec.residue(cb))
-    out = cache[x] = TensorElement(spec, _clean(acc))
-    return out
+    return TensorElement(spec, _clean(acc))
 
 
 def _coproduct_word(spec: FieldSpec, u: Word) -> TensorElement:
@@ -89,10 +88,11 @@ def _coproduct_word(spec: FieldSpec, u: Word) -> TensorElement:
         return TensorElement.from_pair(spec, EMPTY, EMPTY)
     if len(u) == 1:
         return coproduct_letter(u[0])
-    cache = spec.memo("coproduct")
-    hit = cache.get(u)
-    if hit is not None:
-        return hit
+    return _coproduct_step(spec, u)
+
+
+@memoized("coproduct")
+def _coproduct_step(spec: FieldSpec, u: Word) -> TensorElement:
     head, v = u[0], u[1:]
     dh = coproduct_letter(head)
     dv = _coproduct_word(spec, v)
@@ -102,8 +102,7 @@ def _coproduct_word(spec: FieldSpec, u: Word) -> TensorElement:
             continue
         for (cl, dl), c2 in dv.terms.items():
             accumulate_outer(acc, {al + cl: c1 * c2}, _shuffle_words(spec, bl, dl).terms)
-    out = cache[u] = TensorElement(spec, _clean(acc))
-    return out
+    return TensorElement(spec, _clean(acc))
 
 
 def coproduct(e: Element) -> TensorElement:
@@ -129,17 +128,17 @@ def _shuffle_pairs(spec: FieldSpec, ab: tuple, cd: tuple) -> tuple:
 def _antipode_word(spec: FieldSpec, u: Word) -> Element:
     if not u:
         return Element.one(spec)
-    cache = spec.memo("antipode")
-    hit = cache.get(u)
-    if hit is not None:
-        return hit
+    return _antipode_step(spec, u)
+
+
+@memoized("antipode")
+def _antipode_step(spec: FieldSpec, u: Word) -> Element:
     acc: dict = {u: -spec.one}
     for (l, r), c in _coproduct_word(spec, u).terms.items():
         if l and r:
             term = shuffle(_antipode_word(spec, l), Element.from_word(spec, r))
             accumulate(acc, term.terms, -c)
-    out = cache[u] = Element(spec, _clean(acc))
-    return out
+    return Element(spec, _clean(acc))
 
 
 def antipode(e: Element) -> Element:
@@ -150,27 +149,20 @@ def antipode(e: Element) -> Element:
 # -- independent weight-recursive oracle (trivial characters) -----------------
 
 
+@memoized("mzv_letter")
 def _mzv_letter(spec: FieldSpec, n: int) -> TensorElement:
-    cache = spec.memo("mzv_letter")
-    hit = cache.get(n)
-    if hit is not None:
-        return hit
     x1 = letter(spec, 1, spec.one)
     if n == 1:
-        out = TensorElement(
-            spec, {(EMPTY, (x1,)): spec.one, ((x1,), EMPTY): spec.one}
-        )
-    else:
-        xw1 = letter(spec, n - 1, spec.one)
-        out = tensor_shuffle(_mzv_letter(spec, 1), _mzv_letter(spec, n - 1))
-        out = out - _mzv_word(spec, (x1, xw1)) - _mzv_word(spec, (xw1, x1))
-        for j in range(1, n):
-            dc = delta_coeff(1, n - 1, j, spec)
-            if dc.idx == 0:
-                continue
-            pair = (letter(spec, n - j, spec.one), letter(spec, j, spec.one))
-            out = out - _mzv_word(spec, pair).scale(dc)
-    cache[n] = out
+        return TensorElement(spec, {(EMPTY, (x1,)): spec.one, ((x1,), EMPTY): spec.one})
+    xw1 = letter(spec, n - 1, spec.one)
+    out = tensor_shuffle(_mzv_letter(spec, 1), _mzv_letter(spec, n - 1))
+    out = out - _mzv_word(spec, (x1, xw1)) - _mzv_word(spec, (xw1, x1))
+    for j in range(1, n):
+        dc = delta_coeff(1, n - 1, j, spec)
+        if dc.idx == 0:
+            continue
+        pair = (letter(spec, n - j, spec.one), letter(spec, j, spec.one))
+        out = out - _mzv_word(spec, pair).scale(dc)
     return out
 
 
@@ -180,10 +172,11 @@ def _mzv_word(spec: FieldSpec, u: Word) -> TensorElement:
         return TensorElement.from_pair(spec, EMPTY, EMPTY)
     if len(u) == 1:
         return _mzv_letter(spec, u[0].n)
-    cache = spec.memo("mzv_word")
-    hit = cache.get(u)
-    if hit is not None:
-        return hit
+    return _mzv_step(spec, u)
+
+
+@memoized("mzv_word")
+def _mzv_step(spec: FieldSpec, u: Word) -> TensorElement:
     head, v = u[0], u[1:]
     dh = _mzv_letter(spec, head.n)
     dv = _mzv_word(spec, v)
@@ -195,8 +188,7 @@ def _mzv_word(spec: FieldSpec, u: Word) -> TensorElement:
             left = triangle(Element.from_word(spec, al), Element.from_word(spec, cl))
             right = _shuffle_words(spec, bl, dl)
             accumulate_outer(acc, left.terms, right.terms, c1 * c2)
-    out = cache[u] = TensorElement(spec, _clean(acc))
-    return out
+    return TensorElement(spec, _clean(acc))
 
 
 def coproduct_mzv_recursive(n: int, spec: FieldSpec) -> TensorElement:

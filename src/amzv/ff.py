@@ -8,9 +8,17 @@ so elements can be used freely as dictionary keys in the word-algebra layers.
 Units are printed in exponent form ``g^j`` where ``g`` is a fixed primitive
 element chosen deterministically (the first element, in coordinate order,
 whose multiplicative order is q - 1).  Zero prints as ``0``.
+
+The per-field memo policy lives here too: :func:`memoized` caches
+``fn(spec, *args)`` by ``args`` in a registry on the spec that no other
+module touches, and :meth:`FieldSpec.clear_memos` empties it.
+:func:`check_field` is the one guard against mixing two fields' values.
 """
 
 from __future__ import annotations
+
+import functools
+from collections import defaultdict
 
 MAX_Q = 64
 
@@ -98,6 +106,13 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def check_field(spec: FieldSpec, other: FieldSpec) -> None:
+    """Raise ``ValueError`` unless ``other`` is ``spec``'s field (the same
+    spec, or one with an equal key)."""
+    if other is not spec and other.key != spec.key:
+        raise ValueError(f"field mismatch: F_{spec.q} vs F_{other.q}")
+
+
 class FieldElem:
     """A single element of F_q in polynomial-basis coordinates.
 
@@ -114,12 +129,6 @@ class FieldElem:
         self.idx = idx
         self._h = hash((spec.key, coeffs))
 
-    def _check(self, other: "FieldElem") -> None:
-        if self.spec is not other.spec and self.spec.key != other.spec.key:
-            raise ValueError(
-                f"field mismatch: F_{self.spec.q} vs F_{other.spec.q}"
-            )
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -131,18 +140,18 @@ class FieldElem:
         return self._h
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
+        check_field(self.spec, other.spec)
         return self.spec._add[self.idx][other.idx]
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
+        check_field(self.spec, other.spec)
         return self.spec._add[self.idx][self.spec._neg[other.idx].idx]
 
     def __neg__(self) -> "FieldElem":
         return self.spec._neg[self.idx]
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
+        check_field(self.spec, other.spec)
         return self.spec._mul[self.idx][other.idx]
 
     def __pow__(self, n: int) -> "FieldElem":
@@ -228,7 +237,8 @@ class FieldSpec:
         # the shared word letters, filled on demand by ``amzv.words.letter``;
         # like ``idx_ops`` they outlive :meth:`clear_memos`
         self.letters: dict = {}
-        self._memos: dict[str, dict] = {}
+        # memo name -> {args: result}, filled by ``memoized`` functions
+        self._memos: defaultdict[str, dict] = defaultdict(dict)
 
     # -- construction helpers -------------------------------------------------
 
@@ -327,22 +337,29 @@ class FieldSpec:
             return self.residue(int(text))
         raise ValueError(f"bad field literal {text!r}")
 
-    # -- shared memo registry --------------------------------------------------
-
-    def memo(self, name: str) -> dict:
-        """A named per-field cache.  Results stored here are pure values, so
-        concurrent writers can only race on identical data."""
-        d = self._memos.get(name)
-        if d is None:
-            d = self._memos[name] = {}
-        return d
-
     def clear_memos(self) -> None:
-        for d in self._memos.values():
-            d.clear()
+        """Drop every result cached by a :func:`memoized` function."""
+        self._memos.clear()
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"
+
+
+def memoized(name: str):
+    """Cache ``fn(spec, *args)`` in ``spec``'s memo ``name``, keyed by the
+    hashable ``args``.  Results are pure values, never ``None``, so
+    concurrent writers only race on identical data.  Callers answer trivial
+    inputs themselves, so those take no entry."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def cached(spec: FieldSpec, *args):
+            memo = spec._memos[name]
+            out = memo.get(args)
+            if out is None:
+                out = memo[args] = fn(spec, *args)
+            return out
+        return cached
+    return decorate
 
 
 def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:

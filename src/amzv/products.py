@@ -18,15 +18,17 @@ The overlap coefficients are
 evaluated over the integers first and reduced mod p afterwards, so the signed
 sum is never reduced prematurely.
 
-Word-level results are memoized per field; the associativity and compatibility
-checks would otherwise recompute identical subproblems exponentially often.
+Word-level results are memoized per field (:func:`amzv.ff.memoized`); the
+associativity and compatibility checks would otherwise recompute identical
+subproblems exponentially often.  Empty operands are answered before the
+memo is consulted.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .ff import FieldElem, FieldSpec
+from .ff import FieldElem, FieldSpec, memoized
 from .words import Element, Word, accumulate, bilinear, letter, _clean
 
 
@@ -58,16 +60,16 @@ def delta_coeff(r: int, s: int, i: int, spec: FieldSpec) -> FieldElem:
     """The overlap coefficient D(r,s,i) as an element of the prime subfield."""
     if r < 1 or s < 1 or not 1 <= i <= r + s - 1:
         raise ValueError(f"delta index out of range: r={r} s={s} i={i}")
-    cache = spec.memo("delta")
-    hit = cache.get((r, s, i))
-    if hit is not None:
-        return hit
+    return _delta(spec, r, s, i)
+
+
+@memoized("delta")
+def _delta(spec: FieldSpec, r: int, s: int, i: int) -> FieldElem:
     if i % (spec.q - 1) == 0:
         m = (-1) ** (r - 1) * comb(i - 1, r - 1) + (-1) ** (s - 1) * comb(i - 1, s - 1)
     else:
         m = 0
-    val = cache[(r, s, i)] = spec.residue(m)
-    return val
+    return spec.residue(m)
 
 
 # -- word-level recursion ------------------------------------------------------
@@ -82,16 +84,15 @@ def _shuffle_words(spec: FieldSpec, u: Word, v: Word) -> Element:
         return _word_elem(spec, v)
     if not v:
         return _word_elem(spec, u)
-    cache = spec.memo("shuffle")
-    key = (u, v)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    return _shuffle_step(spec, u, v)
+
+
+@memoized("shuffle")
+def _shuffle_step(spec: FieldSpec, u: Word, v: Word) -> Element:
     acc = accumulate({}, _shuffle_words(spec, u[1:], v).terms, head=u[:1])
     accumulate(acc, _shuffle_words(spec, u, v[1:]).terms, head=v[:1])
     accumulate(acc, _diamond_words(spec, u, v).terms)
-    out = cache[key] = Element(spec, _clean(acc))
-    return out
+    return Element(spec, _clean(acc))
 
 
 def _diamond_words(spec: FieldSpec, u: Word, v: Word) -> Element:
@@ -99,11 +100,11 @@ def _diamond_words(spec: FieldSpec, u: Word, v: Word) -> Element:
         return _word_elem(spec, v)
     if not v:
         return _word_elem(spec, u)
-    cache = spec.memo("diamond")
-    key = (u, v)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    return _diamond_step(spec, u, v)
+
+
+@memoized("diamond")
+def _diamond_step(spec: FieldSpec, u: Word, v: Word) -> Element:
     x, y = u[0], v[0]
     a1, b1 = x.n, y.n
     tail = _shuffle_words(spec, u[1:], v[1:])
@@ -117,8 +118,7 @@ def _diamond_words(spec: FieldSpec, u: Word, v: Word) -> Element:
             continue
         xj = _word_elem(spec, (letter(spec, j, spec.one),))
         accumulate(acc, shuffle(xj, tail).terms, dc, (letter(spec, n - j, eab),))
-    out = cache[key] = Element(spec, _clean(acc))
-    return out
+    return Element(spec, _clean(acc))
 
 
 def _triangle_words(spec: FieldSpec, u: Word, v: Word) -> Element:
@@ -185,20 +185,16 @@ def bracket(w: Word, spec: FieldSpec) -> Element:
             raise ValueError("bracket is defined on trivially-charactered words only")
     if not w:
         return Element.one(spec)
-    cache = spec.memo("bracket")
-    comp = tuple(lt.n for lt in w)
-    hit = cache.get(comp)
-    if hit is not None:
-        return hit
+    return _bracket(spec, tuple(lt.n for lt in w))
+
+
+@memoized("bracket")
+def _bracket(spec: FieldSpec, comp: tuple[int, ...]) -> Element:
+    """[x_{i_1} ... x_{i_m}] for the nonempty composition (i_1, ..., i_m)."""
     wt = sum(comp)
     coeff = spec.residue(-1) ** len(comp)
     for n in comp:
         coeff = coeff * delta_coeff(1, wt + 1, n, spec)
         if coeff.idx == 0:
-            break
-    if coeff.idx == 0:
-        out = Element.zero(spec)
-    else:
-        out = shuffle_words(spec, *((lt,) for lt in w)).scale(coeff)
-    cache[comp] = out
-    return out
+            return Element.zero(spec)
+    return shuffle_words(spec, *((letter(spec, n, spec.one),) for n in comp)).scale(coeff)

@@ -26,7 +26,7 @@ from .coalgebra import (
     counit,
     tensor_shuffle,
 )
-from .ff import FieldSpec
+from .ff import FieldSpec, memoized
 from .products import delta_coeff, diamond, horizontal, shuffle, triangle
 from .words import (
     EMPTY,
@@ -155,12 +155,9 @@ def random_element(rng: Rng, max_weight: int, max_terms: int, spec: FieldSpec) -
     return Element.from_terms(spec, acc)
 
 
-def _basis(spec: FieldSpec, w: int):
-    cache = spec.memo("basis_words")
-    hit = cache.get(w)
-    if hit is None:
-        hit = cache[w] = tuple(basis_words(w, spec))
-    return hit
+@memoized("basis_words")
+def _basis(spec: FieldSpec, w: int) -> tuple:
+    return tuple(basis_words(w, spec))
 
 
 def _words_up_to(spec: FieldSpec, bound: int, min_weight: int = 1):
@@ -174,10 +171,6 @@ def _pairs_total_weight(spec: FieldSpec, bound: int):
             for a in _basis(spec, wa):
                 for b in _basis(spec, wb):
                     yield a, b
-
-
-def _welem(spec: FieldSpec, w) -> Element:
-    return Element.from_word(spec, w)
 
 
 # -- algebra laws ---------------------------------------------------------------
@@ -199,7 +192,7 @@ def check_algebra(spec: FieldSpec, max_total_weight: int = 6) -> CheckReport:
     units = [spec.unit_from_exp(j) for j in range(spec.q - 1)]
     with _Timer() as tm:
         for a, b in _pairs_total_weight(spec, max_total_weight):
-            ea, eb = _welem(spec, a), _welem(spec, b)
+            ea, eb = Element.from_word(spec, a), Element.from_word(spec, b)
             ab, ba = shuffle(ea, eb), shuffle(eb, ea)
             rep.instances += 1
             if ab != ba:
@@ -224,8 +217,8 @@ def check_algebra(spec: FieldSpec, max_total_weight: int = 6) -> CheckReport:
                     f"rhs={format_element(ab)}"
                 )
             rep.instances += 1
-            head = diamond(_welem(spec, a[:1]), _welem(spec, b[:1]))
-            tailsh = shuffle(_welem(spec, a[1:]), _welem(spec, b[1:]))
+            head = diamond(Element.from_word(spec, a[:1]), Element.from_word(spec, b[:1]))
+            tailsh = shuffle(Element.from_word(spec, a[1:]), Element.from_word(spec, b[1:]))
             if dab != triangle(head, tailsh):
                 rep.failures.append(
                     f"diamond-head u={format_word(a, spec)} v={format_word(b, spec)}"
@@ -236,14 +229,14 @@ def check_algebra(spec: FieldSpec, max_total_weight: int = 6) -> CheckReport:
             for wb in range(1, triple_bound - wa):
                 for wc in range(1, triple_bound - wa - wb + 1):
                     for a in _basis(spec, wa):
-                        ea = _welem(spec, a)
+                        ea = Element.from_word(spec, a)
                         for b in _basis(spec, wb):
-                            eb = _welem(spec, b)
+                            eb = Element.from_word(spec, b)
                             sab = shuffle(ea, eb)
                             dab = diamond(ea, eb)
                             tab = triangle(ea, eb)
                             for c in _basis(spec, wc):
-                                ec = _welem(spec, c)
+                                ec = Element.from_word(spec, c)
                                 rep.instances += 4
                                 if shuffle(sab, ec) != shuffle(ea, shuffle(eb, ec)):
                                     rep.failures.append(
@@ -275,7 +268,7 @@ def check_algebra(spec: FieldSpec, max_total_weight: int = 6) -> CheckReport:
 
         # horizontal maps: composition on words, distributivity over diamond
         for w in _words_up_to(spec, max_total_weight - 1):
-            ew = _welem(spec, w)
+            ew = Element.from_word(spec, w)
             for al in units:
                 for be in units:
                     rep.instances += 1
@@ -284,7 +277,7 @@ def check_algebra(spec: FieldSpec, max_total_weight: int = 6) -> CheckReport:
                             f"horizontal-composition w={format_word(w, spec)}"
                         )
         for a, b in _pairs_total_weight(spec, max_total_weight - 1):
-            ea, eb = _welem(spec, a), _welem(spec, b)
+            ea, eb = Element.from_word(spec, a), Element.from_word(spec, b)
             for al in units:
                 fa = horizontal(al, ea)
                 for be in units:
@@ -314,7 +307,7 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
     units = [spec.unit_from_exp(j) for j in range(spec.q - 1)]
     with _Timer() as tm:
         for u in _words_up_to(spec, max_weight):
-            eu = _welem(spec, u)
+            eu = Element.from_word(spec, u)
             du = coproduct(eu)
             wu = word_weight(u)
 
@@ -327,8 +320,10 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
                 rep.failures.append(f"unit-tensorand u={format_word(u, spec)}")
 
             # counit axioms: (ε ⊗ 1)Δ(u) = u = (1 ⊗ ε)Δ(u)
-            lhs = linear(lambda sp, lr: _welem(sp, lr[1]).scale(counit(_welem(sp, lr[0]))), du)
-            rhs = linear(lambda sp, lr: _welem(sp, lr[0]).scale(counit(_welem(sp, lr[1]))), du)
+            lhs = linear(lambda sp, lr: Element.from_word(
+                sp, lr[1], counit(Element.from_word(sp, lr[0]))), du)
+            rhs = linear(lambda sp, lr: Element.from_word(
+                sp, lr[0], counit(Element.from_word(sp, lr[1]))), du)
             rep.instances += 2
             if lhs != eu:
                 rep.failures.append(f"counit-left u={format_word(u, spec)}")
@@ -341,8 +336,8 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
             left3: dict = {}
             right3: dict = {}
             for (l, r), c in du.terms.items():
-                accumulate(left3, coproduct(_welem(spec, r)).terms, c, (l,))
-                accumulate_outer(right3, coproduct(_welem(spec, l)).terms, {r: c})
+                accumulate(left3, coproduct(Element.from_word(spec, r)).terms, c, (l,))
+                accumulate_outer(right3, coproduct(Element.from_word(spec, l)).terms, {r: c})
             if _clean(left3) != {lk + (r,): v for (lk, r), v in _clean(right3).items()}:
                 rep.failures.append(f"coassociativity u={format_word(u, spec)}")
 
@@ -354,7 +349,8 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
                     # twist every left tensorand but the unit; the twist is a
                     # bijection on words, so no two terms collide
                     twisted = {
-                        (next(iter(horizontal(eps, _welem(spec, l)).terms)) if l else l, r): c
+                        (next(iter(horizontal(eps, Element.from_word(spec, l)).terms))
+                         if l else l, r): c
                         for (l, r), c in du.terms.items()
                     }
                     (hw, hc), = horizontal(eps, eu).terms.items()
@@ -371,7 +367,7 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
                         )
 
         for a, b in _pairs_total_weight(spec, max_weight):
-            ea, eb = _welem(spec, a), _welem(spec, b)
+            ea, eb = Element.from_word(spec, a), Element.from_word(spec, b)
             rep.instances += 1
             lhs_t = coproduct(shuffle(ea, eb))
             rhs_t = tensor_shuffle(coproduct(ea), coproduct(eb))
@@ -385,7 +381,7 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
         for a, b in _pairs_total_weight(spec, min(max_weight, 5)):
             if any(lt.eps.idx != 1 for lt in a + b):
                 continue
-            ea, eb = _welem(spec, a), _welem(spec, b)
+            ea, eb = Element.from_word(spec, a), Element.from_word(spec, b)
             rep.instances += 1
             lhs_t = coproduct(diamond(ea, eb))
             da, db = coproduct(ea), coproduct(eb)
@@ -396,8 +392,8 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
                 for (l2, r2), c2 in db.terms.items():
                     if not l2:
                         continue
-                    dpart = diamond(_welem(spec, l1), _welem(spec, l2))
-                    spart = shuffle(_welem(spec, r1), _welem(spec, r2))
+                    dpart = diamond(Element.from_word(spec, l1), Element.from_word(spec, l2))
+                    spart = shuffle(Element.from_word(spec, r1), Element.from_word(spec, r2))
                     accumulate_outer(acc, dpart.terms, spart.terms, c1 * c2)
             rhs_t = TensorElement.from_terms(spec, acc)
             if lhs_t != rhs_t:
@@ -419,18 +415,16 @@ def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> Che
     )
     with _Timer() as tm:
         for u in _words_up_to(spec, max_weight, min_weight=0):
-            eu = _welem(spec, u)
+            eu = Element.from_word(spec, u)
             du = coproduct(eu)
             su = antipode(eu)
             target = Element.one(spec).scale(counit(eu))
 
             # m(S ⊗ 1)Δ(u) and m(1 ⊗ S)Δ(u) against ε(u)·1
-            lhs = linear(
-                lambda sp, lr: shuffle(antipode(_welem(sp, lr[0])), _welem(sp, lr[1])), du
-            )
-            rhs = linear(
-                lambda sp, lr: shuffle(_welem(sp, lr[0]), antipode(_welem(sp, lr[1]))), du
-            )
+            lhs = linear(lambda sp, lr: shuffle(
+                antipode(Element.from_word(sp, lr[0])), Element.from_word(sp, lr[1])), du)
+            rhs = linear(lambda sp, lr: shuffle(
+                Element.from_word(sp, lr[0]), antipode(Element.from_word(sp, lr[1]))), du)
             rep.instances += 2
             if lhs != target:
                 rep.failures.append(
@@ -448,12 +442,12 @@ def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> Che
 
         inv_bound = min(max_weight - 1, 5)
         for u in _words_up_to(spec, inv_bound):
-            eu = _welem(spec, u)
+            eu = Element.from_word(spec, u)
             rep.instances += 1
             if antipode(antipode(eu)) != eu:
                 rep.failures.append(f"antipode-involution u={format_word(u, spec)}")
         for a, b in _pairs_total_weight(spec, inv_bound):
-            ea, eb = _welem(spec, a), _welem(spec, b)
+            ea, eb = Element.from_word(spec, a), Element.from_word(spec, b)
             rep.instances += 1
             if antipode(shuffle(ea, eb)) != shuffle(antipode(ea), antipode(eb)):
                 rep.failures.append(
@@ -517,7 +511,7 @@ def check_coproduct_oracle(
             if any(lt.eps.idx != 1 for lt in u):
                 continue
             rep.instances += 1
-            if coproduct(_welem(spec, u)) != coproduct_mzv_word(u, spec):
+            if coproduct(Element.from_word(spec, u)) != coproduct_mzv_word(u, spec):
                 rep.failures.append(f"word-oracle u={format_word(u, spec)}")
     rep.millis = tm.millis
     return rep

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .ff import FieldElem, FieldSpec
+from .ff import FieldElem, FieldSpec, check_field
 
 # a letter's value is ((n << _CHAR_BITS | j) << _CODE_BITS) | spec.code:
 # j <= q - 2 < 2**6 and every FieldSpec.code is below 2**15
@@ -79,8 +79,7 @@ def letter(spec: FieldSpec, n: int, eps: FieldElem) -> Letter:
         raise ValueError("letter weight must be >= 1")
     if eps.idx == 0:
         raise ValueError("letter character must be a unit")
-    if eps.spec is not spec and eps.spec.key != spec.key:
-        raise ValueError(f"field mismatch: F_{spec.q} vs F_{eps.spec.q}")
+    check_field(spec, eps.spec)
     if lt is None:
         lt = spec.letters[key] = Letter(n, spec.elements[eps.idx])
     return lt
@@ -142,16 +141,12 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _check_field(self, other: "Element") -> None:
-        if other.spec is not self.spec and other.spec.key != self.spec.key:
-            raise ValueError(f"field mismatch: F_{self.spec.q} vs F_{other.spec.q}")
-
     def __add__(self, other: "Element") -> "Element":
-        self._check_field(other)
+        check_field(self.spec, other.spec)
         return Element(self.spec, _clean(accumulate(dict(self.terms), other.terms)))
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check_field(other)
+        check_field(self.spec, other.spec)
         out = accumulate(dict(self.terms), other.terms, -self.spec.one)
         return Element(self.spec, _clean(out))
 

@@ -47,7 +47,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .ff import FieldElem, FieldSpec
+from .ff import FieldElem, FieldSpec, check_field, memoized
 from .words import Element, Word, letter
 
 DEFAULT_BUDGET = 10**6
@@ -176,7 +176,7 @@ class Laurent:
     def __init__(self, spec: FieldSpec, val: int, coeffs, prec: int):
         idx = []
         for c in coeffs:
-            _check_field(spec, c.spec)
+            check_field(spec, c.spec)
             idx.append(c.idx)
         _normalize(self, spec, val, idx, prec)
 
@@ -215,7 +215,7 @@ class Laurent:
 
     def __add__(self, other: "Laurent") -> "Laurent":
         spec = self.spec
-        _check_field(spec, other.spec)
+        check_field(spec, other.spec)
         prec = min(self.prec, other.prec)
         a, b = self.idx, other.idx
         if not a:
@@ -245,7 +245,7 @@ class Laurent:
         return self + -other
 
     def scale(self, c: FieldElem) -> "Laurent":
-        _check_field(self.spec, c.spec)
+        check_field(self.spec, c.spec)
         if c.idx == 1:
             return self
         if c.idx == 0:
@@ -255,7 +255,7 @@ class Laurent:
 
     def __mul__(self, other: "Laurent") -> "Laurent":
         spec = self.spec
-        _check_field(spec, other.spec)
+        check_field(spec, other.spec)
         # unknown tail of one factor first pollutes exponent prec_a + val_b
         prec = min(self.prec + other.val, other.prec + self.val)
         a, b = self.idx, other.idx
@@ -268,7 +268,7 @@ class Laurent:
 
     def agrees_with(self, other: "Laurent") -> bool:
         """Coefficient equality on the common guaranteed range."""
-        _check_field(self.spec, other.spec)
+        check_field(self.spec, other.spec)
         prec = min(self.prec, other.prec)
         a, b = self.truncate(prec), other.truncate(prec)
         return a.val == b.val and a.idx == b.idx
@@ -288,11 +288,6 @@ class Laurent:
 
     def __repr__(self):
         return format_laurent(self)
-
-
-def _check_field(spec: FieldSpec, other: FieldSpec) -> None:
-    if other is not spec and other.key != spec.key:
-        raise ValueError(f"field mismatch: F_{spec.q} vs F_{other.q}")
 
 
 def _normalize(x: Laurent, spec: FieldSpec, val: int, idx, prec: int) -> None:
@@ -443,6 +438,8 @@ class ZetaArray:
             raise ValueError("weights must be positive")
         if any(e.idx == 0 for e in self.eps):
             raise ValueError("characters must be units")
+        # memos are keyed by arrays: hash once, by the characters' indices
+        object.__setattr__(self, "_hash", hash((self.s, tuple(e.idx for e in self.eps))))
 
     @property
     def depth(self) -> int:
@@ -457,8 +454,8 @@ class ZetaArray:
             return None
         return ZetaArray(self.eps[1:], self.s[1:])
 
-    def key(self):
-        return tuple(zip(self.s, (e.idx for e in self.eps)))
+    def __hash__(self):
+        return self._hash
 
 
 def word_to_array(w: Word) -> ZetaArray:
@@ -484,19 +481,20 @@ def laurent_inv_pow(a: Poly, s: int, prec_coeffs: int) -> Laurent:
         raise ValueError("inverse powers are taken of monic polynomials only")
     if s < 1:
         raise ValueError("exponent must be >= 1")
-    spec = a.spec
-    cache = spec.memo("inv_pow")
-    key = (tuple(c.idx for c in a.coeffs), s, prec_coeffs)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    d = a.degree
+    if prec_coeffs < 0:
+        raise ValueError("precision must be >= 0")
+    return _inv_pow(a.spec, tuple(c.idx for c in a.coeffs), s, prec_coeffs)
+
+
+@memoized("inv_pow")
+def _inv_pow(spec: FieldSpec, a: tuple[int, ...], s: int, prec_coeffs: int) -> Laurent:
+    """:func:`laurent_inv_pow` of the monic polynomial with coefficient
+    indices ``a`` (ascending)."""
+    d = len(a) - 1
     # a = theta^d (1 + h(u)) with h_t the coefficient of theta^(d-t)
-    h = [a.coeffs[d - t].idx for t in range(1, min(d, prec_coeffs - 1) + 1)]
+    h = [a[d - t] for t in range(1, min(d, prec_coeffs - 1) + 1)]
     g = _unit_inv_pow(h, s, prec_coeffs, spec.idx_ops)
-    out = _laurent(spec, d * s, g, d * s + prec_coeffs)
-    cache[key] = out
-    return out
+    return _laurent(spec, d * s, g, d * s + prec_coeffs)
 
 
 def _chain_degrees(d: int, depth: int):
@@ -507,15 +505,14 @@ def _chain_degrees(d: int, depth: int):
 def power_sum_d(arr: ZetaArray, d: int, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
     """S_d(arr) to absolute precision N, by enumerating every chain of monic
     polynomials with strictly decreasing degrees d = deg a_1 > ... >= 0."""
-    spec = arr.spec
+    if d < 0 or d < arr.depth - 1:
+        return Laurent.zero(arr.spec, N)
+    return _power_sum_d(arr.spec, arr, d, N, budget)
+
+
+@memoized("power_sum_d")
+def _power_sum_d(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -> Laurent:
     n = arr.depth
-    if d < 0 or d < n - 1:
-        return Laurent.zero(spec, N)
-    cache = spec.memo("power_sum_d")
-    key = (arr.key(), d, N)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     q = spec.q
     total = sum(q ** sum(degs) for degs in _chain_degrees(d, n))
     if total > budget:
@@ -532,40 +529,37 @@ def power_sum_d(arr: ZetaArray, d: int, N: int, budget: int = DEFAULT_BUDGET) ->
             for a, si in zip(polys[1:], arr.s[1:]):
                 term = term * laurent_inv_pow(a, si, N)
             acc = acc + term.scale(scalar)
-    acc = acc.truncate(N)
-    cache[key] = acc
-    return acc
+    return acc.truncate(N)
 
 
 def power_sum_lt(arr: ZetaArray, d: int, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
     """S_{<d}(arr) = sum of S_m(arr) over 0 <= m < d, absolute precision N."""
-    spec = arr.spec
-    cache = spec.memo("power_sum_lt")
-    key = (arr.key(), d, N)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    return _power_sum_lt(arr.spec, arr, d, N, budget)
+
+
+@memoized("power_sum_lt")
+def _power_sum_lt(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -> Laurent:
     acc = Laurent.zero(spec, N)
     for m in range(max(d, 0)):
         acc = acc + power_sum_d(arr, m, N, budget)
-    cache[key] = acc
     return acc
 
 
 def power_sum_lt_element(e: Element, d: int, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
     """Linear extension of S_{<d} to the word algebra; the empty word maps to 1."""
     spec = e.spec
-    arrays = spec.memo("word_array")
     acc = Laurent.zero(spec, N)
     for w, c in e.terms.items():
         if not w:
             acc = acc + Laurent.one(spec, N).scale(c)
             continue
-        arr = arrays.get(w)
-        if arr is None:
-            arr = arrays[w] = word_to_array(w)
-        acc = acc + power_sum_lt(arr, d, N, budget).scale(c)
+        acc = acc + power_sum_lt(_word_array(spec, w), d, N, budget).scale(c)
     return acc
+
+
+@memoized("word_array")
+def _word_array(spec: FieldSpec, w: Word) -> ZetaArray:
+    return word_to_array(w)
 
 
 # -- fast per-degree kernel for the zeta map --------------------------------------
@@ -581,11 +575,13 @@ def _depth1_power_sum(spec: FieldSpec, s: int, d: int, N: int,
     v = d * s
     if v >= N or d * (s + 1) >= N:
         return Laurent.zero(spec, N)
-    cache = spec.memo("depth1_power_sum")
-    key = (s, d, N)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    return _depth1_window(spec, s, d, N, budget)
+
+
+@memoized("depth1_power_sum")
+def _depth1_window(spec: FieldSpec, s: int, d: int, N: int, budget: int) -> Laurent:
+    """:func:`_depth1_power_sum` for d >= 1 whose window below N is open."""
+    v = d * s
     q = spec.q
     if q**d > budget:
         raise BudgetExceededError(f"q^d = {q}^{d} exceeds budget {budget}")
@@ -598,42 +594,31 @@ def _depth1_power_sum(spec: FieldSpec, s: int, d: int, N: int,
         g = _unit_inv_pow(h, s, M, ops)
         for m in range(M):
             total[m] = add[total[m]][g[m]]
-    out = _laurent(spec, v, total, N)
-    cache[key] = out
-    return out
+    return _laurent(spec, v, total, N)
 
 
 def _sd_fast(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -> Laurent:
     if d < 0 or d < arr.depth - 1:
         return Laurent.zero(spec, N)
-    cache = spec.memo("sd_fast")
-    key = (arr.key(), d, N)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    return _sd_step(spec, arr, d, N, budget)
+
+
+@memoized("sd_fast")
+def _sd_step(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -> Laurent:
     head = _depth1_power_sum(spec, arr.s[0], d, N, budget)
     if head.is_zero():
-        out = Laurent.zero(spec, N)
-    else:
-        tail = arr.tail()
-        rest = Laurent.one(spec, N) if tail is None else _slt_fast(spec, tail, d, N, budget)
-        out = (head * rest).scale(arr.eps[0] ** d).truncate(N)
-    cache[key] = out
-    return out
-
-
-def _slt_fast(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -> Laurent:
-    if d <= 0:
         return Laurent.zero(spec, N)
-    cache = spec.memo("slt_fast")
-    key = (arr.key(), d, N)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    tail = arr.tail()
+    rest = Laurent.one(spec, N) if tail is None else _slt_fast(spec, tail, d, N, budget)
+    return (head * rest).scale(arr.eps[0] ** d).truncate(N)
+
+
+@memoized("slt_fast")
+def _slt_fast(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -> Laurent:
+    # only ever reached from _sd_step on a tail, where d >= 1
     out = Laurent.zero(spec, N)
     for m in range(d):
         out = out + _sd_fast(spec, arr, m, N, budget)
-    cache[key] = out
     return out
 
 
@@ -646,20 +631,20 @@ def zeta_trunc(e: Element, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
     """
     spec = e.spec
     acc = Laurent.zero(spec, N)
-    cache = spec.memo("zeta_word")
     for w, c in e.terms.items():
         if not w:
             acc = acc + Laurent.one(spec, N).scale(c)
             continue
-        key = (w, N)
-        z = cache.get(key)
-        if z is None:
-            arr = word_to_array(w)
-            z = Laurent.zero(spec, N)
-            for d in range(N + 1):
-                if d * (arr.s[0] + 1) >= N and d > 0:
-                    break
-                z = z + _sd_fast(spec, arr, d, N, budget)
-            cache[key] = z
-        acc = acc + z.scale(c)
+        acc = acc + _zeta_word(spec, w, N, budget).scale(c)
     return acc
+
+
+@memoized("zeta_word")
+def _zeta_word(spec: FieldSpec, w: Word, N: int, budget: int) -> Laurent:
+    arr = word_to_array(w)
+    z = Laurent.zero(spec, N)
+    for d in range(N + 1):
+        if d * (arr.s[0] + 1) >= N and d > 0:
+            break
+        z = z + _sd_fast(spec, arr, d, N, budget)
+    return z

@@ -86,6 +86,36 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, ["powsum", "--q", "2", "--d", "1", "1"])[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["powsum", "--q", "3", "--d", "2", "--prec", "-3", "x[1,0]"],
+    ["powsum", "--q", "3", "--d", "2", "--lt", "--prec", "-1", "x[1,0]"],
+    ["zeta", "--q", "2", "--prec", "-5", "x[1,0]"],
+])
+def test_negative_prec_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --prec must be >= 0")
+
+
+def test_zero_prec_is_allowed(capsys):
+    assert run_cli(capsys, ["zeta", "--q", "2", "--prec", "0", "x[1,0]"])[:2] == (0, "0 + O(u^0)\n")
+    code, out, _ = run_cli(capsys, ["powsum", "--q", "3", "--d", "2", "--prec", "0", "x[1,0]"])
+    assert (code, out) == (0, "0 + O(u^0)\n")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--p", "4", "--k", "1"], "p = 4 is not prime"),
+    (["--p", "2", "--k", "0"], "extension degree k must be >= 1"),
+    (["--p", "2", "--k", "7"], "q = 128 exceeds the supported maximum 64"),
+    (["--p", "2", "--k", "2", "--modulus", "1,0,1"], "modulus is reducible"),
+    (["--p", "2", "--k", "2", "--modulus", "1,1"], "modulus must be monic of degree k"),
+    (["--q", "128"], "q = 128 exceeds the supported maximum 64"),
+])
+def test_bad_field_flags_exit_2(capsys, flags, message):
+    code, out, err = run_cli(capsys, ["shuffle", *flags, "x[1,0]", "x[1,0]"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_budget_exit_1(capsys):
     code, _, err = run_cli(
         capsys, ["powsum", "--q", "3", "--d", "15", "--prec", "6", "x[1,0]"]

@@ -3,7 +3,9 @@
 Every name a module under ``src/amzv`` imports (``__init__`` excepted, whose
 imports are its exports) must be used in that module, and the algebra
 modules must not import the fault switches: the negative controls install
-their corruptions from outside.
+their corruptions from outside.  The memo registry belongs to ``ff.py``:
+every other module caches through ``ff.memoized`` and never reads
+``_memos`` or calls a ``.memo(...)`` method itself.
 """
 
 import ast
@@ -71,3 +73,16 @@ def test_algebra_modules_do_not_import_faults(name):
         assert "faults" not in (bound, *source.strip(".").split(".")), (
             f"{name} imports {bound} from {source or 'the top level'}"
         )
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "ff.py"),
+                         ids=lambda p: p.name)
+def test_only_ff_touches_the_memo_registry(path):
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Attribute) and node.attr == "_memos":
+            bad.append(f"line {node.lineno}: ._memos")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "memo"):
+            bad.append(f"line {node.lineno}: .memo(...)")
+    assert not bad, f"{path.name} bypasses ff.memoized: {bad}"

@@ -1,0 +1,212 @@
+"""The per-field memo policy of ``amzv.ff.memoized``.
+
+Every memoized function hands back its cached object on a repeat call and
+a fresh, equal one after ``clear_memos()``; trivial inputs (an empty word, a
+single letter, a degree below the depth or outside the window) are answered
+without taking a memo entry; and the enumeration budget is part of the key,
+so a cached sum never hides a budget that is too small.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from amzv import (
+    Element,
+    Poly,
+    antipode,
+    bracket,
+    coproduct,
+    coproduct_letter,
+    diamond,
+    field_from_q,
+    laurent_inv_pow,
+    parse_word,
+    power_sum_d,
+    power_sum_lt,
+    shuffle,
+    word_to_array,
+    zeta_trunc,
+)
+from amzv import verify, zeta
+from amzv.coalgebra import coproduct_mzv_recursive, coproduct_mzv_word
+from amzv.ff import memoized
+from amzv.products import delta_coeff
+from amzv.zeta import DEFAULT_BUDGET, BudgetExceededError
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "amzv"
+
+# every memo, by the name the benchmark's tracer counts it under
+MEMO_NAMES = {
+    "delta", "shuffle", "diamond", "bracket",
+    "coproduct_letter", "coproduct", "antipode", "mzv_letter", "mzv_word",
+    "inv_pow", "power_sum_d", "power_sum_lt", "word_array", "depth1_power_sum",
+    "sd_fast", "slt_fast", "zeta_word", "basis_words",
+}
+
+
+def sizes(spec):
+    return {name: len(m) for name, m in spec._memos.items() if m}
+
+
+def W(spec, text):
+    return parse_word(text, spec)
+
+
+def E(spec, text):
+    return Element.from_word(spec, W(spec, text))
+
+
+def A(spec, text):
+    return word_to_array(W(spec, text))
+
+
+# memo name -> one call that fills it, through the function a caller uses
+CALLS = {
+    "delta": lambda sp: delta_coeff(1, 2, 2, sp),
+    "shuffle": lambda sp: shuffle(E(sp, "x[1,1]x[2,0]"), E(sp, "x[1,0]")),
+    "diamond": lambda sp: diamond(E(sp, "x[1,1]x[2,0]"), E(sp, "x[1,0]")),
+    "bracket": lambda sp: bracket(W(sp, "x[1,0]x[2,0]"), sp),
+    "coproduct_letter": lambda sp: coproduct_letter(W(sp, "x[3,1]")[0]),
+    "coproduct": lambda sp: coproduct(E(sp, "x[2,1]x[1,0]")),
+    "antipode": lambda sp: antipode(E(sp, "x[2,1]x[1,0]")),
+    "mzv_letter": lambda sp: coproduct_mzv_recursive(3, sp),
+    "mzv_word": lambda sp: coproduct_mzv_word(W(sp, "x[2,0]x[1,0]"), sp),
+    "inv_pow": lambda sp: laurent_inv_pow(Poly(sp, (sp.g, sp.one, sp.one)), 2, 6),
+    "power_sum_d": lambda sp: power_sum_d(A(sp, "x[1,1]x[1,0]"), 2, 10),
+    "power_sum_lt": lambda sp: power_sum_lt(A(sp, "x[2,1]"), 3, 10),
+    "word_array": lambda sp: zeta._word_array(sp, W(sp, "x[2,1]x[1,0]")),
+    "depth1_power_sum": lambda sp: zeta._depth1_power_sum(sp, 1, 2, 12),
+    "sd_fast": lambda sp: zeta._sd_fast(sp, A(sp, "x[1,0]"), 2, 12, DEFAULT_BUDGET),
+    "slt_fast": lambda sp: zeta._slt_fast(sp, A(sp, "x[1,0]"), 3, 12, DEFAULT_BUDGET),
+    "zeta_word": lambda sp: zeta._zeta_word(sp, W(sp, "x[1,1]"), 12, DEFAULT_BUDGET),
+    "basis_words": lambda sp: verify._basis(sp, 3),
+}
+
+
+def test_every_memo_has_a_case():
+    assert set(CALLS) == MEMO_NAMES
+
+
+def test_memo_names_are_declared_once_each_in_the_package():
+    declared = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "memoized"):
+                declared.append(node.args[0].value)
+    assert sorted(declared) == sorted(MEMO_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_repeat_call_is_cached_and_clear_memos_drops_it(name):
+    spec = field_from_q(3)
+    call = CALLS[name]
+    first = call(spec)
+    assert sizes(spec).get(name, 0) >= 1
+    assert call(spec) is first
+    spec.clear_memos()
+    assert sizes(spec) == {}
+    again = call(spec)
+    assert again == first
+    # delta's values are the field's shared elements; every other result is
+    # built anew
+    if name != "delta":
+        assert again is not first
+    assert sizes(spec).get(name, 0) >= 1
+
+
+# memo names each trivial call may fill (its callees included); {} for none
+TRIVIAL = {
+    "shuffle by 1": (lambda sp: shuffle(Element.one(sp), E(sp, "x[2,1]x[1,0]")), {}),
+    "shuffle of ()": (lambda sp: shuffle(E(sp, "x[2,1]"), Element.one(sp)), {}),
+    "diamond by 1": (lambda sp: diamond(Element.one(sp), E(sp, "x[2,1]x[1,0]")), {}),
+    "diamond of ()": (lambda sp: diamond(E(sp, "x[2,1]"), Element.one(sp)), {}),
+    "bracket of 1": (lambda sp: bracket((), sp), {}),
+    "coproduct of 1": (lambda sp: coproduct(Element.one(sp)), {}),
+    "coproduct of a letter": (lambda sp: coproduct(E(sp, "x[3,1]")),
+                              {"coproduct_letter", "bracket", "delta"}),
+    "antipode of 1": (lambda sp: antipode(Element.one(sp)), {}),
+    "oracle of 1": (lambda sp: coproduct_mzv_word((), sp), {}),
+    "oracle of a letter": (lambda sp: coproduct_mzv_word(W(sp, "x[2,0]"), sp),
+                           {"mzv_letter", "mzv_word", "shuffle", "diamond", "delta"}),
+    "power sum below the depth": (
+        lambda sp: power_sum_d(A(sp, "x[1,0]x[1,1]x[1,0]"), 1, 10), {}),
+    "power sum at d < 0": (lambda sp: power_sum_d(A(sp, "x[1,0]"), -1, 10), {}),
+    "sd_fast below the depth": (
+        lambda sp: zeta._sd_fast(sp, A(sp, "x[1,0]x[1,1]"), 0, 12, DEFAULT_BUDGET), {}),
+    "sd_fast at d < 0": (
+        lambda sp: zeta._sd_fast(sp, A(sp, "x[1,0]"), -1, 12, DEFAULT_BUDGET), {}),
+    "depth1 at d = 0": (lambda sp: zeta._depth1_power_sum(sp, 1, 0, 12), {}),
+    "depth1 past the valuation": (lambda sp: zeta._depth1_power_sum(sp, 5, 3, 12), {}),
+    "depth1 past the window": (lambda sp: zeta._depth1_power_sum(sp, 2, 4, 12), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIVIAL))
+def test_trivial_inputs_take_no_memo_entry(case):
+    call, allowed = TRIVIAL[case]
+    spec = field_from_q(3)
+    call(spec)
+    assert set(sizes(spec)) <= set(allowed)
+
+
+def test_a_single_letter_is_cached_only_under_coproduct_letter():
+    spec = field_from_q(3)
+    x = E(spec, "x[3,1]")
+    assert coproduct(x) is coproduct_letter(W(spec, "x[3,1]")[0])
+    assert "coproduct" not in sizes(spec)
+    # the closed form's own memos, and nothing of the word recursion
+    assert set(sizes(spec)) == {"coproduct_letter", "bracket", "delta"}
+    assert sizes(spec)["coproduct_letter"] == 1
+
+
+def test_depth1_windows_outside_the_kernel_are_not_cached():
+    spec = field_from_q(3)
+    N = 12
+    for s in (1, 2, 3):
+        for d in range(0, N + 1):
+            zeta._depth1_power_sum(spec, s, d, N)
+    # one entry per (s, d) with 1 <= d and d(s + 1) < N
+    want = sum(1 for s in (1, 2, 3) for d in range(1, N + 1) if d * (s + 1) < N)
+    assert sizes(spec) == {"depth1_power_sum": want}
+
+
+# a cached sum must not answer a call whose budget it would exceed
+BUDGETED = {
+    "power_sum_d": lambda sp, **kw: power_sum_d(A(sp, "x[1,0]"), 3, 10, **kw),
+    "power_sum_lt": lambda sp, **kw: power_sum_lt(A(sp, "x[1,0]"), 4, 10, **kw),
+    "depth1_power_sum": lambda sp, **kw: zeta._depth1_power_sum(sp, 1, 3, 16, **kw),
+    "zeta_trunc": lambda sp, **kw: zeta_trunc(E(sp, "x[1,0]"), 10, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED))
+def test_small_budget_raises_after_a_default_budget_hit(name):
+    spec = field_from_q(3)
+    call = BUDGETED[name]
+    got = call(spec)
+    assert call(spec) is got
+    with pytest.raises(BudgetExceededError):
+        call(spec, budget=5)
+    assert call(spec, budget=DEFAULT_BUDGET) is got
+
+
+def test_memoized_caches_per_field_by_arguments():
+    runs = []
+
+    @memoized("test-square")
+    def square(spec, n):
+        """n squared, counted."""
+        runs.append((spec.q, n))
+        return n * n
+
+    assert square.__name__ == "square" and square.__doc__ == "n squared, counted."
+    s2, s3 = field_from_q(2), field_from_q(3)
+    assert [square(s2, 4), square(s2, 4), square(s3, 4), square(s2, 5)] == [16, 16, 16, 25]
+    assert runs == [(2, 4), (3, 4), (2, 5)]
+    assert sizes(s2) == {"test-square": 2} and sizes(s3) == {"test-square": 1}
+    s2.clear_memos()
+    assert sizes(s2) == {} and square(s2, 4) == 16
+    assert runs[-1] == (2, 4) and sizes(s3) == {"test-square": 1}

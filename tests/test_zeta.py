@@ -151,6 +151,17 @@ def test_inv_pow_rejects_bad_input(spec_q3):
         laurent_inv_pow(not_monic, 1, 4)
 
 
+def test_inv_pow_rejects_negative_precision(spec_q3):
+    theta = Poly.theta(spec_q3)
+    for a in (theta, Poly(spec_q3, (spec_q3.one, spec_q3.zero, spec_q3.one))):
+        with pytest.raises(ValueError, match="precision must be >= 0"):
+            laurent_inv_pow(a, 1, -1)
+        with pytest.raises(ValueError, match="precision must be >= 0"):
+            laurent_inv_pow(a, 3, -7)
+    # no precision at all is still a valid request
+    assert laurent_inv_pow(theta, 2, 0) == Laurent.zero(spec_q3, 2)
+
+
 # -- power sums -------------------------------------------------------------------
 
 
