@@ -73,10 +73,10 @@ def _parse_operand(text: str, spec: FieldSpec) -> Element:
         raise UsageError(f"bad element {text!r}: {exc}") from None
 
 
-def _prec(args) -> int:
-    if args.prec < 0:
-        raise UsageError(f"--prec must be >= 0, got {args.prec}")
-    return args.prec
+def _nonnegative(value: int, flag: str) -> int:
+    if value < 0:
+        raise UsageError(f"{flag} must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,16 +178,16 @@ def _run(args) -> int:
         if not w:
             raise UsageError("power sums need a nonempty word")
         arr = word_to_array(w)
-        prec = _prec(args)
+        prec = _nonnegative(args.prec, "--prec")
         ps = power_sum_lt(arr, args.d, prec) if args.lt else power_sum_d(arr, args.d, prec)
         print(format_laurent(ps))
         return 0
     if cmd == "zeta":
         a = _parse_operand(args.a, spec)
-        print(format_laurent(zeta_trunc(a, _prec(args))))
+        print(format_laurent(zeta_trunc(a, _nonnegative(args.prec, "--prec"))))
         return 0
     if cmd == "basis":
-        for w in range(args.weight_max + 1):
+        for w in range(_nonnegative(args.weight_max, "--weight-max") + 1):
             for word in basis_words(w, spec):
                 print(format_word(word, spec))
         return 0

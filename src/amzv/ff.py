@@ -5,6 +5,18 @@ and then treated as immutable.  All q elements are created up front and every
 arithmetic operation is a table lookup returning one of those shared values,
 so elements can be used freely as dictionary keys in the word-algebra layers.
 
+An element's coordinates ``(c_0, ..., c_{k-1})`` are those of
+``sum c_j t^j`` modulo the field's modulus, and its index is
+``sum c_j p^j``.  The primary tables are the int tables
+``FieldSpec.idx_ops`` on these indices.  Addition and negation are
+coordinate arithmetic mod p (XOR and the identity when p = 2).
+Multiplication goes through the exp/log tables of the primitive element
+``g``: walking the powers of each candidate by polynomial products finds
+``g`` and its exp table in O(q) products, and ``a * b = g^(log a + log b)``.
+The ``FieldElem`` tables (sums, products, negatives, inverses and powers of
+``g`` as shared elements) are views of the int tables, built in the same
+pass; only this module reads them.
+
 Units are printed in exponent form ``g^j`` where ``g`` is a fixed primitive
 element chosen deterministically (the first element, in coordinate order,
 whose multiplicative order is q - 1).  Zero prints as ``0``.
@@ -106,6 +118,25 @@ def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _coordinate_tables(p: int, k: int) -> tuple[tuple, tuple]:
+    """``(add, neg)`` on the indices ``sum c_i p^i`` of coordinate vectors
+    ``(c_0, ..., c_{k-1})``: coordinate-wise sum and negation mod p, which
+    for p = 2 are XOR and the identity.  Built one coordinate at a time: the
+    index ``a + size * t`` puts coordinate ``t`` above the ``size`` indices
+    already tabled."""
+    add: tuple = ((0,),)
+    neg: tuple = (0,)
+    size = 1
+    for _ in range(k):
+        add = tuple(
+            tuple(x + size * ((t + u) % p) for u in range(p) for x in add[a])
+            for t in range(p) for a in range(size)
+        )
+        neg = tuple(x + size * (-t % p) for t in range(p) for x in neg)
+        size *= p
+    return add, neg
+
+
 def check_field(spec: FieldSpec, other: FieldSpec) -> None:
     """Raise ``ValueError`` unless ``other`` is ``spec``'s field (the same
     spec, or one with an equal key)."""
@@ -161,16 +192,8 @@ class FieldElem:
             if n < 0:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
             return self
-        # units form a cyclic group of order q - 1
-        e = n % (self.spec.q - 1)
-        out = self.spec.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        spec = self.spec
+        return spec._gpow[spec._log[self.idx] * n % (spec.q - 1)]
 
     def inverse(self) -> "FieldElem":
         if self.idx == 0:
@@ -188,7 +211,14 @@ class FieldElem:
 
 
 class FieldSpec:
-    """All tables for one field F_q.  Immutable after construction."""
+    """All tables for one field F_q.  Immutable after construction.
+
+    ``idx_ops`` is ``(add, mul, neg)`` on element indices: ``add[a][b]`` is
+    the index of ``elements[a] + elements[b]``, likewise ``mul``; ``neg[a]``
+    is that of ``-elements[a]``.  These int tables are the primary ones, and
+    like ``letters`` they outlive :meth:`clear_memos`.  The ``FieldElem``
+    arithmetic reads the same tables as rows of shared elements.
+    """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -211,31 +241,32 @@ class FieldSpec:
         self.zero = self.elements[0]
         self.one = self.elements[1]
 
-        self._add = [
-            [self._from_coeffs(self._coeff_add(a.coeffs, b.coeffs)) for b in self.elements]
-            for a in self.elements
-        ]
-        self._neg = [self._from_coeffs(tuple((-c) % p for c in a.coeffs)) for a in self.elements]
-        self._mul = [
-            [self._from_coeffs(self._coeff_mul(a.coeffs, b.coeffs)) for b in self.elements]
-            for a in self.elements
-        ]
-        self._inv: list[FieldElem | None] = [None] * q
-        for a in self.elements[1:]:
-            for b in self.elements[1:]:
-                if self._mul[a.idx][b.idx].idx == 1:
-                    self._inv[a.idx] = b
-                    break
+        # the primary tables, on element indices: add and neg by coordinate
+        # arithmetic, mul through g's exp/log tables
+        add, neg = _coordinate_tables(p, k)
+        # F_p itself is F_p[t]/(t): its key has an empty modulus
+        exp = self._generator_powers(modulus or (0, 1))
+        n = q - 1
+        log: list = [None] * q
+        for j, v in enumerate(exp):
+            log[v] = j
+        # a * b = g^(log a + log b); row and column 0 are zero
+        exp2 = exp + exp
+        units = log[1:]
+        mul = ((0,) * q, *((0, *[exp2[i + j] for j in units]) for i in units))
+        self.idx_ops: tuple = (add, mul, neg)
 
-        self.g = self._find_generator()
-        self._gpow: list[FieldElem] = [self.one]
-        for _ in range(q - 2):
-            self._gpow.append(self._gpow[-1] * self.g)
-        self._log = {e.idx: j for j, e in enumerate(self._gpow)}
+        # the same tables as views of the shared elements, for FieldElem
+        at = self.elements.__getitem__
+        self._add = tuple(tuple(map(at, row)) for row in add)
+        self._mul = tuple(tuple(map(at, row)) for row in mul)
+        self._neg = tuple(map(at, neg))
+        self._gpow = tuple(map(at, exp))
+        self._inv = (None, *(self._gpow[-j % n] for j in units))
+        self._log = tuple(log)
+        self.g = self._gpow[1 % n]
 
-        self._idx_ops: tuple | None = None
-        # the shared word letters, filled on demand by ``amzv.words.letter``;
-        # like ``idx_ops`` they outlive :meth:`clear_memos`
+        # the shared word letters, filled on demand by ``amzv.words.letter``
         self.letters: dict = {}
         # memo name -> {args: result}, filled by ``memoized`` functions
         self._memos: defaultdict[str, dict] = defaultdict(dict)
@@ -249,48 +280,40 @@ class FieldSpec:
             v //= self.p
         return tuple(out)
 
-    def _from_coeffs(self, coeffs: tuple[int, ...]) -> FieldElem:
+    def _index(self, coeffs: tuple[int, ...]) -> int:
         v = 0
         for c in reversed(coeffs):
             v = v * self.p + c
-        return self.elements[v]
+        return v
 
-    def _coeff_add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+    def _generator_powers(self, modulus: tuple[int, ...]) -> list[int]:
+        """The indices of g^0, ..., g^(q-2), where g is the first element in
+        index order whose multiplicative order is q - 1.
 
-    def _coeff_mul(self, a, b):
-        if self.k == 1:
-            return ((a[0] * b[0]) % self.p,)
-        prod = _poly_mul(_poly_trim(a), _poly_trim(b), self.p)
-        red = _poly_mod(prod, self.modulus, self.p)
-        return red + (0,) * (self.k - len(red))
-
-    def _find_generator(self) -> FieldElem:
-        target = self.q - 1
-        for cand in self.elements[1:]:
-            x = cand
-            order = 1
-            while x.idx != 1:
-                x = x * cand
-                order += 1
-            if order == target:
-                return cand
-        raise AssertionError("no generator found; field tables are broken")
-
-    @property
-    def idx_ops(self) -> tuple:
-        """``(add, mul, neg)`` on element indices: ``add[a][b]`` is the index
-        of ``elements[a] + elements[b]``, likewise ``mul``; ``neg[a]`` that of
-        ``-elements[a]``.  Built on first use and kept for the life of the
-        spec; :meth:`clear_memos` does not touch them."""
-        ops = self._idx_ops
-        if ops is None:
-            ops = self._idx_ops = (
-                tuple(tuple(e.idx for e in row) for row in self._add),
-                tuple(tuple(e.idx for e in row) for row in self._mul),
-                tuple(e.idx for e in self._neg),
-            )
-        return ops
+        Each candidate's powers are walked by polynomial products modulo
+        ``modulus`` until they return to 1.  A candidate inside a subgroup
+        already walked has order dividing that subgroup's, below q - 1, so it
+        is skipped: the walked subgroups are distinct, and the products number
+        at most the sum of the divisors of q - 1.
+        """
+        p, n = self.p, self.q - 1
+        seen = bytearray(self.q)
+        for c in range(1, self.q):
+            if seen[c]:
+                continue
+            step = _poly_trim(self.elements[c].coeffs)
+            powers, x = [1], step
+            while x != (1,) and len(powers) < n:
+                powers.append(self._index(x))
+                x = _poly_mod(_poly_mul(x, step, p), modulus, p)
+            if x != (1,):
+                # a zero divisor: its powers never return to 1
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+            if len(powers) == n:
+                return powers
+            for v in powers:
+                seen[v] = 1
+        raise AssertionError("no generator found")
 
     # -- element access and I/O ----------------------------------------------
 
@@ -298,7 +321,7 @@ class FieldSpec:
         coeffs = tuple(c % self.p for c in coeffs)
         if len(coeffs) != self.k:
             raise ValueError(f"expected {self.k} coordinates, got {len(coeffs)}")
-        return self._from_coeffs(coeffs)
+        return self.elements[self._index(coeffs)]
 
     def residue(self, m: int) -> FieldElem:
         """The image of the integer m in the prime subfield."""
@@ -365,8 +388,10 @@ def memoized(name: str):
 def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
     """Build the spec for F_{p^k}.
 
-    The modulus (degree-k irreducible over F_p, ascending coefficients) is
-    only needed for k >= 2; if omitted, a fixed table entry is used.  The
+    The modulus (monic of degree k, irreducible over F_p, ascending
+    coefficients) defaults to a fixed table entry.  Every monic linear
+    modulus gives F_p itself, so for k = 1 a given one is checked and then
+    left out of the key.  The
     primitive element g is the smallest element in coordinate order that
     generates the unit group.
     """
@@ -377,6 +402,12 @@ def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
     q = p**k
     if q > MAX_Q:
         raise ValueError(f"q = {q} exceeds the supported maximum {MAX_Q}")
+    if modulus is not None:
+        mod = _poly_trim(tuple(c % p for c in modulus))
+        if len(mod) != k + 1 or mod[-1] != 1:
+            raise ValueError("modulus must be monic of degree k")
+        if not _is_irreducible(mod, p):
+            raise ValueError("modulus is reducible")
     if k == 1:
         return FieldSpec(p, 1, ())
     if modulus is None:
@@ -384,12 +415,6 @@ def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
             mod = DEFAULT_MODULI[(p, k)]
         except KeyError:
             raise ValueError(f"no default modulus available for ({p}, {k})") from None
-    else:
-        mod = _poly_trim(tuple(c % p for c in modulus))
-        if len(mod) != k + 1 or mod[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if not _is_irreducible(mod, p):
-            raise ValueError("modulus is reducible")
     return FieldSpec(p, k, mod)
 
 

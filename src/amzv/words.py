@@ -4,12 +4,13 @@ A letter carries a positive weight n and a unit character eps = g^j of F_q.
 :class:`Letter` is an ``int`` whose value encodes (n, j, field) injectively,
 so hashing, ``==`` and ordering of letters, and of the words built from
 them, run in C; within one field the value order is the (n, j) order.
-Each letter keeps ``n`` and ``eps`` as attributes, and :func:`letter` hands
-out one shared instance per (field, n, eps).  A word is a tuple of letters;
-the empty tuple is the empty word, written ``1``.  :class:`Element` is a
-finite F_q-linear combination (sparse map, no zero coefficients stored)
-whose keys are words, or ordered pairs of words for the tensor square that
-the coproduct lands in; ``TensorElement`` is an alias.
+Each letter keeps ``n``, ``eps`` and its text as attributes, and
+:func:`letter` hands out one shared instance per (field, n, eps).  A word is
+a tuple of letters; the empty tuple is the empty word, written ``1``.
+:class:`Element` is a finite F_q-linear combination (sparse map, no zero
+coefficients stored) whose keys are words, or ordered pairs of words for
+the tensor square that the coproduct lands in; ``TensorElement`` is an
+alias.
 
 Every sum of such combinations in the package goes through one accumulation
 kernel: :func:`accumulate` (``acc += c·terms``, optionally with a word
@@ -47,15 +48,17 @@ class Letter(int):
 
     Letters over fields with equal keys are equal, letters over different
     fields never are, and within one field they order as (n, j) does.
-    ``n`` and ``eps`` stay readable as attributes.  Use :func:`letter` for
-    the shared instance.
+    ``n`` and ``eps`` stay readable as attributes, and ``text`` is the
+    canonical form ``x[n,j]``.  Use :func:`letter` for the shared instance.
     """
 
     def __new__(cls, n: int, eps: FieldElem) -> "Letter":
         spec = eps.spec
-        lt = super().__new__(cls, (n << _CHAR_BITS | spec.log(eps)) << _CODE_BITS | spec.code)
+        j = spec.log(eps)
+        lt = super().__new__(cls, (n << _CHAR_BITS | j) << _CODE_BITS | spec.code)
         lt.n = n
         lt.eps = eps
+        lt.text = f"x[{n},{j}]"
         return lt
 
     def __repr__(self):
@@ -347,9 +350,11 @@ def parse_word(text: str, spec: FieldSpec) -> Word:
 
 
 def format_word(w: Word, spec: FieldSpec) -> str:
+    """The text of ``w``, inverse of parse_word; each letter carries its own
+    ``x[n,j]``, so ``spec`` is not consulted."""
     if not w:
         return "1"
-    return "".join(f"x[{lt.n},{spec.log(lt.eps)}]" for lt in w)
+    return "".join([lt.text for lt in w])
 
 
 def parse_element(text: str, spec: FieldSpec) -> Element:

@@ -116,6 +116,16 @@ def test_bad_field_flags_exit_2(capsys, flags, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--q", "3", "--weight-max", "-2"], "--weight-max must be >= 0, got -2"),
+    (["--p", "3", "--k", "1", "--modulus", "5,5,5", "--weight-max", "1"],
+     "modulus must be monic of degree k"),
+])
+def test_basis_usage_errors_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["basis", *argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_budget_exit_1(capsys):
     code, _, err = run_cli(
         capsys, ["powsum", "--q", "3", "--d", "15", "--prec", "6", "x[1,0]"]

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from amzv import field_from_q, field_make
-from amzv.ff import MAX_Q
+from amzv import ff, field_from_q, field_make
+from amzv.ff import MAX_Q, FieldSpec
 
 SMALL_QS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -135,3 +135,108 @@ def test_default_moduli_all_build():
         spec = field_from_q(q)
         assert spec.q == q
         assert spec.g ** (q - 1) == spec.one
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def _reference_tables(p, k, modulus):
+    """The field's index tables built the slow way: all q^2 products as
+    reduced polynomial products, inverses by search, and g as the first
+    element whose powers, walked in the product table, have order q - 1."""
+    q = p**k
+    mod = modulus or (0, 1)
+    digits = [[v // p**i % p for i in range(k)] for v in range(q)]
+
+    def index(c):
+        return sum(x * p**i for i, x in enumerate(c))
+
+    def mulmod(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for d in range(2 * k - 2, k - 1, -1):  # cancel t^d by the monic modulus
+            lead = prod[d] % p
+            for i in range(k + 1):
+                prod[d - k + i] -= lead * mod[i]
+        return index([x % p for x in prod[:k]])
+
+    add = [[index([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
+           for a in range(q)]
+    neg = [index([-x % p for x in digits[a]]) for a in range(q)]
+    mul = [[mulmod(digits[a], digits[b]) for b in range(q)] for a in range(q)]
+    inv = [next(b for b in range(1, q) if mul[a][b] == 1) for a in range(1, q)]
+
+    def order(a):
+        x, n = a, 1
+        while x != 1:
+            x, n = mul[x][a], n + 1
+        return n
+
+    g = next(a for a in range(1, q) if order(a) == q - 1)
+    gpow = [1]
+    for _ in range(q - 2):
+        gpow.append(mul[gpow[-1]][g])
+    return add, mul, neg, inv, g, gpow
+
+
+def _check_against_reference(spec):
+    add, mul, neg, inv, g, gpow = _reference_tables(spec.p, spec.k, spec.modulus)
+    els = spec.elements
+    assert spec.idx_ops == (tuple(map(tuple, add)), tuple(map(tuple, mul)), tuple(neg))
+    assert [e.inverse().idx for e in els[1:]] == inv
+    assert spec.g.idx == g
+    assert [spec.unit_from_exp(j).idx for j in range(spec.q - 1)] == gpow
+    assert [(spec.g ** j).idx for j in range(spec.q - 1)] == gpow
+    # the FieldElem arithmetic agrees with the int tables it is derived from
+    assert [[(a + b).idx for b in els] for a in els] == add
+    assert [[(a * b).idx for b in els] for a in els] == mul
+    assert [(-a).idx for a in els] == neg
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, MAX_Q + 1) if _is_prime_power(q)])
+def test_tables_match_reference_default_moduli(q):
+    _check_against_reference(field_from_q(q))
+
+
+@pytest.mark.parametrize("p,k,modulus,t_order", [
+    (2, 4, (1, 1, 1, 1, 1), 5),  # t^5 = 1 modulo 1 + t + t^2 + t^3 + t^4
+    (3, 2, (1, 0, 1), 4),  # t^2 = -1
+])
+def test_tables_match_reference_when_t_is_not_primitive(p, k, modulus, t_order):
+    spec = field_make(p, k, modulus)
+    t = spec.elem((0, 1) + (0,) * (k - 2))
+    assert t ** t_order == spec.one and spec.g != t
+    _check_against_reference(spec)
+
+
+def test_f64_takes_linearly_many_polynomial_products(monkeypatch):
+    calls = []
+    real = ff._poly_mul
+
+    def counted(a, b, p):
+        calls.append(1)
+        return real(a, b, p)
+
+    monkeypatch.setattr(ff, "_poly_mul", counted)
+    spec = field_make(2, 6)
+    assert 0 < len(calls) <= 4 * spec.q
+
+
+def test_prime_field_modulus_is_checked():
+    assert field_make(3, 1, (1, 1)).key == field_make(3).key
+    assert field_make(5, 1, (7, 6)).key == field_make(5).key
+    for bad in ((5, 5, 5), (2,), (1, 2), ()):
+        with pytest.raises(ValueError, match="monic of degree k"):
+            field_make(3, 1, bad)
+
+
+def test_spec_rejects_reducible_modulus():
+    # t + 1 squares to 0 modulo t^2 + 1 over F_2: its powers never reach 1
+    with pytest.raises(ValueError, match="reducible"):
+        FieldSpec(2, 2, (1, 0, 1))

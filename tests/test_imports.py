@@ -5,7 +5,9 @@ imports are its exports) must be used in that module, and the algebra
 modules must not import the fault switches: the negative controls install
 their corruptions from outside.  The memo registry belongs to ``ff.py``:
 every other module caches through ``ff.memoized`` and never reads
-``_memos`` or calls a ``.memo(...)`` method itself.
+``_memos`` or calls a ``.memo(...)`` method itself.  The format of the
+field tables belongs there too: other modules use ``idx_ops``, ``elements``,
+``log`` and ``unit_from_exp``, never ``FieldSpec``'s private tables.
 """
 
 import ast
@@ -16,6 +18,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "amzv"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 FAULT_FREE = ("products.py", "coalgebra.py")
+NOT_FF = sorted(p for p in SRC.glob("*.py") if p.name != "ff.py")
+FIELD_TABLES = {"_add", "_mul", "_neg", "_inv", "_gpow", "_log"}
 
 
 def _tree(path):
@@ -86,3 +90,10 @@ def test_only_ff_touches_the_memo_registry(path):
               and node.func.attr == "memo"):
             bad.append(f"line {node.lineno}: .memo(...)")
     assert not bad, f"{path.name} bypasses ff.memoized: {bad}"
+
+
+@pytest.mark.parametrize("path", NOT_FF, ids=lambda p: p.name)
+def test_only_ff_reads_the_field_tables(path):
+    bad = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(_tree(path))
+           if isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES]
+    assert not bad, f"{path.name} reads FieldSpec's private tables: {bad}"
