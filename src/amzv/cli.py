@@ -131,20 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     cmd = args.command
     if cmd == "verify":
-        if args.q is None and args.p is None and "AMZV_Q" not in os.environ:
-            qs: tuple[int, ...] = (2, 3, 4)
-            make = None
-        else:
-            spec = _field_from_args(args)
-            qs = (spec.q,)
-            make = lambda q, s=spec: s  # noqa: E731
+        specs = None
+        if args.q is not None or args.p is not None or "AMZV_Q" in os.environ:
+            specs = [_field_from_args(args)]
         reports = verify.run_default_matrix(
-            qs,
-            weight_bound=args.weight_max,
-            d_max=args.dmax,
-            trials=args.trials,
+            specs,
+            weight_bound=_nonnegative(args.weight_max, "--weight-max"),
+            d_max=_nonnegative(args.dmax, "--dmax"),
+            trials=_nonnegative(args.trials, "--trials"),
             seed=args.seed,
-            make_spec=make,
         )
         for rep in reports:
             print(rep.machine_line() if args.fmt == "machine" else rep.text_block())

@@ -193,7 +193,7 @@ class FieldElem:
                 raise ZeroDivisionError("0 cannot be raised to a negative power")
             return self
         spec = self.spec
-        return spec._gpow[spec._log[self.idx] * n % (spec.q - 1)]
+        return spec.units[spec._log[self.idx] * n % (spec.q - 1)]
 
     def inverse(self) -> "FieldElem":
         if self.idx == 0:
@@ -217,7 +217,8 @@ class FieldSpec:
     the index of ``elements[a] + elements[b]``, likewise ``mul``; ``neg[a]``
     is that of ``-elements[a]``.  These int tables are the primary ones, and
     like ``letters`` they outlive :meth:`clear_memos`.  The ``FieldElem``
-    arithmetic reads the same tables as rows of shared elements.
+    arithmetic reads the same tables as rows of shared elements, and
+    ``units`` is the tuple g^0, ..., g^(q-2) of every unit in exponent order.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -252,8 +253,8 @@ class FieldSpec:
             log[v] = j
         # a * b = g^(log a + log b); row and column 0 are zero
         exp2 = exp + exp
-        units = log[1:]
-        mul = ((0,) * q, *((0, *[exp2[i + j] for j in units]) for i in units))
+        logs = log[1:]
+        mul = ((0,) * q, *((0, *[exp2[i + j] for j in logs]) for i in logs))
         self.idx_ops: tuple = (add, mul, neg)
 
         # the same tables as views of the shared elements, for FieldElem
@@ -261,10 +262,10 @@ class FieldSpec:
         self._add = tuple(tuple(map(at, row)) for row in add)
         self._mul = tuple(tuple(map(at, row)) for row in mul)
         self._neg = tuple(map(at, neg))
-        self._gpow = tuple(map(at, exp))
-        self._inv = (None, *(self._gpow[-j % n] for j in units))
+        self.units = tuple(map(at, exp))
+        self._inv = (None, *(self.units[-j % n] for j in logs))
         self._log = tuple(log)
-        self.g = self._gpow[1 % n]
+        self.g = self.units[1 % n]
 
         # the shared word letters, filled on demand by ``amzv.words.letter``
         self.letters: dict = {}
@@ -328,7 +329,7 @@ class FieldSpec:
         return self.elements[m % self.p]
 
     def unit_from_exp(self, j: int) -> FieldElem:
-        return self._gpow[j % (self.q - 1)]
+        return self.units[j % (self.q - 1)]
 
     def log(self, e: FieldElem) -> int:
         """Discrete log base g of a unit."""

@@ -3,9 +3,11 @@
 Each ``check_*`` function verifies one headline statement (plus its close
 relatives) exhaustively over all basis words within a weight bound, or over a
 seeded stream of random elements where the statement is element-level.  The
-result is a :class:`CheckReport` whose failures render both sides of the
-offending identity in canonical text, so a failure is replayable without
-rerunning the harness.
+result is a :class:`CheckReport`.  Every identity instance is one call of
+:meth:`CheckReport.expect`, which counts it and, when the identity fails,
+records the line ``family k=v ...``: the identity's family, then the shown
+words, operands and both sides in canonical text, so a failure is replayable
+without rerunning the harness.
 
 Reports are deterministic functions of (check, q, bounds, seed); timings are
 informational only.
@@ -13,8 +15,10 @@ informational only.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
 
 from .coalgebra import (
@@ -26,7 +30,7 @@ from .coalgebra import (
     counit,
     tensor_shuffle,
 )
-from .ff import FieldSpec, memoized
+from .ff import FieldSpec, field_from_q, memoized
 from .products import delta_coeff, diamond, horizontal, shuffle, triangle
 from .words import (
     EMPTY,
@@ -35,8 +39,6 @@ from .words import (
     accumulate,
     accumulate_outer,
     basis_words,
-    format_element,
-    format_tensor,
     format_word,
     letter,
     linear,
@@ -46,7 +48,6 @@ from .words import (
 from .zeta import (
     DEFAULT_BUDGET,
     ZetaArray,
-    format_laurent,
     power_sum_d,
     power_sum_lt_element,
     zeta_trunc,
@@ -96,15 +97,30 @@ class CheckReport:
             body += f"\n  ... {more} more"
         return head + "\n" + body
 
+    def expect(self, holds: bool, family: str, /, **shown) -> None:
+        """Count one instance of the identity ``family``; if it does not
+        hold, record the line ``family k=v ...``.  A word (a tuple of
+        letters) is shown by ``format_word``, every other value by its
+        ``repr``, which for elements, tensors, series and field elements is
+        their canonical text."""
+        self.instances += 1
+        if not holds:
+            parts = [family]
+            for k, v in shown.items():
+                text = format_word(v, None) if isinstance(v, tuple) else repr(v)
+                parts.append(f"{k}={text}")
+            self.failures.append(" ".join(parts))
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
 
-    def __exit__(self, *exc):
-        self.millis = int((time.perf_counter() - self.t0) * 1000)
-        return False
+def _checked(check):
+    """Time ``check`` into the ``millis`` of the report it returns."""
+    @functools.wraps(check)
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        rep = check(*args, **kwargs)
+        rep.millis = int((time.perf_counter() - t0) * 1000)
+        return rep
+    return timed
 
 
 class Rng:
@@ -160,22 +176,36 @@ def _basis(spec: FieldSpec, w: int) -> tuple:
     return tuple(basis_words(w, spec))
 
 
+def _with_elements(spec: FieldSpec, w: int) -> list:
+    """The basis words of weight w, each paired with its Element.  Built on
+    each call, not memoized, so the harness holds no Element per basis
+    word."""
+    return [(u, Element.from_word(spec, u)) for u in _basis(spec, w)]
+
+
 def _words_up_to(spec: FieldSpec, bound: int, min_weight: int = 1):
     for w in range(min_weight, bound + 1):
-        yield from _basis(spec, w)
+        yield from _with_elements(spec, w)
 
 
 def _pairs_total_weight(spec: FieldSpec, bound: int):
     for wa in range(1, bound):
         for wb in range(1, bound - wa + 1):
-            for a in _basis(spec, wa):
-                for b in _basis(spec, wb):
-                    yield a, b
+            yield from product(_with_elements(spec, wa), _with_elements(spec, wb))
+
+
+def _triples_total_weight(spec: FieldSpec, bound: int):
+    for wa in range(1, bound - 1):
+        for wb in range(1, bound - wa):
+            for wc in range(1, bound - wa - wb + 1):
+                yield from product(_with_elements(spec, wa), _with_elements(spec, wb),
+                                   _with_elements(spec, wc))
 
 
 # -- algebra laws ---------------------------------------------------------------
 
 
+@_checked
 def check_algebra(spec: FieldSpec, max_total_weight: int = 6) -> CheckReport:
     """Commutativity/associativity of the diamond and shuffle products, the
     triangle-product laws, and the horizontal-map laws.
@@ -189,289 +219,173 @@ def check_algebra(spec: FieldSpec, max_total_weight: int = 6) -> CheckReport:
         max_total_weight,
         {"pair_bound": max_total_weight, "triple_bound": max_total_weight - 1},
     )
-    units = [spec.unit_from_exp(j) for j in range(spec.q - 1)]
-    with _Timer() as tm:
-        for a, b in _pairs_total_weight(spec, max_total_weight):
-            ea, eb = Element.from_word(spec, a), Element.from_word(spec, b)
-            ab, ba = shuffle(ea, eb), shuffle(eb, ea)
-            rep.instances += 1
-            if ab != ba:
-                rep.failures.append(
-                    f"shuffle-comm u={format_word(a, spec)} v={format_word(b, spec)} "
-                    f"lhs={format_element(ab)} rhs={format_element(ba)}"
-                )
-            dab, dba = diamond(ea, eb), diamond(eb, ea)
-            rep.instances += 1
-            if dab != dba:
-                rep.failures.append(
-                    f"diamond-comm u={format_word(a, spec)} v={format_word(b, spec)} "
-                    f"lhs={format_element(dab)} rhs={format_element(dba)}"
-                )
-            # decomposition and head lemmas for the triangle product
-            rep.instances += 1
-            lhs = triangle(ea, eb) + triangle(eb, ea) + dab
-            if ab != lhs:
-                rep.failures.append(
-                    f"shuffle-decomposition u={format_word(a, spec)} "
-                    f"v={format_word(b, spec)} lhs={format_element(lhs)} "
-                    f"rhs={format_element(ab)}"
-                )
-            rep.instances += 1
-            head = diamond(Element.from_word(spec, a[:1]), Element.from_word(spec, b[:1]))
-            tailsh = shuffle(Element.from_word(spec, a[1:]), Element.from_word(spec, b[1:]))
-            if dab != triangle(head, tailsh):
-                rep.failures.append(
-                    f"diamond-head u={format_word(a, spec)} v={format_word(b, spec)}"
-                )
+    for (a, ea), (b, eb) in _pairs_total_weight(spec, max_total_weight):
+        ab, ba = shuffle(ea, eb), shuffle(eb, ea)
+        rep.expect(ab == ba, "shuffle-comm", u=a, v=b, lhs=ab, rhs=ba)
+        dab, dba = diamond(ea, eb), diamond(eb, ea)
+        rep.expect(dab == dba, "diamond-comm", u=a, v=b, lhs=dab, rhs=dba)
+        # decomposition and head lemmas for the triangle product
+        lhs = triangle(ea, eb) + triangle(eb, ea) + dab
+        rep.expect(ab == lhs, "shuffle-decomposition", u=a, v=b, lhs=lhs, rhs=ab)
+        head = diamond(Element.from_word(spec, a[:1]), Element.from_word(spec, b[:1]))
+        tailsh = shuffle(Element.from_word(spec, a[1:]), Element.from_word(spec, b[1:]))
+        rep.expect(dab == triangle(head, tailsh), "diamond-head", u=a, v=b)
 
-        triple_bound = max_total_weight - 1
-        for wa in range(1, triple_bound - 1):
-            for wb in range(1, triple_bound - wa):
-                for wc in range(1, triple_bound - wa - wb + 1):
-                    for a in _basis(spec, wa):
-                        ea = Element.from_word(spec, a)
-                        for b in _basis(spec, wb):
-                            eb = Element.from_word(spec, b)
-                            sab = shuffle(ea, eb)
-                            dab = diamond(ea, eb)
-                            tab = triangle(ea, eb)
-                            for c in _basis(spec, wc):
-                                ec = Element.from_word(spec, c)
-                                rep.instances += 4
-                                if shuffle(sab, ec) != shuffle(ea, shuffle(eb, ec)):
-                                    rep.failures.append(
-                                        "shuffle-assoc "
-                                        f"u={format_word(a, spec)} v={format_word(b, spec)} "
-                                        f"w={format_word(c, spec)}"
-                                    )
-                                if diamond(dab, ec) != diamond(ea, diamond(eb, ec)):
-                                    rep.failures.append(
-                                        "diamond-assoc "
-                                        f"u={format_word(a, spec)} v={format_word(b, spec)} "
-                                        f"w={format_word(c, spec)}"
-                                    )
-                                if triangle(tab, ec) != triangle(ea, shuffle(eb, ec)):
-                                    rep.failures.append(
-                                        "triangle-assoc-law "
-                                        f"u={format_word(a, spec)} v={format_word(b, spec)} "
-                                        f"w={format_word(c, spec)}"
-                                    )
-                                x = diamond(tab, ec)
-                                if x != diamond(ea, triangle(ec, eb)) or x != triangle(
-                                    diamond(ea, ec), eb
-                                ):
-                                    rep.failures.append(
-                                        "triangle-diamond-law "
-                                        f"u={format_word(a, spec)} v={format_word(b, spec)} "
-                                        f"w={format_word(c, spec)}"
-                                    )
+    for (a, ea), (b, eb), (c, ec) in _triples_total_weight(spec, max_total_weight - 1):
+        tab = triangle(ea, eb)
+        rep.expect(shuffle(shuffle(ea, eb), ec) == shuffle(ea, shuffle(eb, ec)),
+                   "shuffle-assoc", u=a, v=b, w=c)
+        rep.expect(diamond(diamond(ea, eb), ec) == diamond(ea, diamond(eb, ec)),
+                   "diamond-assoc", u=a, v=b, w=c)
+        rep.expect(triangle(tab, ec) == triangle(ea, shuffle(eb, ec)),
+                   "triangle-assoc-law", u=a, v=b, w=c)
+        x = diamond(tab, ec)
+        rep.expect(x == diamond(ea, triangle(ec, eb)) and x == triangle(diamond(ea, ec), eb),
+                   "triangle-diamond-law", u=a, v=b, w=c)
 
-        # horizontal maps: composition on words, distributivity over diamond
-        for w in _words_up_to(spec, max_total_weight - 1):
-            ew = Element.from_word(spec, w)
-            for al in units:
-                for be in units:
-                    rep.instances += 1
-                    if horizontal(al, horizontal(be, ew)) != horizontal(al * be, ew):
-                        rep.failures.append(
-                            f"horizontal-composition w={format_word(w, spec)}"
-                        )
-        for a, b in _pairs_total_weight(spec, max_total_weight - 1):
-            ea, eb = Element.from_word(spec, a), Element.from_word(spec, b)
-            for al in units:
-                fa = horizontal(al, ea)
-                for be in units:
-                    rep.instances += 1
-                    lhs = diamond(fa, horizontal(be, eb))
-                    rhs = horizontal(al * be, diamond(ea, eb))
-                    if lhs != rhs:
-                        rep.failures.append(
-                            f"horizontal-diamond a={format_word(a, spec)} "
-                            f"b={format_word(b, spec)} alpha={spec.format_elem(al)} "
-                            f"beta={spec.format_elem(be)} lhs={format_element(lhs)} "
-                            f"rhs={format_element(rhs)}"
-                        )
-    rep.millis = tm.millis
+    # horizontal maps: composition on words, distributivity over diamond
+    for w, ew in _words_up_to(spec, max_total_weight - 1):
+        for al, be in product(spec.units, repeat=2):
+            rep.expect(horizontal(al, horizontal(be, ew)) == horizontal(al * be, ew),
+                       "horizontal-composition", w=w)
+    for (a, ea), (b, eb) in _pairs_total_weight(spec, max_total_weight - 1):
+        for al in spec.units:
+            fa = horizontal(al, ea)
+            for be in spec.units:
+                lhs = diamond(fa, horizontal(be, eb))
+                rhs = horizontal(al * be, diamond(ea, eb))
+                rep.expect(lhs == rhs, "horizontal-diamond",
+                           a=a, b=b, alpha=al, beta=be, lhs=lhs, rhs=rhs)
     return rep
 
 
 # -- coalgebra laws ----------------------------------------------------------------
 
 
+@_checked
 def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
     """Compatibility of the coproduct with the shuffle product, its
     coassociativity, the counit axioms, the grading, the shape of the
     unit tensorand, the horizontal-map law for the coproduct and the
     diamond-coproduct law."""
     rep = CheckReport("thm-compatibility-coassociativity", spec.q, max_weight, {})
-    units = [spec.unit_from_exp(j) for j in range(spec.q - 1)]
-    with _Timer() as tm:
-        for u in _words_up_to(spec, max_weight):
-            eu = Element.from_word(spec, u)
-            du = coproduct(eu)
-            wu = word_weight(u)
+    for u, eu in _words_up_to(spec, max_weight):
+        du = coproduct(eu)
+        wu = word_weight(u)
+        rep.expect(all(word_weight(l) + word_weight(r) == wu for l, r in du.terms),
+                   "coproduct-grading", u=u)
+        left_unit = [(l, r) for l, r in du.terms if not l]
+        rep.expect(left_unit == [(EMPTY, u)] and du.terms[(EMPTY, u)].idx == 1,
+                   "unit-tensorand", u=u)
 
-            rep.instances += 1
-            if any(word_weight(l) + word_weight(r) != wu for l, r in du.terms):
-                rep.failures.append(f"coproduct-grading u={format_word(u, spec)}")
-            rep.instances += 1
-            left_unit = [(l, r) for l, r in du.terms if not l]
-            if left_unit != [(EMPTY, u)] or du.terms[(EMPTY, u)].idx != 1:
-                rep.failures.append(f"unit-tensorand u={format_word(u, spec)}")
+        # counit axioms: (ε ⊗ 1)Δ(u) = u = (1 ⊗ ε)Δ(u)
+        lhs = linear(lambda sp, lr: Element.from_word(
+            sp, lr[1], counit(Element.from_word(sp, lr[0]))), du)
+        rhs = linear(lambda sp, lr: Element.from_word(
+            sp, lr[0], counit(Element.from_word(sp, lr[1]))), du)
+        rep.expect(lhs == eu, "counit-left", u=u)
+        rep.expect(rhs == eu, "counit-right", u=u)
 
-            # counit axioms: (ε ⊗ 1)Δ(u) = u = (1 ⊗ ε)Δ(u)
-            lhs = linear(lambda sp, lr: Element.from_word(
-                sp, lr[1], counit(Element.from_word(sp, lr[0]))), du)
-            rhs = linear(lambda sp, lr: Element.from_word(
-                sp, lr[0], counit(Element.from_word(sp, lr[1]))), du)
-            rep.instances += 2
-            if lhs != eu:
-                rep.failures.append(f"counit-left u={format_word(u, spec)}")
-            if rhs != eu:
-                rep.failures.append(f"counit-right u={format_word(u, spec)}")
+        # coassociativity via three-slot expansions: (1 ⊗ Δ)Δ(u) keyed
+        # (l, rl, rr) against (Δ ⊗ 1)Δ(u) keyed ((ll, lr), r)
+        left3: dict = {}
+        right3: dict = {}
+        for (l, r), c in du.terms.items():
+            accumulate(left3, coproduct(Element.from_word(spec, r)).terms, c, (l,))
+            accumulate_outer(right3, coproduct(Element.from_word(spec, l)).terms, {r: c})
+        rep.expect(_clean(left3) == {lk + (r,): v for (lk, r), v in _clean(right3).items()},
+                   "coassociativity", u=u)
 
-            # coassociativity via three-slot expansions: (1 ⊗ Δ)Δ(u) keyed
-            # (l, rl, rr) against (Δ ⊗ 1)Δ(u) keyed ((ll, lr), r)
-            rep.instances += 1
-            left3: dict = {}
-            right3: dict = {}
-            for (l, r), c in du.terms.items():
-                accumulate(left3, coproduct(Element.from_word(spec, r)).terms, c, (l,))
-                accumulate_outer(right3, coproduct(Element.from_word(spec, l)).terms, {r: c})
-            if _clean(left3) != {lk + (r,): v for (lk, r), v in _clean(right3).items()}:
-                rep.failures.append(f"coassociativity u={format_word(u, spec)}")
+        if not u:
+            continue
+        # coproduct after a horizontal twist
+        for eps in spec.units:
+            lhs_t = coproduct(horizontal(eps, eu))
+            # twist every left tensorand but the unit; the twist is a
+            # bijection on words, so no two terms collide
+            twisted = {
+                (next(iter(horizontal(eps, Element.from_word(spec, l)).terms))
+                 if l else l, r): c
+                for (l, r), c in du.terms.items()
+            }
+            (hw, hc), = horizontal(eps, eu).terms.items()
+            rhs_t = (
+                TensorElement.from_terms(spec, twisted)
+                + TensorElement.from_pair(spec, EMPTY, hw, hc)
+                - TensorElement.from_pair(spec, EMPTY, u)
+            )
+            rep.expect(lhs_t == rhs_t, "coproduct-horizontal", u=u, eps=eps, lhs=lhs_t, rhs=rhs_t)
 
-            # coproduct after a horizontal twist
-            if u:
-                for eps in units:
-                    rep.instances += 1
-                    lhs_t = coproduct(horizontal(eps, eu))
-                    # twist every left tensorand but the unit; the twist is a
-                    # bijection on words, so no two terms collide
-                    twisted = {
-                        (next(iter(horizontal(eps, Element.from_word(spec, l)).terms))
-                         if l else l, r): c
-                        for (l, r), c in du.terms.items()
-                    }
-                    (hw, hc), = horizontal(eps, eu).terms.items()
-                    rhs_t = (
-                        TensorElement.from_terms(spec, twisted)
-                        + TensorElement.from_pair(spec, EMPTY, hw, hc)
-                        - TensorElement.from_pair(spec, EMPTY, u)
-                    )
-                    if lhs_t != rhs_t:
-                        rep.failures.append(
-                            f"coproduct-horizontal u={format_word(u, spec)} "
-                            f"eps={spec.format_elem(eps)} lhs={format_tensor(lhs_t)} "
-                            f"rhs={format_tensor(rhs_t)}"
-                        )
+    for (a, ea), (b, eb) in _pairs_total_weight(spec, max_weight):
+        lhs_t = coproduct(shuffle(ea, eb))
+        rhs_t = tensor_shuffle(coproduct(ea), coproduct(eb))
+        rep.expect(lhs_t == rhs_t, "compatibility", u=a, v=b, lhs=lhs_t, rhs=rhs_t)
 
-        for a, b in _pairs_total_weight(spec, max_weight):
-            ea, eb = Element.from_word(spec, a), Element.from_word(spec, b)
-            rep.instances += 1
-            lhs_t = coproduct(shuffle(ea, eb))
-            rhs_t = tensor_shuffle(coproduct(ea), coproduct(eb))
-            if lhs_t != rhs_t:
-                rep.failures.append(
-                    f"compatibility u={format_word(a, spec)} v={format_word(b, spec)} "
-                    f"lhs={format_tensor(lhs_t)} rhs={format_tensor(rhs_t)}"
-                )
-
-        # diamond-coproduct law on trivial-character words
-        for a, b in _pairs_total_weight(spec, min(max_weight, 5)):
-            if any(lt.eps.idx != 1 for lt in a + b):
+    # diamond-coproduct law on trivial-character words
+    for (a, ea), (b, eb) in _pairs_total_weight(spec, min(max_weight, 5)):
+        if any(lt.eps.idx != 1 for lt in a + b):
+            continue
+        lhs_t = coproduct(diamond(ea, eb))
+        da, db = coproduct(ea), coproduct(eb)
+        acc = accumulate_outer({}, {EMPTY: spec.one}, diamond(ea, eb).terms)
+        for (l1, r1), c1 in da.terms.items():
+            if not l1:
                 continue
-            ea, eb = Element.from_word(spec, a), Element.from_word(spec, b)
-            rep.instances += 1
-            lhs_t = coproduct(diamond(ea, eb))
-            da, db = coproduct(ea), coproduct(eb)
-            acc = accumulate_outer({}, {EMPTY: spec.one}, diamond(ea, eb).terms)
-            for (l1, r1), c1 in da.terms.items():
-                if not l1:
+            for (l2, r2), c2 in db.terms.items():
+                if not l2:
                     continue
-                for (l2, r2), c2 in db.terms.items():
-                    if not l2:
-                        continue
-                    dpart = diamond(Element.from_word(spec, l1), Element.from_word(spec, l2))
-                    spart = shuffle(Element.from_word(spec, r1), Element.from_word(spec, r2))
-                    accumulate_outer(acc, dpart.terms, spart.terms, c1 * c2)
-            rhs_t = TensorElement.from_terms(spec, acc)
-            if lhs_t != rhs_t:
-                rep.failures.append(
-                    f"diamond-coproduct u={format_word(a, spec)} v={format_word(b, spec)}"
-                )
-    rep.millis = tm.millis
+                dpart = diamond(Element.from_word(spec, l1), Element.from_word(spec, l2))
+                spart = shuffle(Element.from_word(spec, r1), Element.from_word(spec, r2))
+                accumulate_outer(acc, dpart.terms, spart.terms, c1 * c2)
+        rep.expect(lhs_t == TensorElement.from_terms(spec, acc), "diamond-coproduct", u=a, v=b)
     return rep
 
 
 # -- Hopf algebra laws ----------------------------------------------------------------
 
 
+@_checked
 def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> CheckReport:
     """Antipode axioms, antipode grading, the involution and homomorphism
     properties of S, and the graded dimension formula."""
     rep = CheckReport(
         "thm-hopf-algebra", spec.q, max_weight, {"dim_weight": dim_weight}
     )
-    with _Timer() as tm:
-        for u in _words_up_to(spec, max_weight, min_weight=0):
-            eu = Element.from_word(spec, u)
-            du = coproduct(eu)
-            su = antipode(eu)
-            target = Element.one(spec).scale(counit(eu))
+    for u, eu in _words_up_to(spec, max_weight, min_weight=0):
+        du = coproduct(eu)
+        target = Element.one(spec).scale(counit(eu))
 
-            # m(S ⊗ 1)Δ(u) and m(1 ⊗ S)Δ(u) against ε(u)·1
-            lhs = linear(lambda sp, lr: shuffle(
-                antipode(Element.from_word(sp, lr[0])), Element.from_word(sp, lr[1])), du)
-            rhs = linear(lambda sp, lr: shuffle(
-                Element.from_word(sp, lr[0]), antipode(Element.from_word(sp, lr[1]))), du)
-            rep.instances += 2
-            if lhs != target:
-                rep.failures.append(
-                    f"antipode-left u={format_word(u, spec)} lhs={format_element(lhs)} "
-                    f"rhs={format_element(target)}"
-                )
-            if rhs != target:
-                rep.failures.append(
-                    f"antipode-right u={format_word(u, spec)} lhs={format_element(rhs)} "
-                    f"rhs={format_element(target)}"
-                )
-            rep.instances += 1
-            if su.weights() not in ({word_weight(u)}, set()):
-                rep.failures.append(f"antipode-grading u={format_word(u, spec)}")
+        # m(S ⊗ 1)Δ(u) and m(1 ⊗ S)Δ(u) against ε(u)·1
+        lhs = linear(lambda sp, lr: shuffle(
+            antipode(Element.from_word(sp, lr[0])), Element.from_word(sp, lr[1])), du)
+        rhs = linear(lambda sp, lr: shuffle(
+            Element.from_word(sp, lr[0]), antipode(Element.from_word(sp, lr[1]))), du)
+        rep.expect(lhs == target, "antipode-left", u=u, lhs=lhs, rhs=target)
+        rep.expect(rhs == target, "antipode-right", u=u, lhs=rhs, rhs=target)
+        rep.expect(antipode(eu).weights() in ({word_weight(u)}, set()), "antipode-grading", u=u)
 
-        inv_bound = min(max_weight - 1, 5)
-        for u in _words_up_to(spec, inv_bound):
-            eu = Element.from_word(spec, u)
-            rep.instances += 1
-            if antipode(antipode(eu)) != eu:
-                rep.failures.append(f"antipode-involution u={format_word(u, spec)}")
-        for a, b in _pairs_total_weight(spec, inv_bound):
-            ea, eb = Element.from_word(spec, a), Element.from_word(spec, b)
-            rep.instances += 1
-            if antipode(shuffle(ea, eb)) != shuffle(antipode(ea), antipode(eb)):
-                rep.failures.append(
-                    f"antipode-homomorphism u={format_word(a, spec)} "
-                    f"v={format_word(b, spec)}"
-                )
+    inv_bound = min(max_weight - 1, 5)
+    for u, eu in _words_up_to(spec, inv_bound):
+        rep.expect(antipode(antipode(eu)) == eu, "antipode-involution", u=u)
+    for (a, ea), (b, eb) in _pairs_total_weight(spec, inv_bound):
+        rep.expect(antipode(shuffle(ea, eb)) == shuffle(antipode(ea), antipode(eb)),
+                   "antipode-homomorphism", u=a, v=b)
 
-        for w in range(dim_weight + 1):
-            rep.instances += 1
-            expected = (
-                1
-                if w == 0
-                else sum(comb(w - 1, r - 1) * (spec.q - 1) ** r for r in range(1, w + 1))
-            )
-            got = len(_basis(spec, w))
-            if got != expected:
-                rep.failures.append(f"dimension w={w} got={got} expected={expected}")
-    rep.millis = tm.millis
+    for w in range(dim_weight + 1):
+        expected = (
+            1
+            if w == 0
+            else sum(comb(w - 1, r - 1) * (spec.q - 1) ** r for r in range(1, w + 1))
+        )
+        got = len(_basis(spec, w))
+        rep.expect(got == expected, "dimension", w=w, got=got, expected=expected)
     return rep
 
 
 # -- the two coproduct routes ------------------------------------------------------------
 
 
+@_checked
 def check_coproduct_oracle(
     spec: FieldSpec, max_n: int = 8, table_n: int = 12, word_weight_bound: int = 6
 ) -> CheckReport:
@@ -484,42 +398,28 @@ def check_coproduct_oracle(
         max_n,
         {"table_n": table_n, "word_weight": word_weight_bound},
     )
-    with _Timer() as tm:
-        one = spec.one
-        for n in range(1, max_n + 1):
-            rep.instances += 1
-            direct = coproduct_letter(letter(spec, n, one))
-            rec = coproduct_mzv_recursive(n, spec)
-            if direct != rec:
-                rep.failures.append(
-                    f"letter-oracle n={n} closed={format_tensor(direct)} "
-                    f"recursive={format_tensor(rec)}"
-                )
-        for n in range(1, table_n + 1):
-            for j in range(1, n + 1):
-                rep.instances += 1
-                expected = (
-                    one if (j < n and j % (spec.q - 1) == 0) else spec.zero
-                )
-                got = delta_coeff(1, n, j, spec)
-                if got != expected:
-                    rep.failures.append(
-                        f"delta-table n={n} j={j} got={spec.format_elem(got)} "
-                        f"expected={spec.format_elem(expected)}"
-                    )
-        for u in _words_up_to(spec, word_weight_bound):
-            if any(lt.eps.idx != 1 for lt in u):
-                continue
-            rep.instances += 1
-            if coproduct(Element.from_word(spec, u)) != coproduct_mzv_word(u, spec):
-                rep.failures.append(f"word-oracle u={format_word(u, spec)}")
-    rep.millis = tm.millis
+    one = spec.one
+    for n in range(1, max_n + 1):
+        direct = coproduct_letter(letter(spec, n, one))
+        rec = coproduct_mzv_recursive(n, spec)
+        rep.expect(direct == rec, "letter-oracle", n=n, closed=direct, recursive=rec)
+    for n in range(1, table_n + 1):
+        for j in range(1, n + 1):
+            expected = (
+                one if (j < n and j % (spec.q - 1) == 0) else spec.zero
+            )
+            got = delta_coeff(1, n, j, spec)
+            rep.expect(got == expected, "delta-table", n=n, j=j, got=got, expected=expected)
+    for u, eu in _words_up_to(spec, word_weight_bound):
+        if all(lt.eps.idx == 1 for lt in u):
+            rep.expect(coproduct(eu) == coproduct_mzv_word(u, spec), "word-oracle", u=u)
     return rep
 
 
 # -- numeric side ----------------------------------------------------------------------------
 
 
+@_checked
 def check_zeta_homomorphism(
     spec: FieldSpec,
     d_max: int = 3,
@@ -557,65 +457,43 @@ def check_zeta_homomorphism(
         },
     )
     rng = Rng(seed)
-    units = [spec.unit_from_exp(j) for j in range(spec.q - 1)]
-    with _Timer() as tm:
-        for t in range(trials):
-            a = random_element(rng, max_weight, 3, spec)
-            b = random_element(rng, max_weight, 3, spec)
-            ab = shuffle(a, b)
-            for d in range(d_max + 1):
-                rep.instances += 1
-                lhs = power_sum_lt_element(ab, d, prec, budget)
-                rhs = power_sum_lt_element(a, d, prec, budget) * power_sum_lt_element(
-                    b, d, prec, budget
-                )
-                if not lhs.agrees_with(rhs):
-                    rep.failures.append(
-                        f"powsum-homomorphism trial={t} d={d} a={format_element(a)} "
-                        f"b={format_element(b)} lhs={format_laurent(lhs)} "
-                        f"rhs={format_laurent(rhs)}"
-                    )
-            rep.instances += 1
-            zl = zeta_trunc(ab, zeta_prec, budget)
-            zr = zeta_trunc(a, zeta_prec, budget) * zeta_trunc(b, zeta_prec, budget)
-            if not zl.agrees_with(zr):
-                rep.failures.append(
-                    f"zeta-homomorphism trial={t} a={format_element(a)} "
-                    f"b={format_element(b)} lhs={format_laurent(zl)} "
-                    f"rhs={format_laurent(zr)}"
-                )
+    for t in range(trials):
+        a = random_element(rng, max_weight, 3, spec)
+        b = random_element(rng, max_weight, 3, spec)
+        ab = shuffle(a, b)
+        for d in range(d_max + 1):
+            lhs = power_sum_lt_element(ab, d, prec, budget)
+            rhs = power_sum_lt_element(a, d, prec, budget) * power_sum_lt_element(
+                b, d, prec, budget
+            )
+            rep.expect(lhs.agrees_with(rhs), "powsum-homomorphism",
+                       trial=t, d=d, a=a, b=b, lhs=lhs, rhs=rhs)
+        zl = zeta_trunc(ab, zeta_prec, budget)
+        zr = zeta_trunc(a, zeta_prec, budget) * zeta_trunc(b, zeta_prec, budget)
+        rep.expect(zl.agrees_with(zr), "zeta-homomorphism", trial=t, a=a, b=b, lhs=zl, rhs=zr)
 
-        # depth-one product formula, twisted and untwisted, exhaustively
-        for r in range(1, chen_rs):
-            for s in range(1, chen_rs - r + 1):
-                for al in units:
-                    for be in units:
-                        for d in range(chen_d + 1):
-                            rep.instances += 1
-                            lhs = power_sum_d(
-                                ZetaArray((al,), (r,)), d, chen_prec, budget
-                            ) * power_sum_d(ZetaArray((be,), (s,)), d, chen_prec, budget)
-                            rhs = power_sum_d(
-                                ZetaArray((al * be,), (r + s,)), d, chen_prec, budget
-                            )
-                            for j in range(1, r + s):
-                                c = delta_coeff(r, s, j, spec)
-                                if c.idx == 0:
-                                    continue
-                                rhs = rhs + power_sum_d(
-                                    ZetaArray((al * be, spec.one), (r + s - j, j)),
-                                    d,
-                                    chen_prec,
-                                    budget,
-                                ).scale(c)
-                            if not lhs.agrees_with(rhs):
-                                rep.failures.append(
-                                    f"chen r={r} s={s} d={d} "
-                                    f"alpha={spec.format_elem(al)} "
-                                    f"beta={spec.format_elem(be)} "
-                                    f"lhs={format_laurent(lhs)} rhs={format_laurent(rhs)}"
-                                )
-    rep.millis = tm.millis
+    # depth-one product formula, twisted and untwisted, exhaustively
+    for r in range(1, chen_rs):
+        for s in range(1, chen_rs - r + 1):
+            for al, be, d in product(spec.units, spec.units, range(chen_d + 1)):
+                lhs = power_sum_d(
+                    ZetaArray((al,), (r,)), d, chen_prec, budget
+                ) * power_sum_d(ZetaArray((be,), (s,)), d, chen_prec, budget)
+                rhs = power_sum_d(
+                    ZetaArray((al * be,), (r + s,)), d, chen_prec, budget
+                )
+                for j in range(1, r + s):
+                    c = delta_coeff(r, s, j, spec)
+                    if c.idx == 0:
+                        continue
+                    rhs = rhs + power_sum_d(
+                        ZetaArray((al * be, spec.one), (r + s - j, j)),
+                        d,
+                        chen_prec,
+                        budget,
+                    ).scale(c)
+                rep.expect(lhs.agrees_with(rhs), "chen",
+                           r=r, s=s, d=d, alpha=al, beta=be, lhs=lhs, rhs=rhs)
     return rep
 
 
@@ -623,27 +501,22 @@ def check_zeta_homomorphism(
 
 
 def run_default_matrix(
-    qs=(2, 3, 4),
+    specs=None,
     weight_bound: int = 6,
     d_max: int = 3,
     trials: int = 100,
     seed: int = 20260810,
-    make_spec=None,
 ) -> list[CheckReport]:
-    """The default verification matrix.  Zeta checks run on the prime fields
-    only (the numeric side of the acceptance gate); everything else runs on
-    every q."""
-    from .ff import field_from_q
-
-    make_spec = make_spec or field_from_q
+    """The default verification matrix over ``specs`` (by default F_2, F_3
+    and F_4).  Zeta checks run at q = 2 and q = 3 only (the numeric side of
+    the acceptance gate); everything else runs on every field."""
     reports = []
-    for q in qs:
-        spec = make_spec(q)
+    for spec in specs or [field_from_q(q) for q in (2, 3, 4)]:
         reports.append(check_algebra(spec, weight_bound))
         reports.append(check_coalgebra(spec, weight_bound))
         reports.append(check_hopf(spec, weight_bound))
         reports.append(check_coproduct_oracle(spec))
-        if q in (2, 3):
+        if spec.q in (2, 3):
             reports.append(
                 check_zeta_homomorphism(
                     spec, d_max=d_max, trials=trials, seed=seed

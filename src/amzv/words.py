@@ -304,7 +304,6 @@ def basis_words(w: int, spec: FieldSpec) -> list[Word]:
     """
     if w < 0:
         raise ValueError("weight must be >= 0")
-    units = [spec.unit_from_exp(j) for j in range(spec.q - 1)]
     tails: dict = {(0, 0): [EMPTY]}
 
     def words(weight: int, depth: int) -> list[Word]:
@@ -313,7 +312,7 @@ def basis_words(w: int, spec: FieldSpec) -> list[Word]:
             got = tails[(weight, depth)] = []
             for n in range(1, weight - depth + 2) if depth else ():
                 rest = words(weight - n, depth - 1)
-                got += [(letter(spec, n, u),) + t for u in units for t in rest]
+                got += [(letter(spec, n, u),) + t for u in spec.units for t in rest]
         return got
 
     return [u for depth in range(1 if w else 0, w + 1) for u in words(w, depth)]

@@ -126,6 +126,12 @@ def test_basis_usage_errors_exit_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flag", ["--weight-max", "--dmax", "--trials"])
+def test_verify_negative_bounds_exit_2(capsys, flag):
+    code, out, err = run_cli(capsys, ["verify", "--q", "2", flag, "-1"])
+    assert (code, out, err) == (2, "", f"error: {flag} must be >= 0, got -1\n")
+
+
 def test_budget_exit_1(capsys):
     code, _, err = run_cli(
         capsys, ["powsum", "--q", "3", "--d", "15", "--prec", "6", "x[1,0]"]

@@ -7,7 +7,9 @@ their corruptions from outside.  The memo registry belongs to ``ff.py``:
 every other module caches through ``ff.memoized`` and never reads
 ``_memos`` or calls a ``.memo(...)`` method itself.  The format of the
 field tables belongs there too: other modules use ``idx_ops``, ``elements``,
-``log`` and ``unit_from_exp``, never ``FieldSpec``'s private tables.
+``units``, ``log`` and ``unit_from_exp``, never ``FieldSpec``'s private
+tables.  In ``verify.py`` only ``CheckReport.expect`` counts instances and
+records failures.
 """
 
 import ast
@@ -97,3 +99,29 @@ def test_only_ff_reads_the_field_tables(path):
     bad = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(_tree(path))
            if isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES]
     assert not bad, f"{path.name} reads FieldSpec's private tables: {bad}"
+
+
+def _bookkeeping(node, scope=()):
+    """(enclosing function or class path, line) of every store to an
+    ``.instances`` or ``.failures`` attribute and every method call on a
+    ``.failures`` attribute."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _bookkeeping(child, scope + (child.name,))
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr in ("instances", "failures")
+                and isinstance(child.ctx, ast.Store)):
+            yield ".".join(scope), child.lineno
+        elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+              and isinstance(child.func.value, ast.Attribute)
+              and child.func.value.attr == "failures"):
+            yield ".".join(scope), child.lineno
+        yield from _bookkeeping(child, scope)
+
+
+def test_only_expect_counts_instances_and_records_failures():
+    found = list(_bookkeeping(_tree(SRC / "verify.py")))
+    assert {scope for scope, _ in found} == {"CheckReport.expect"}, (
+        f"verify.py counts or records outside CheckReport.expect: "
+        f"{[f'{scope} line {line}' for scope, line in found if scope != 'CheckReport.expect']}"
+    )

@@ -13,7 +13,7 @@ from amzv import (
     random_element,
     word_weight,
 )
-from amzv import faults
+from amzv import Element, coproduct, faults, parse_element, parse_laurent, parse_word
 from amzv.verify import CheckReport, Rng
 
 from conftest import get_spec
@@ -77,6 +77,37 @@ def test_reports_reproducible(spec_q2):
     zb = check_zeta_homomorphism(spec_q2, d_max=1, max_weight=2, prec=10,
                                  trials=5, seed=11, zeta_prec=8, chen_rs=3)
     assert _strip_time(za) == _strip_time(zb)
+
+
+def test_expect_pass_counts_one_instance():
+    rep = CheckReport("thm-x", 3, 2, {})
+    rep.expect(True, "family", u=(), n=1)
+    assert (rep.instances, rep.failures, rep.passed) == (1, [], True)
+
+
+def test_expect_failure_renders_each_value_kind(spec_q3):
+    spec = spec_q3
+    word = parse_word("x[2,1]x[1,0]", spec)
+    rep = CheckReport("thm-x", 3, 2, {})
+    rep.expect(
+        False, "family",
+        empty=(),
+        word=word,
+        element=parse_element("g^1*x[2,0] + x[1,1]", spec),
+        pair=coproduct(parse_element("x[1,1]", spec)),
+        zero=Element.zero(spec),
+        series=parse_laurent("1 + g^1*u^2 + O(u^5)", spec),
+        unit=spec.g,
+        nought=spec.zero,
+        count=7,
+    )
+    assert rep.instances == 1
+    assert rep.failures == [
+        "family empty=1 word=x[2,1]x[1,0] element=x[1,1] + g^1*x[2,0] "
+        "pair=1 ⊗ x[1,1] + x[1,1] ⊗ 1 zero=0 series=1 + g^1*u^2 + O(u^5) "
+        "unit=g^1 nought=0 count=7"
+    ]
+    assert not rep.passed
 
 
 def test_machine_line_shape(spec_q2):
