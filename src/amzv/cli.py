@@ -146,7 +146,8 @@ def _run(args) -> int:
         bad = sum(len(r.failures) for r in reports)
         if args.fmt == "text":
             print(f"{len(reports)} checks, {bad} failures")
-        return 3 if bad else 0
+        # a report that checked no instance fails too
+        return 0 if all(r.passed for r in reports) else 3
 
     spec = _field_from_args(args)
     if cmd in ("shuffle", "diamond", "triangle"):

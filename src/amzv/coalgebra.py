@@ -55,7 +55,7 @@ from .words import (
     compositions,
     letter,
     linear,
-    _clean,
+    _element,
 )
 
 
@@ -67,7 +67,7 @@ def coproduct_letter(x: Letter) -> TensorElement:
 @memoized("coproduct_letter")
 def _coproduct_letter(spec: FieldSpec, x: Letter) -> TensorElement:
     n, eps = x.n, x.eps
-    acc: dict = {(EMPTY, (x,)): spec.one}
+    acc: dict = {(EMPTY, (x,)): 1}
     for r in range(1, n + 1):
         left = (letter(spec, r, eps),)
         for comp in compositions(n - r):
@@ -79,8 +79,8 @@ def _coproduct_letter(spec: FieldSpec, x: Letter) -> TensorElement:
             br = bracket(word, spec)
             if br.is_zero():
                 continue
-            accumulate_outer(acc, {left: spec.one}, br.terms, spec.residue(cb))
-    return TensorElement(spec, _clean(acc))
+            accumulate_outer(spec, acc, {left: 1}, br.idx, spec.residue(cb).idx)
+    return _element(spec, acc)
 
 
 def _coproduct_word(spec: FieldSpec, u: Word) -> TensorElement:
@@ -96,13 +96,14 @@ def _coproduct_step(spec: FieldSpec, u: Word) -> TensorElement:
     head, v = u[0], u[1:]
     dh = coproduct_letter(head)
     dv = _coproduct_word(spec, v)
-    acc: dict = {(EMPTY, u): spec.one}
-    for (al, bl), c1 in dh.terms.items():
+    mul = spec.idx_ops[1]
+    acc: dict = {(EMPTY, u): 1}
+    for (al, bl), c1 in dh.idx.items():
         if not al:
             continue
-        for (cl, dl), c2 in dv.terms.items():
-            accumulate_outer(acc, {al + cl: c1 * c2}, _shuffle_words(spec, bl, dl).terms)
-    return TensorElement(spec, _clean(acc))
+        for (cl, dl), c2 in dv.idx.items():
+            accumulate_outer(spec, acc, {al + cl: mul[c1][c2]}, _shuffle_words(spec, bl, dl).idx)
+    return _element(spec, acc)
 
 
 def coproduct(e: Element) -> TensorElement:
@@ -112,7 +113,7 @@ def coproduct(e: Element) -> TensorElement:
 
 def counit(e: Element) -> FieldElem:
     """Coefficient of the empty word."""
-    return e.terms.get(EMPTY, e.spec.zero)
+    return e.coeff(EMPTY)
 
 
 def tensor_shuffle(s: TensorElement, t: TensorElement) -> TensorElement:
@@ -133,12 +134,13 @@ def _antipode_word(spec: FieldSpec, u: Word) -> Element:
 
 @memoized("antipode")
 def _antipode_step(spec: FieldSpec, u: Word) -> Element:
-    acc: dict = {u: -spec.one}
-    for (l, r), c in _coproduct_word(spec, u).terms.items():
+    neg = spec.idx_ops[2]
+    acc: dict = {u: neg[1]}
+    for (l, r), c in _coproduct_word(spec, u).idx.items():
         if l and r:
             term = shuffle(_antipode_word(spec, l), Element.from_word(spec, r))
-            accumulate(acc, term.terms, -c)
-    return Element(spec, _clean(acc))
+            accumulate(spec, acc, term.idx, neg[c])
+    return _element(spec, acc)
 
 
 def antipode(e: Element) -> Element:
@@ -153,7 +155,7 @@ def antipode(e: Element) -> Element:
 def _mzv_letter(spec: FieldSpec, n: int) -> TensorElement:
     x1 = letter(spec, 1, spec.one)
     if n == 1:
-        return TensorElement(spec, {(EMPTY, (x1,)): spec.one, ((x1,), EMPTY): spec.one})
+        return _element(spec, {(EMPTY, (x1,)): 1, ((x1,), EMPTY): 1})
     xw1 = letter(spec, n - 1, spec.one)
     out = tensor_shuffle(_mzv_letter(spec, 1), _mzv_letter(spec, n - 1))
     out = out - _mzv_word(spec, (x1, xw1)) - _mzv_word(spec, (xw1, x1))
@@ -180,15 +182,16 @@ def _mzv_step(spec: FieldSpec, u: Word) -> TensorElement:
     head, v = u[0], u[1:]
     dh = _mzv_letter(spec, head.n)
     dv = _mzv_word(spec, v)
-    acc: dict = {(EMPTY, u): spec.one}
-    for (al, bl), c1 in dh.terms.items():
+    mul = spec.idx_ops[1]
+    acc: dict = {(EMPTY, u): 1}
+    for (al, bl), c1 in dh.idx.items():
         if not al:
             continue
-        for (cl, dl), c2 in dv.terms.items():
+        for (cl, dl), c2 in dv.idx.items():
             left = triangle(Element.from_word(spec, al), Element.from_word(spec, cl))
             right = _shuffle_words(spec, bl, dl)
-            accumulate_outer(acc, left.terms, right.terms, c1 * c2)
-    return TensorElement(spec, _clean(acc))
+            accumulate_outer(spec, acc, left.idx, right.idx, mul[c1][c2])
+    return _element(spec, acc)
 
 
 def coproduct_mzv_recursive(n: int, spec: FieldSpec) -> TensorElement:

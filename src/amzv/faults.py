@@ -27,7 +27,7 @@ import sys
 from contextlib import contextmanager
 
 from . import coalgebra, products
-from .words import EMPTY, Element
+from .words import EMPTY, Element, _element
 
 DELTA_CORRUPT = "delta-corrupt"
 DROP_UNIT_TENSOR = "drop-unit-tensor"
@@ -45,7 +45,7 @@ def _bump_delta(delta_coeff):
 
 def _drop_unit(t: Element, u) -> Element:
     """``t`` without its ``1 (x) u`` term; Δ(1) = 1 (x) 1 is kept."""
-    return Element(t.spec, {k: c for k, c in t.terms.items() if k != (EMPTY, u)}) if u else t
+    return _element(t.spec, {k: c for k, c in t.idx.items() if k != (EMPTY, u)}) if u else t
 
 
 def _plus_twice(s: Element, u) -> Element:

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .ff import FieldElem, FieldSpec, memoized
-from .words import Element, Word, accumulate, bilinear, letter, _clean
+from .ff import FieldElem, FieldSpec, check_field, memoized
+from .words import Element, Word, accumulate, bilinear, letter, _element
 
 
 def binom_mod_p(a: int, b: int, p: int) -> int:
@@ -76,7 +76,7 @@ def _delta(spec: FieldSpec, r: int, s: int, i: int) -> FieldElem:
 
 
 def _word_elem(spec: FieldSpec, w: Word) -> Element:
-    return Element(spec, {w: spec.one})
+    return _element(spec, {w: 1})
 
 
 def _shuffle_words(spec: FieldSpec, u: Word, v: Word) -> Element:
@@ -89,10 +89,10 @@ def _shuffle_words(spec: FieldSpec, u: Word, v: Word) -> Element:
 
 @memoized("shuffle")
 def _shuffle_step(spec: FieldSpec, u: Word, v: Word) -> Element:
-    acc = accumulate({}, _shuffle_words(spec, u[1:], v).terms, head=u[:1])
-    accumulate(acc, _shuffle_words(spec, u, v[1:]).terms, head=v[:1])
-    accumulate(acc, _diamond_words(spec, u, v).terms)
-    return Element(spec, _clean(acc))
+    acc = accumulate(spec, {}, _shuffle_words(spec, u[1:], v).idx, head=u[:1])
+    accumulate(spec, acc, _shuffle_words(spec, u, v[1:]).idx, head=v[:1])
+    accumulate(spec, acc, _diamond_words(spec, u, v).idx)
+    return _element(spec, acc)
 
 
 def _diamond_words(spec: FieldSpec, u: Word, v: Word) -> Element:
@@ -108,17 +108,17 @@ def _diamond_step(spec: FieldSpec, u: Word, v: Word) -> Element:
     x, y = u[0], v[0]
     a1, b1 = x.n, y.n
     tail = _shuffle_words(spec, u[1:], v[1:])
-    eab = x.eps * y.eps
+    eab = spec.elements[spec.idx_ops[1][x.eps.idx][y.eps.idx]]
     n = a1 + b1
     head = letter(spec, n, eab)
-    acc: dict = {(head,) + w: c for w, c in tail.terms.items()}
+    acc: dict = {(head,) + w: c for w, c in tail.idx.items()}
     for j in range(1, n):
-        dc = delta_coeff(a1, b1, j, spec)
-        if dc.idx == 0:
+        dc = delta_coeff(a1, b1, j, spec).idx
+        if dc == 0:
             continue
         xj = _word_elem(spec, (letter(spec, j, spec.one),))
-        accumulate(acc, shuffle(xj, tail).terms, dc, (letter(spec, n - j, eab),))
-    return Element(spec, _clean(acc))
+        accumulate(spec, acc, shuffle(xj, tail).idx, dc, (letter(spec, n - j, eab),))
+    return _element(spec, acc)
 
 
 def _triangle_words(spec: FieldSpec, u: Word, v: Word) -> Element:
@@ -128,7 +128,7 @@ def _triangle_words(spec: FieldSpec, u: Word, v: Word) -> Element:
         return _word_elem(spec, u)
     head = u[0]
     inner = _shuffle_words(spec, u[1:], v)
-    return Element(spec, {(head,) + w: c for w, c in inner.terms.items()})
+    return _element(spec, {(head,) + w: c for w, c in inner.idx.items()})
 
 
 # -- bilinear wrappers -----------------------------------------------------------
@@ -163,12 +163,14 @@ def horizontal(alpha: FieldElem, a: Element) -> Element:
     if alpha.idx == 0:
         raise ValueError("horizontal maps are indexed by units")
     spec = a.spec
+    check_field(spec, alpha.spec)
     if alpha.idx == 1:
         return a
+    elements, row = spec.elements, spec.idx_ops[1][alpha.idx]
     # a bijection on words, so no two terms land on one word
-    return Element(spec, {
-        (letter(spec, w[0].n, alpha * w[0].eps),) + w[1:] if w else w: c
-        for w, c in a.terms.items()
+    return _element(spec, {
+        (letter(spec, w[0].n, elements[row[w[0].eps.idx]]),) + w[1:] if w else w: c
+        for w, c in a.idx.items()
     })
 
 

@@ -7,7 +7,8 @@ result is a :class:`CheckReport`.  Every identity instance is one call of
 :meth:`CheckReport.expect`, which counts it and, when the identity fails,
 records the line ``family k=v ...``: the identity's family, then the shown
 words, operands and both sides in canonical text, so a failure is replayable
-without rerunning the harness.
+without rerunning the harness.  A report passes when no instance failed
+and at least one was checked: a check that checked nothing is no evidence.
 
 Reports are deterministic functions of (check, q, bounds, seed); timings are
 informational only.
@@ -35,7 +36,6 @@ from .products import delta_coeff, diamond, horizontal, shuffle, triangle
 from .words import (
     EMPTY,
     Element,
-    TensorElement,
     accumulate,
     accumulate_outer,
     basis_words,
@@ -43,7 +43,7 @@ from .words import (
     letter,
     linear,
     word_weight,
-    _clean,
+    _element,
 )
 from .zeta import (
     DEFAULT_BUDGET,
@@ -68,7 +68,9 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No failure, and at least one instance checked: a report that
+        checked nothing is no evidence."""
+        return self.instances > 0 and not self.failures
 
     def machine_line(self) -> str:
         return "\t".join(
@@ -91,6 +93,8 @@ class CheckReport:
         )
         if self.passed:
             return head
+        if not self.instances:
+            return head + "\n  no instance checked"
         body = "\n".join("  counterexample: " + f for f in self.failures[:10])
         more = len(self.failures) - 10
         if more > 0:
@@ -167,8 +171,8 @@ def random_element(rng: Rng, max_weight: int, max_terms: int, spec: FieldSpec) -
         w = 1 + rng.below(max_weight)
         words = _basis(spec, w)
         word = words[rng.below(len(words))]
-        accumulate(acc, {word: spec.unit_from_exp(rng.below(spec.q - 1))})
-    return Element.from_terms(spec, acc)
+        accumulate(spec, acc, {word: spec.unit_from_exp(rng.below(spec.q - 1)).idx})
+    return _element(spec, acc)
 
 
 @memoized("basis_words")
@@ -272,10 +276,10 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
     for u, eu in _words_up_to(spec, max_weight):
         du = coproduct(eu)
         wu = word_weight(u)
-        rep.expect(all(word_weight(l) + word_weight(r) == wu for l, r in du.terms),
+        rep.expect(all(word_weight(l) + word_weight(r) == wu for l, r in du.idx),
                    "coproduct-grading", u=u)
-        left_unit = [(l, r) for l, r in du.terms if not l]
-        rep.expect(left_unit == [(EMPTY, u)] and du.terms[(EMPTY, u)].idx == 1,
+        left_unit = [(l, r) for l, r in du.idx if not l]
+        rep.expect(left_unit == [(EMPTY, u)] and du.idx[(EMPTY, u)] == 1,
                    "unit-tensorand", u=u)
 
         # counit axioms: (ε ⊗ 1)Δ(u) = u = (1 ⊗ ε)Δ(u)
@@ -290,30 +294,29 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
         # (l, rl, rr) against (Δ ⊗ 1)Δ(u) keyed ((ll, lr), r)
         left3: dict = {}
         right3: dict = {}
-        for (l, r), c in du.terms.items():
-            accumulate(left3, coproduct(Element.from_word(spec, r)).terms, c, (l,))
-            accumulate_outer(right3, coproduct(Element.from_word(spec, l)).terms, {r: c})
-        rep.expect(_clean(left3) == {lk + (r,): v for (lk, r), v in _clean(right3).items()},
+        for (l, r), c in du.idx.items():
+            accumulate(spec, left3, coproduct(Element.from_word(spec, r)).idx, c, (l,))
+            accumulate_outer(spec, right3, coproduct(Element.from_word(spec, l)).idx, {r: c})
+        rep.expect(left3 == {lk + (r,): v for (lk, r), v in right3.items()},
                    "coassociativity", u=u)
 
         if not u:
             continue
-        # coproduct after a horizontal twist
+        # coproduct after a horizontal twist: Δ(h(u)) is Δ(u) with 1 ⊗ h(u)
+        # in place of 1 ⊗ u and every other left tensorand twisted.  The
+        # twist is spelled out from h's definition on a word, not taken from
+        # h, and is a bijection on words, so no two terms collide.
         for eps in spec.units:
             lhs_t = coproduct(horizontal(eps, eu))
-            # twist every left tensorand but the unit; the twist is a
-            # bijection on words, so no two terms collide
-            twisted = {
-                (next(iter(horizontal(eps, Element.from_word(spec, l)).terms))
+            row = spec.idx_ops[1][eps.idx]
+            acc = {
+                ((letter(spec, l[0].n, spec.elements[row[l[0].eps.idx]]),) + l[1:]
                  if l else l, r): c
-                for (l, r), c in du.terms.items()
+                for (l, r), c in du.idx.items()
             }
-            (hw, hc), = horizontal(eps, eu).terms.items()
-            rhs_t = (
-                TensorElement.from_terms(spec, twisted)
-                + TensorElement.from_pair(spec, EMPTY, hw, hc)
-                - TensorElement.from_pair(spec, EMPTY, u)
-            )
+            accumulate_outer(spec, acc, {EMPTY: 1}, horizontal(eps, eu).idx)
+            accumulate(spec, acc, {(EMPTY, u): 1}, spec.idx_ops[2][1])
+            rhs_t = _element(spec, acc)
             rep.expect(lhs_t == rhs_t, "coproduct-horizontal", u=u, eps=eps, lhs=lhs_t, rhs=rhs_t)
 
     for (a, ea), (b, eb) in _pairs_total_weight(spec, max_weight):
@@ -327,17 +330,18 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
             continue
         lhs_t = coproduct(diamond(ea, eb))
         da, db = coproduct(ea), coproduct(eb)
-        acc = accumulate_outer({}, {EMPTY: spec.one}, diamond(ea, eb).terms)
-        for (l1, r1), c1 in da.terms.items():
+        mul = spec.idx_ops[1]
+        acc = accumulate_outer(spec, {}, {EMPTY: 1}, diamond(ea, eb).idx)
+        for (l1, r1), c1 in da.idx.items():
             if not l1:
                 continue
-            for (l2, r2), c2 in db.terms.items():
+            for (l2, r2), c2 in db.idx.items():
                 if not l2:
                     continue
                 dpart = diamond(Element.from_word(spec, l1), Element.from_word(spec, l2))
                 spart = shuffle(Element.from_word(spec, r1), Element.from_word(spec, r2))
-                accumulate_outer(acc, dpart.terms, spart.terms, c1 * c2)
-        rep.expect(lhs_t == TensorElement.from_terms(spec, acc), "diamond-coproduct", u=a, v=b)
+                accumulate_outer(spec, acc, dpart.idx, spart.idx, mul[c1][c2])
+        rep.expect(lhs_t == _element(spec, acc), "diamond-coproduct", u=a, v=b)
     return rep
 
 

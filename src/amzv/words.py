@@ -7,16 +7,23 @@ them, run in C; within one field the value order is the (n, j) order.
 Each letter keeps ``n``, ``eps`` and its text as attributes, and
 :func:`letter` hands out one shared instance per (field, n, eps).  A word is
 a tuple of letters; the empty tuple is the empty word, written ``1``.
-:class:`Element` is a finite F_q-linear combination (sparse map, no zero
-coefficients stored) whose keys are words, or ordered pairs of words for
-the tensor square that the coproduct lands in; ``TensorElement`` is an
-alias.
+:class:`Element` is a finite F_q-linear combination whose keys are words,
+or ordered pairs of words for the tensor square that the coproduct lands
+in; ``TensorElement`` is an alias.  Its coefficients are field indices:
+``Element.idx`` maps each key to the index of its coefficient in
+``spec.elements``, never 0, the way ``Laurent.idx`` holds a series window.
+``FieldElem`` values appear only at the boundary: the constructor and
+``from_terms`` take them, ``from_word``, ``from_pair`` and ``scale`` take
+one, ``coeff`` returns one, and ``.terms`` is a read-only ``FieldElem``
+view built on each read.
 
 Every sum of such combinations in the package goes through one accumulation
-kernel: :func:`accumulate` (``acc += c·terms``, optionally with a word
-prefixed to every key), :func:`accumulate_outer` (``acc += c·(left ⊗
-right)``), and the :func:`linear` and :func:`bilinear` extensions of maps on
-words built on them.
+kernel on index maps and the int tables ``spec.idx_ops``: :func:`accumulate`
+(``acc += c·terms``, optionally with a word prefixed to every key),
+:func:`accumulate_outer` (``acc += c·(left ⊗ right)``), and the
+:func:`linear` and :func:`bilinear` extensions of maps on words built on
+them.  The kernel deletes a key whose sum reaches zero, so its results hold
+no zero coefficient without a cleaning pass.
 
 Text forms:
 
@@ -99,38 +106,42 @@ def word_key(spec: FieldSpec, w: Word):
     return (word_weight(w), len(w), w)
 
 
-def _clean(terms: dict) -> dict:
-    for k in [k for k, v in terms.items() if v.idx == 0]:
-        del terms[k]
-    return terms
-
-
 class Element:
     """A finite F_q-linear combination of words, or of ordered pairs of words
-    (the tensor square, target of the coproduct).  Immutable by convention:
-    nothing mutates ``terms`` after construction, so instances are safe to
-    cache and share."""
+    (the tensor square, target of the coproduct).
 
-    __slots__ = ("spec", "terms")
+    ``idx`` maps each key to the field index (see :attr:`FieldSpec.idx_ops`)
+    of its coefficient, never 0.  The constructor and :meth:`from_terms`
+    take :class:`FieldElem` coefficients, and :attr:`terms` reads them back
+    as such; arithmetic stays on indices.  Immutable by convention: nothing
+    mutates ``idx`` after construction, so instances are safe to cache and
+    share.
+    """
+
+    __slots__ = ("spec", "idx")
 
     def __init__(self, spec: FieldSpec, terms: dict):
+        idx = {}
+        for k, c in terms.items():
+            check_field(spec, c.spec)
+            if c.idx:
+                idx[k] = c.idx
         self.spec = spec
-        self.terms = terms
+        self.idx = idx
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Element":
-        return cls(spec, {})
+        return _element(spec, {})
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "Element":
-        return cls(spec, {EMPTY: spec.one})
+        return _element(spec, {EMPTY: 1})
 
     @classmethod
     def from_word(cls, spec: FieldSpec, w: Word, coeff: FieldElem | None = None) -> "Element":
-        c = spec.one if coeff is None else coeff
-        if c.idx == 0:
-            return cls(spec, {})
-        return cls(spec, {w: c})
+        if coeff is None:
+            return _element(spec, {w: 1})
+        return cls(spec, {w: coeff})
 
     @classmethod
     def from_pair(cls, spec: FieldSpec, left: Word, right: Word,
@@ -139,53 +150,64 @@ class Element:
 
     @classmethod
     def from_terms(cls, spec: FieldSpec, terms: dict) -> "Element":
-        return cls(spec, _clean(dict(terms)))
+        """The combination of ``terms``, a map from keys to field elements;
+        zero coefficients are left out."""
+        return cls(spec, terms)
+
+    @property
+    def terms(self) -> dict:
+        """A fresh map from each key to its coefficient as a field element."""
+        elements = self.spec.elements
+        return {k: elements[c] for k, c in self.idx.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.idx
 
     def __add__(self, other: "Element") -> "Element":
         check_field(self.spec, other.spec)
-        return Element(self.spec, _clean(accumulate(dict(self.terms), other.terms)))
+        return _element(self.spec, accumulate(self.spec, dict(self.idx), other.idx))
 
     def __sub__(self, other: "Element") -> "Element":
-        check_field(self.spec, other.spec)
-        out = accumulate(dict(self.terms), other.terms, -self.spec.one)
-        return Element(self.spec, _clean(out))
+        spec = self.spec
+        check_field(spec, other.spec)
+        return _element(spec, accumulate(spec, dict(self.idx), other.idx, spec.idx_ops[2][1]))
 
     def __neg__(self) -> "Element":
-        return Element(self.spec, {k: -c for k, c in self.terms.items()})
+        neg = self.spec.idx_ops[2]
+        return _element(self.spec, {k: neg[c] for k, c in self.idx.items()})
 
     def scale(self, c: FieldElem) -> "Element":
+        check_field(self.spec, c.spec)
         if c.idx == 0:
-            return Element(self.spec, {})
+            return _element(self.spec, {})
         if c.idx == 1:
             return self
-        return Element(self.spec, {k: c * v for k, v in self.terms.items()})
+        row = self.spec.idx_ops[1][c.idx]
+        return _element(self.spec, {k: row[v] for k, v in self.idx.items()})
 
     def coeff(self, key) -> FieldElem:
         """Coefficient of a word, or of a pair ``(left, right)`` of words."""
-        return self.terms.get(key, self.spec.zero)
+        return self.spec.elements[self.idx.get(key, 0)]
 
     def weights(self) -> set[int]:
-        return {word_weight(w) for w in self.terms}
+        return {word_weight(w) for w in self.idx}
 
     def graded_part(self, w: int) -> "Element":
-        return Element(self.spec, {k: v for k, v in self.terms.items() if word_weight(k) == w})
+        return _element(self.spec, {k: c for k, c in self.idx.items() if word_weight(k) == w})
 
     def bidegrees(self) -> set[tuple[int, int]]:
-        return {(word_weight(l), word_weight(r)) for l, r in self.terms}
+        return {(word_weight(l), word_weight(r)) for l, r in self.idx}
 
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.spec.key == other.spec.key and self.terms == other.terms
+        return self.spec.key == other.spec.key and self.idx == other.idx
 
     def __hash__(self):
-        return hash((self.spec.key, frozenset(self.terms.items())))
+        return hash((self.spec.key, frozenset(self.idx.items())))
 
     def __repr__(self):
-        key = next(iter(self.terms), EMPTY)
+        key = next(iter(self.idx), EMPTY)
         # a word's entries are letters, a pair's entries are words
         if key and not isinstance(key[0], Letter):
             return format_tensor(self)
@@ -196,40 +218,67 @@ class Element:
 TensorElement = Element
 
 
+def _element(spec: FieldSpec, idx: dict) -> Element:
+    """An :class:`Element` from a map of keys to nonzero field indices."""
+    e = object.__new__(Element)
+    e.spec = spec
+    e.idx = idx
+    return e
+
+
 # -- the accumulation kernel -------------------------------------------------------
+#
+# Coefficients are field indices: ``terms`` and ``acc`` map keys to nonzero
+# indices, ``c`` is an index.  A key whose sum reaches zero is deleted, so
+# ``acc`` stays free of zeros.
 
 
-def accumulate(acc: dict, terms: dict, c: FieldElem | None = None, head: Word = EMPTY) -> dict:
+def accumulate(spec: FieldSpec, acc: dict, terms: dict, c: int = 1, head: Word = EMPTY) -> dict:
     """In place, ``acc += c · head·terms`` and return ``acc``: ``head`` is
-    prefixed to every key, ``c`` defaults to 1, and zero coefficients stay in
-    ``acc`` until ``_clean``."""
-    if c is not None and c.idx == 1:  # spare a field product per term
-        c = None
+    prefixed to every key and ``c`` defaults to 1."""
+    if not c:
+        return acc
+    add, mul, _ = spec.idx_ops
+    row = mul[c] if c != 1 else None
     get = acc.get
     for k, v in terms.items():
         if head:
             k = head + k
-        if c is not None:
-            v = c * v
+        if row is not None:
+            v = row[v]
         prev = get(k)
-        acc[k] = v if prev is None else prev + v
+        if prev is None:
+            acc[k] = v
+        else:
+            v = add[prev][v]
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
     return acc
 
 
-def accumulate_outer(acc: dict, left: dict, right: dict, c: FieldElem | None = None) -> dict:
+def accumulate_outer(spec: FieldSpec, acc: dict, left: dict, right: dict, c: int = 1) -> dict:
     """In place, ``acc += c · (left ⊗ right)``, one pair key ``(l, r)`` per
     pair of terms, and return ``acc``; ``c`` defaults to 1."""
-    if c is not None and c.idx == 1:
-        c = None
+    if not c:
+        return acc
+    add, mul, _ = spec.idx_ops
     get = acc.get
     for lk, lc in left.items():
-        if c is not None:
-            lc = c * lc
+        row = mul[mul[c][lc]]
         for rk, rc in right.items():
             k = (lk, rk)
-            v = lc * rc
+            v = row[rc]
             prev = get(k)
-            acc[k] = v if prev is None else prev + v
+            if prev is None:
+                acc[k] = v
+            else:
+                v = add[prev][v]
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
     return acc
 
 
@@ -238,14 +287,14 @@ def linear(op, e: Element) -> Element:
     single key with coefficient 1 this is ``op``'s own result, uncopied:
     Elements are immutable by convention."""
     spec = e.spec
-    if len(e.terms) == 1:
-        (k, c), = e.terms.items()
-        if c.idx == 1:
+    if len(e.idx) == 1:
+        (k, c), = e.idx.items()
+        if c == 1:
             return op(spec, k)
     acc: dict = {}
-    for k, c in e.terms.items():
-        accumulate(acc, op(spec, k).terms, c)
-    return Element(spec, _clean(acc))
+    for k, c in e.idx.items():
+        accumulate(spec, acc, op(spec, k).idx, c)
+    return _element(spec, acc)
 
 
 def bilinear(op, a: Element, b: Element) -> Element:
@@ -257,28 +306,32 @@ def bilinear(op, a: Element, b: Element) -> Element:
     :func:`linear`.
     """
     spec = a.spec
-    if len(a.terms) == 1 and len(b.terms) == 1:
-        (ka, ca), = a.terms.items()
-        (kb, cb), = b.terms.items()
-        if ca.idx == 1 and cb.idx == 1:
+    if b.spec is not spec:
+        check_field(spec, b.spec)
+    if len(a.idx) == 1 and len(b.idx) == 1:
+        (ka, ca), = a.idx.items()
+        (kb, cb), = b.idx.items()
+        if ca == 1 and cb == 1:
             got = op(spec, ka, kb)
             if type(got) is not tuple:
                 return got
-            return Element(spec, _clean(accumulate_outer({}, got[0].terms, got[1].terms)))
+            return _element(spec, accumulate_outer(spec, {}, got[0].idx, got[1].idx))
+    mul = spec.idx_ops[1]
     acc: dict = {}
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
+    for ka, ca in a.idx.items():
+        row = mul[ca]
+        for kb, cb in b.idx.items():
             got = op(spec, ka, kb)
             if type(got) is tuple:
-                accumulate_outer(acc, got[0].terms, got[1].terms, ca * cb)
+                accumulate_outer(spec, acc, got[0].idx, got[1].idx, row[cb])
             else:
-                accumulate(acc, got.terms, ca * cb)
-    return Element(spec, _clean(acc))
+                accumulate(spec, acc, got.idx, row[cb])
+    return _element(spec, acc)
 
 
 def concat(a: Element, b: Element) -> Element:
     """Bilinear extension of word concatenation; the empty word is the unit."""
-    return bilinear(lambda spec, u, v: Element(spec, {u + v: spec.one}), a, b)
+    return bilinear(lambda spec, u, v: _element(spec, {u + v: 1}), a, b)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -368,26 +421,26 @@ def parse_element(text: str, spec: FieldSpec) -> Element:
             c = spec.parse_elem(coeff_txt)
         else:
             c, word_txt = spec.one, term
-        accumulate(out, {parse_word(word_txt, spec): c})
-    return Element(spec, _clean(out))
+        accumulate(spec, out, {parse_word(word_txt, spec): 1}, c.idx)
+    return _element(spec, out)
 
 
-def _coeff_prefix(c: FieldElem, spec: FieldSpec) -> str:
-    return "" if c.idx == 1 else spec.format_elem(c) + "*"
+def _coeff_prefix(c: int, spec: FieldSpec) -> str:
+    return "" if c == 1 else spec.format_elem(spec.elements[c]) + "*"
 
 
 def format_element(e: Element) -> str:
-    if not e.terms:
+    if not e.idx:
         return "0"
     spec = e.spec
     parts = []
-    for w in sorted(e.terms, key=lambda w: word_key(spec, w)):
-        parts.append(_coeff_prefix(e.terms[w], spec) + format_word(w, spec))
+    for w in sorted(e.idx, key=lambda w: word_key(spec, w)):
+        parts.append(_coeff_prefix(e.idx[w], spec) + format_word(w, spec))
     return " + ".join(parts)
 
 
 def format_tensor(t: Element, ascii_tensor: bool = False) -> str:
-    if not t.terms:
+    if not t.idx:
         return "0"
     spec = t.spec
     sym = " (x) " if ascii_tensor else " ⊗ "
@@ -395,7 +448,7 @@ def format_tensor(t: Element, ascii_tensor: bool = False) -> str:
         l, r = pair
         return (word_weight(l), word_key(spec, l), word_key(spec, r))
     parts = []
-    for l, r in sorted(t.terms, key=key):
-        c = t.terms[(l, r)]
+    for l, r in sorted(t.idx, key=key):
+        c = t.idx[(l, r)]
         parts.append(_coeff_prefix(c, spec) + format_word(l, spec) + sym + format_word(r, spec))
     return " + ".join(parts)

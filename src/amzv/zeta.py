@@ -549,11 +549,9 @@ def power_sum_lt_element(e: Element, d: int, N: int, budget: int = DEFAULT_BUDGE
     """Linear extension of S_{<d} to the word algebra; the empty word maps to 1."""
     spec = e.spec
     acc = Laurent.zero(spec, N)
-    for w, c in e.terms.items():
-        if not w:
-            acc = acc + Laurent.one(spec, N).scale(c)
-            continue
-        acc = acc + power_sum_lt(_word_array(spec, w), d, N, budget).scale(c)
+    for w, c in e.idx.items():
+        term = power_sum_lt(_word_array(spec, w), d, N, budget) if w else Laurent.one(spec, N)
+        acc = acc + term.scale(spec.elements[c])
     return acc
 
 
@@ -631,11 +629,9 @@ def zeta_trunc(e: Element, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
     """
     spec = e.spec
     acc = Laurent.zero(spec, N)
-    for w, c in e.terms.items():
-        if not w:
-            acc = acc + Laurent.one(spec, N).scale(c)
-            continue
-        acc = acc + _zeta_word(spec, w, N, budget).scale(c)
+    for w, c in e.idx.items():
+        term = _zeta_word(spec, w, N, budget) if w else Laurent.one(spec, N)
+        acc = acc + term.scale(spec.elements[c])
     return acc
 
 

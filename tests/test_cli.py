@@ -167,6 +167,16 @@ def test_verify_reports_failures_exit_3(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_with_no_instance_exits_3(capsys):
+    code, out, _ = run_cli(
+        capsys, ["verify", "--q", "2", "--weight-max", "1", "--trials", "0", "--dmax", "0"]
+    )
+    assert code == 3
+    assert re.search(r"^FAIL thm-commutative-algebra \(q=2, bound=1, 0 instances, \d+ ms\)\n"
+                     r"  no instance checked$", out, re.M)
+    assert out.count("PASS ") == 4
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run_cli(
         capsys, ["verify", "--q", "2", "--weight-max", "2", "--trials", "2"]

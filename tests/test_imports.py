@@ -9,7 +9,9 @@ every other module caches through ``ff.memoized`` and never reads
 field tables belongs there too: other modules use ``idx_ops``, ``elements``,
 ``units``, ``log`` and ``unit_from_exp``, never ``FieldSpec``'s private
 tables.  In ``verify.py`` only ``CheckReport.expect`` counts instances and
-records failures.
+records failures.  The algebra modules and the harness work on
+``Element.idx``, the field-index coefficients, and never read the
+``FieldElem`` view ``.terms``.
 """
 
 import ast
@@ -22,6 +24,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 FAULT_FREE = ("products.py", "coalgebra.py")
 NOT_FF = sorted(p for p in SRC.glob("*.py") if p.name != "ff.py")
 FIELD_TABLES = {"_add", "_mul", "_neg", "_inv", "_gpow", "_log"}
+INDEX_CODED = ("products.py", "coalgebra.py", "verify.py")
 
 
 def _tree(path):
@@ -125,3 +128,10 @@ def test_only_expect_counts_instances_and_records_failures():
         f"verify.py counts or records outside CheckReport.expect: "
         f"{[f'{scope} line {line}' for scope, line in found if scope != 'CheckReport.expect']}"
     )
+
+
+@pytest.mark.parametrize("name", INDEX_CODED)
+def test_algebra_modules_use_index_coefficients(name):
+    bad = [f"line {node.lineno}" for node in ast.walk(_tree(SRC / name))
+           if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    assert not bad, f"{name} reads the FieldElem view .terms: {bad}"

@@ -110,6 +110,16 @@ def test_expect_failure_renders_each_value_kind(spec_q3):
     assert not rep.passed
 
 
+def test_report_with_no_instance_fails(spec_q2):
+    rep = CheckReport("thm-x", 2, 1, {})
+    assert (rep.instances, rep.failures, rep.passed) == (0, [], False)
+    assert rep.text_block() == "FAIL thm-x (q=2, bound=1, 0 instances, 0 ms)\n  no instance checked"
+    # below total weight 2 there is no pair of nonempty words to multiply
+    empty = check_algebra(spec_q2, 1)
+    assert (empty.instances, empty.failures, empty.passed) == (0, [], False)
+    assert empty.text_block().endswith("\n  no instance checked")
+
+
 def test_machine_line_shape(spec_q2):
     rep = check_coproduct_oracle(spec_q2, max_n=4, table_n=4, word_weight_bound=3)
     fields = rep.machine_line().split("\t")

@@ -171,7 +171,7 @@ def _drop_first(basis_words):
 # name in amzv.verify -> (corrupting wrapper, q, checks run under it)
 CORRUPTIONS = {
     "triangle": (_plus_right, 3, ("algebra",)),
-    "horizontal": (_plus_argument, 3, ("algebra",)),
+    "horizontal": (_plus_argument, 3, ("algebra", "coalgebra")),
     "coproduct": (_plus_diagonal, 2, ("coalgebra", "hopf", "oracle")),
     "counit": (_plus_one, 3, ("coalgebra", "hopf")),
     "antipode": (_plus_square, 3, ("hopf",)),
@@ -182,6 +182,7 @@ CORRUPTIONS = {
 CORRUPT_PINS = {
     ('triangle', 'algebra'): (3456, 1296, '59f409f9316fdbe8'),
     ('horizontal', 'algebra'): (3456, 864, '45d4a264b17dc4d6'),
+    ('horizontal', 'coalgebra'): (215, 52, '51cbdf09cac7ab53'),
     ('coproduct', 'coalgebra'): (52, 20, '1715580d0e5c517c'),
     ('coproduct', 'hopf'): (33, 14, 'de106b53999a4457'),
     ('coproduct', 'oracle'): (26, 7, '25615103fa200e90'),
