@@ -25,6 +25,7 @@ from .words import (
     format_tensor,
     format_word,
     parse_element,
+    parse_word,
 )
 from .zeta import (
     BudgetExceededError,
@@ -143,10 +144,10 @@ def _run(args) -> int:
         )
         for rep in reports:
             print(rep.machine_line() if args.fmt == "machine" else rep.text_block())
-        bad = sum(len(r.failures) for r in reports)
+        # a report that failed with no failure line checked no instance
+        bad = sum(len(r.failures) or not r.passed for r in reports)
         if args.fmt == "text":
             print(f"{len(reports)} checks, {bad} failures")
-        # a report that checked no instance fails too
         return 0 if all(r.passed for r in reports) else 3
 
     spec = _field_from_args(args)
@@ -165,8 +166,6 @@ def _run(args) -> int:
         print(format_element(antipode(a)))
         return 0
     if cmd == "powsum":
-        from .words import parse_word
-
         try:
             w = parse_word(args.word, spec)
         except ValueError as exc:

@@ -7,15 +7,16 @@ so elements can be used freely as dictionary keys in the word-algebra layers.
 
 An element's coordinates ``(c_0, ..., c_{k-1})`` are those of
 ``sum c_j t^j`` modulo the field's modulus, and its index is
-``sum c_j p^j``.  The primary tables are the int tables
+``sum c_j p^j``.  The arithmetic tables are the int tables
 ``FieldSpec.idx_ops`` on these indices.  Addition and negation are
 coordinate arithmetic mod p (XOR and the identity when p = 2).
 Multiplication goes through the exp/log tables of the primitive element
 ``g``: walking the powers of each candidate by polynomial products finds
 ``g`` and its exp table in O(q) products, and ``a * b = g^(log a + log b)``.
-The ``FieldElem`` tables (sums, products, negatives, inverses and powers of
-``g`` as shared elements) are views of the int tables, built in the same
-pass; only this module reads them.
+These are the only arithmetic tables: ``FieldElem`` operations look the
+result's index up in them and return the shared element with that index,
+and a unit's inverse and powers come from its discrete log and the tuple
+``units`` of the powers of ``g``.
 
 Units are printed in exponent form ``g^j`` where ``g`` is a fixed primitive
 element chosen deterministically (the first element, in coordinate order,
@@ -172,18 +173,20 @@ class FieldElem:
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
         check_field(self.spec, other.spec)
-        return self.spec._add[self.idx][other.idx]
+        return self.spec.elements[self.spec.idx_ops[0][self.idx][other.idx]]
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
-        check_field(self.spec, other.spec)
-        return self.spec._add[self.idx][self.spec._neg[other.idx].idx]
+        spec = self.spec
+        check_field(spec, other.spec)
+        add, _, neg = spec.idx_ops
+        return spec.elements[add[self.idx][neg[other.idx]]]
 
     def __neg__(self) -> "FieldElem":
-        return self.spec._neg[self.idx]
+        return self.spec.elements[self.spec.idx_ops[2][self.idx]]
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
         check_field(self.spec, other.spec)
-        return self.spec._mul[self.idx][other.idx]
+        return self.spec.elements[self.spec.idx_ops[1][self.idx][other.idx]]
 
     def __pow__(self, n: int) -> "FieldElem":
         if n == 0:
@@ -198,7 +201,8 @@ class FieldElem:
     def inverse(self) -> "FieldElem":
         if self.idx == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.spec._inv[self.idx]
+        spec = self.spec
+        return spec.units[-spec._log[self.idx] % (spec.q - 1)]
 
     def is_zero(self) -> bool:
         return self.idx == 0
@@ -215,10 +219,11 @@ class FieldSpec:
 
     ``idx_ops`` is ``(add, mul, neg)`` on element indices: ``add[a][b]`` is
     the index of ``elements[a] + elements[b]``, likewise ``mul``; ``neg[a]``
-    is that of ``-elements[a]``.  These int tables are the primary ones, and
-    like ``letters`` they outlive :meth:`clear_memos`.  The ``FieldElem``
-    arithmetic reads the same tables as rows of shared elements, and
-    ``units`` is the tuple g^0, ..., g^(q-2) of every unit in exponent order.
+    is that of ``-elements[a]``.  These int tables are the only arithmetic
+    tables, and like ``letters`` they outlive :meth:`clear_memos`.
+    ``FieldElem`` arithmetic looks its result's index up there and returns
+    the shared element ``elements[i]``, and ``units`` is the tuple g^0, ...,
+    g^(q-2) of every unit in exponent order.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -242,8 +247,8 @@ class FieldSpec:
         self.zero = self.elements[0]
         self.one = self.elements[1]
 
-        # the primary tables, on element indices: add and neg by coordinate
-        # arithmetic, mul through g's exp/log tables
+        # the arithmetic tables, on element indices: add and neg by
+        # coordinate arithmetic, mul through g's exp/log tables
         add, neg = _coordinate_tables(p, k)
         # F_p itself is F_p[t]/(t): its key has an empty modulus
         exp = self._generator_powers(modulus or (0, 1))
@@ -257,13 +262,7 @@ class FieldSpec:
         mul = ((0,) * q, *((0, *[exp2[i + j] for j in logs]) for i in logs))
         self.idx_ops: tuple = (add, mul, neg)
 
-        # the same tables as views of the shared elements, for FieldElem
-        at = self.elements.__getitem__
-        self._add = tuple(tuple(map(at, row)) for row in add)
-        self._mul = tuple(tuple(map(at, row)) for row in mul)
-        self._neg = tuple(map(at, neg))
-        self.units = tuple(map(at, exp))
-        self._inv = (None, *(self.units[-j % n] for j in logs))
+        self.units = tuple(map(self.elements.__getitem__, exp))
         self._log = tuple(log)
         self.g = self.units[1 % n]
 

@@ -45,13 +45,7 @@ from .words import (
     word_weight,
     _element,
 )
-from .zeta import (
-    DEFAULT_BUDGET,
-    ZetaArray,
-    power_sum_d,
-    power_sum_lt_element,
-    zeta_trunc,
-)
+from .zeta import ZetaArray, power_sum_d, power_sum_lt_element, zeta_trunc
 
 
 @dataclass
@@ -435,7 +429,6 @@ def check_zeta_homomorphism(
     chen_rs: int = 6,
     chen_d: int = 2,
     chen_prec: int = 96,
-    budget: int = DEFAULT_BUDGET,
 ) -> CheckReport:
     """The power-sum and zeta shuffle homomorphisms on seeded random element
     pairs, plus the exhaustive product formula for depth-one power sums with
@@ -466,35 +459,28 @@ def check_zeta_homomorphism(
         b = random_element(rng, max_weight, 3, spec)
         ab = shuffle(a, b)
         for d in range(d_max + 1):
-            lhs = power_sum_lt_element(ab, d, prec, budget)
-            rhs = power_sum_lt_element(a, d, prec, budget) * power_sum_lt_element(
-                b, d, prec, budget
-            )
+            lhs = power_sum_lt_element(ab, d, prec)
+            rhs = power_sum_lt_element(a, d, prec) * power_sum_lt_element(b, d, prec)
             rep.expect(lhs.agrees_with(rhs), "powsum-homomorphism",
                        trial=t, d=d, a=a, b=b, lhs=lhs, rhs=rhs)
-        zl = zeta_trunc(ab, zeta_prec, budget)
-        zr = zeta_trunc(a, zeta_prec, budget) * zeta_trunc(b, zeta_prec, budget)
+        zl = zeta_trunc(ab, zeta_prec)
+        zr = zeta_trunc(a, zeta_prec) * zeta_trunc(b, zeta_prec)
         rep.expect(zl.agrees_with(zr), "zeta-homomorphism", trial=t, a=a, b=b, lhs=zl, rhs=zr)
 
     # depth-one product formula, twisted and untwisted, exhaustively
     for r in range(1, chen_rs):
         for s in range(1, chen_rs - r + 1):
             for al, be, d in product(spec.units, spec.units, range(chen_d + 1)):
-                lhs = power_sum_d(
-                    ZetaArray((al,), (r,)), d, chen_prec, budget
-                ) * power_sum_d(ZetaArray((be,), (s,)), d, chen_prec, budget)
-                rhs = power_sum_d(
-                    ZetaArray((al * be,), (r + s,)), d, chen_prec, budget
+                lhs = power_sum_d(ZetaArray((al,), (r,)), d, chen_prec) * power_sum_d(
+                    ZetaArray((be,), (s,)), d, chen_prec
                 )
+                rhs = power_sum_d(ZetaArray((al * be,), (r + s,)), d, chen_prec)
                 for j in range(1, r + s):
                     c = delta_coeff(r, s, j, spec)
                     if c.idx == 0:
                         continue
                     rhs = rhs + power_sum_d(
-                        ZetaArray((al * be, spec.one), (r + s - j, j)),
-                        d,
-                        chen_prec,
-                        budget,
+                        ZetaArray((al * be, spec.one), (r + s - j, j)), d, chen_prec
                     ).scale(c)
                 rep.expect(lhs.agrees_with(rhs), "chen",
                            r=r, s=s, d=d, alpha=al, beta=be, lhs=lhs, rhs=rhs)

@@ -14,11 +14,18 @@ Power sums over monic polynomials:
     S_{<d}    = sum of S_m for 0 <= m < d
 
 for a positive array arr = ((eps_1..eps_n); (s_1..s_n)).  ``power_sum_d``
-enumerates chains literally (budget-guarded) and is the brute-force side of
-every numeric identity check.  ``zeta_trunc`` sums S_d over d up to the
-precision horizon; every summand has valuation >= d, so the truncated sum is
-exact to the horizon.  Its per-degree power sums go through a faster
-depth-one kernel: for a monic a = theta^d + c_{d-1}theta^{d-1} + ... + c_0,
+enumerates chains literally and is the brute-force side of every numeric
+identity check.  Every enumeration is capped at ``BUDGET`` polynomials,
+chains or coefficient vectors, read when it runs; past the cap it raises
+:class:`BudgetExceededError`.
+
+``zeta_trunc`` sums S_d over d up to the precision horizon; every summand has
+valuation >= d, so the truncated sum is exact to the horizon.  It peels one
+letter at a time, S_d(x_{s,eps} w) = eps^d S_d(s) S_{<d}(w): one memoized
+function returns the partial sums S_{<0}(w), ..., S_{<t}(w) of a word and asks
+its tail only for the degrees where the head is nonzero.  The depth-one
+power sums S_d(s) go through a faster kernel: for a monic
+a = theta^d + c_{d-1}theta^{d-1} + ... + c_0,
 
     1/a^s = u^{ds} (1 + h(u))^{-s},   h(u) = sum_t c_{d-t} u^t,
 
@@ -50,7 +57,9 @@ from dataclasses import dataclass
 from .ff import FieldElem, FieldSpec, check_field, memoized
 from .words import Element, Word, letter
 
-DEFAULT_BUDGET = 10**6
+# the most monic polynomials, chains or coefficient vectors one power sum may
+# enumerate; read at call time, so it is in no memo key
+BUDGET = 10**6
 
 
 class BudgetExceededError(RuntimeError):
@@ -141,12 +150,12 @@ class Poly:
         return " + ".join(parts)
 
 
-def monic_enum(d: int, spec: FieldSpec, budget: int = DEFAULT_BUDGET) -> list[Poly]:
+def monic_enum(d: int, spec: FieldSpec) -> list[Poly]:
     """All q^d monic polynomials of degree d, in a fixed counting order."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    if spec.q**d > budget:
-        raise BudgetExceededError(f"q^d = {spec.q}^{d} exceeds budget {budget}")
+    if spec.q**d > BUDGET:
+        raise BudgetExceededError(f"q^d = {spec.q}^{d} exceeds budget {BUDGET}")
     out = []
     for v in range(spec.q**d):
         coeffs = []
@@ -449,11 +458,6 @@ class ZetaArray:
     def spec(self) -> FieldSpec:
         return self.eps[0].spec
 
-    def tail(self) -> "ZetaArray | None":
-        if self.depth == 1:
-            return None
-        return ZetaArray(self.eps[1:], self.s[1:])
-
     def __hash__(self):
         return self._hash
 
@@ -502,29 +506,29 @@ def _chain_degrees(d: int, depth: int):
         yield (d,) + tuple(reversed(rest))
 
 
-def power_sum_d(arr: ZetaArray, d: int, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
+def power_sum_d(arr: ZetaArray, d: int, N: int) -> Laurent:
     """S_d(arr) to absolute precision N, by enumerating every chain of monic
     polynomials with strictly decreasing degrees d = deg a_1 > ... >= 0."""
     if d < 0 or d < arr.depth - 1:
         return Laurent.zero(arr.spec, N)
-    return _power_sum_d(arr.spec, arr, d, N, budget)
+    return _power_sum_d(arr.spec, arr, d, N)
 
 
 @memoized("power_sum_d")
-def _power_sum_d(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -> Laurent:
+def _power_sum_d(spec: FieldSpec, arr: ZetaArray, d: int, N: int) -> Laurent:
     n = arr.depth
     q = spec.q
     total = sum(q ** sum(degs) for degs in _chain_degrees(d, n))
-    if total > budget:
+    if total > BUDGET:
         raise BudgetExceededError(
-            f"power sum needs {total} chains, over budget {budget}"
+            f"power sum needs {total} chains, over budget {BUDGET}"
         )
     acc = Laurent.zero(spec, N)
     for degs in _chain_degrees(d, n):
         scalar = spec.one
         for e, di in zip(arr.eps, degs):
             scalar = scalar * e**di
-        for polys in itertools.product(*(monic_enum(di, spec, budget) for di in degs)):
+        for polys in itertools.product(*(monic_enum(di, spec) for di in degs)):
             term = laurent_inv_pow(polys[0], arr.s[0], N)
             for a, si in zip(polys[1:], arr.s[1:]):
                 term = term * laurent_inv_pow(a, si, N)
@@ -532,25 +536,25 @@ def _power_sum_d(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -
     return acc.truncate(N)
 
 
-def power_sum_lt(arr: ZetaArray, d: int, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
+def power_sum_lt(arr: ZetaArray, d: int, N: int) -> Laurent:
     """S_{<d}(arr) = sum of S_m(arr) over 0 <= m < d, absolute precision N."""
-    return _power_sum_lt(arr.spec, arr, d, N, budget)
+    return _power_sum_lt(arr.spec, arr, d, N)
 
 
 @memoized("power_sum_lt")
-def _power_sum_lt(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -> Laurent:
+def _power_sum_lt(spec: FieldSpec, arr: ZetaArray, d: int, N: int) -> Laurent:
     acc = Laurent.zero(spec, N)
     for m in range(max(d, 0)):
-        acc = acc + power_sum_d(arr, m, N, budget)
+        acc = acc + power_sum_d(arr, m, N)
     return acc
 
 
-def power_sum_lt_element(e: Element, d: int, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
+def power_sum_lt_element(e: Element, d: int, N: int) -> Laurent:
     """Linear extension of S_{<d} to the word algebra; the empty word maps to 1."""
     spec = e.spec
     acc = Laurent.zero(spec, N)
     for w, c in e.idx.items():
-        term = power_sum_lt(_word_array(spec, w), d, N, budget) if w else Laurent.one(spec, N)
+        term = power_sum_lt(_word_array(spec, w), d, N) if w else Laurent.one(spec, N)
         acc = acc + term.scale(spec.elements[c])
     return acc
 
@@ -563,8 +567,7 @@ def _word_array(spec: FieldSpec, w: Word) -> ZetaArray:
 # -- fast per-degree kernel for the zeta map --------------------------------------
 
 
-def _depth1_power_sum(spec: FieldSpec, s: int, d: int, N: int,
-                      budget: int = DEFAULT_BUDGET) -> Laurent:
+def _depth1_power_sum(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
     """S_d((1); (s)) to absolute precision N, summing the expansions of
     1/a^s over all monic a of degree d but only on the window that survives
     the characteristic-p collapse (see module docstring)."""
@@ -573,16 +576,16 @@ def _depth1_power_sum(spec: FieldSpec, s: int, d: int, N: int,
     v = d * s
     if v >= N or d * (s + 1) >= N:
         return Laurent.zero(spec, N)
-    return _depth1_window(spec, s, d, N, budget)
+    return _depth1_window(spec, s, d, N)
 
 
 @memoized("depth1_power_sum")
-def _depth1_window(spec: FieldSpec, s: int, d: int, N: int, budget: int) -> Laurent:
+def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
     """:func:`_depth1_power_sum` for d >= 1 whose window below N is open."""
     v = d * s
     q = spec.q
-    if q**d > budget:
-        raise BudgetExceededError(f"q^d = {q}^{d} exceeds budget {budget}")
+    if q**d > BUDGET:
+        raise BudgetExceededError(f"q^d = {q}^{d} exceeds budget {BUDGET}")
     M = N - v
     ops = spec.idx_ops
     add = ops[0]
@@ -595,52 +598,51 @@ def _depth1_window(spec: FieldSpec, s: int, d: int, N: int, budget: int) -> Laur
     return _laurent(spec, v, total, N)
 
 
-def _sd_fast(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -> Laurent:
-    if d < 0 or d < arr.depth - 1:
-        return Laurent.zero(spec, N)
-    return _sd_step(spec, arr, d, N, budget)
+@memoized("partial_sums")
+def _partial_sums(spec: FieldSpec, w: Word, t: int, N: int) -> tuple[Laurent, ...]:
+    """(S_{<0}(w), ..., S_{<t}(w)) to absolute precision N, for a nonempty
+    word w = x_{s,eps} v, from S_d(w) = eps^d S_d(s) S_{<d}(v).
+
+    S_d(w) is zero below the horizon for d < depth - 1, and for d >= 1 with
+    d(s+1) >= N, where the head's window is closed.  Only the degrees in
+    between take a head, and the tail v is asked for its partial sums up to
+    the last degree whose head is nonzero, so the recursion goes one level
+    per letter and no tail computes degrees its head cannot reach."""
+    head = w[0]
+    s = head.n
+    terms = {}
+    for d in range(len(w) - 1, t):
+        if d and d * (s + 1) >= N:
+            break
+        h = _depth1_power_sum(spec, s, d, N)
+        if not h.is_zero():
+            terms[d] = h.scale(head.eps ** d)
+    if len(w) > 1 and terms:
+        tail = _partial_sums(spec, w[1:], max(terms), N)
+        terms = {d: h * tail[d] for d, h in terms.items()}
+    acc = Laurent.zero(spec, N)
+    out = [acc]
+    for d in range(t):
+        if d in terms:
+            acc = acc + terms[d]
+        out.append(acc)
+    return tuple(out)
 
 
-@memoized("sd_fast")
-def _sd_step(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -> Laurent:
-    head = _depth1_power_sum(spec, arr.s[0], d, N, budget)
-    if head.is_zero():
-        return Laurent.zero(spec, N)
-    tail = arr.tail()
-    rest = Laurent.one(spec, N) if tail is None else _slt_fast(spec, tail, d, N, budget)
-    return (head * rest).scale(arr.eps[0] ** d).truncate(N)
-
-
-@memoized("slt_fast")
-def _slt_fast(spec: FieldSpec, arr: ZetaArray, d: int, N: int, budget: int) -> Laurent:
-    # only ever reached from _sd_step on a tail, where d >= 1
-    out = Laurent.zero(spec, N)
-    for m in range(d):
-        out = out + _sd_fast(spec, arr, m, N, budget)
-    return out
-
-
-def zeta_trunc(e: Element, N: int, budget: int = DEFAULT_BUDGET) -> Laurent:
+def zeta_trunc(e: Element, N: int) -> Laurent:
     """The truncated zeta value of an element, exact to precision N.
 
-    On a word this is sum_{d=0}^{N} S_d; summands with d(s_1+1) >= N cannot
-    touch the window and are skipped.  The empty word maps to 1; the map is
-    linear.
+    On a word this is S_{<D}, where D >= 1 is the first degree whose head
+    window d(s_1+1) < N is closed: every later S_d vanishes below the
+    horizon.  The empty word maps to 1; the map is linear.
     """
     spec = e.spec
     acc = Laurent.zero(spec, N)
     for w, c in e.idx.items():
-        term = _zeta_word(spec, w, N, budget) if w else Laurent.one(spec, N)
+        if w:
+            # D = max(1, ceil(N / (s_1 + 1)))
+            term = _partial_sums(spec, w, max(1, -(-N // (w[0].n + 1))), N)[-1]
+        else:
+            term = Laurent.one(spec, N)
         acc = acc + term.scale(spec.elements[c])
     return acc
-
-
-@memoized("zeta_word")
-def _zeta_word(spec: FieldSpec, w: Word, N: int, budget: int) -> Laurent:
-    arr = word_to_array(w)
-    z = Laurent.zero(spec, N)
-    for d in range(N + 1):
-        if d * (arr.s[0] + 1) >= N and d > 0:
-            break
-        z = z + _sd_fast(spec, arr, d, N, budget)
-    return z

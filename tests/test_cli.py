@@ -175,6 +175,8 @@ def test_verify_with_no_instance_exits_3(capsys):
     assert re.search(r"^FAIL thm-commutative-algebra \(q=2, bound=1, 0 instances, \d+ ms\)\n"
                      r"  no instance checked$", out, re.M)
     assert out.count("PASS ") == 4
+    # the failed report has no failure line; it still counts as one failure
+    assert out.endswith("\n5 checks, 1 failures\n")
 
 
 def test_verify_text_format(capsys):

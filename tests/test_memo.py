@@ -3,8 +3,8 @@
 Every memoized function hands back its cached object on a repeat call and
 a fresh, equal one after ``clear_memos()``; trivial inputs (an empty word, a
 single letter, a degree below the depth or outside the window) are answered
-without taking a memo entry; and the enumeration budget is part of the key,
-so a cached sum never hides a budget that is too small.
+without taking a memo entry; and the enumeration budget ``amzv.zeta.BUDGET``
+is read when a sum runs, so it is part of no key.
 """
 
 import ast
@@ -29,11 +29,11 @@ from amzv import (
     word_to_array,
     zeta_trunc,
 )
-from amzv import verify, zeta
+from amzv import cli, verify, zeta
 from amzv.coalgebra import coproduct_mzv_recursive, coproduct_mzv_word
 from amzv.ff import memoized
 from amzv.products import delta_coeff
-from amzv.zeta import DEFAULT_BUDGET, BudgetExceededError
+from amzv.zeta import BudgetExceededError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "amzv"
 
@@ -42,7 +42,7 @@ MEMO_NAMES = {
     "delta", "shuffle", "diamond", "bracket",
     "coproduct_letter", "coproduct", "antipode", "mzv_letter", "mzv_word",
     "inv_pow", "power_sum_d", "power_sum_lt", "word_array", "depth1_power_sum",
-    "sd_fast", "slt_fast", "zeta_word", "basis_words",
+    "partial_sums", "basis_words",
 }
 
 
@@ -78,9 +78,7 @@ CALLS = {
     "power_sum_lt": lambda sp: power_sum_lt(A(sp, "x[2,1]"), 3, 10),
     "word_array": lambda sp: zeta._word_array(sp, W(sp, "x[2,1]x[1,0]")),
     "depth1_power_sum": lambda sp: zeta._depth1_power_sum(sp, 1, 2, 12),
-    "sd_fast": lambda sp: zeta._sd_fast(sp, A(sp, "x[1,0]"), 2, 12, DEFAULT_BUDGET),
-    "slt_fast": lambda sp: zeta._slt_fast(sp, A(sp, "x[1,0]"), 3, 12, DEFAULT_BUDGET),
-    "zeta_word": lambda sp: zeta._zeta_word(sp, W(sp, "x[1,1]"), 12, DEFAULT_BUDGET),
+    "partial_sums": lambda sp: zeta._partial_sums(sp, W(sp, "x[1,1]x[1,0]"), 5, 12),
     "basis_words": lambda sp: verify._basis(sp, 3),
 }
 
@@ -134,10 +132,7 @@ TRIVIAL = {
     "power sum below the depth": (
         lambda sp: power_sum_d(A(sp, "x[1,0]x[1,1]x[1,0]"), 1, 10), {}),
     "power sum at d < 0": (lambda sp: power_sum_d(A(sp, "x[1,0]"), -1, 10), {}),
-    "sd_fast below the depth": (
-        lambda sp: zeta._sd_fast(sp, A(sp, "x[1,0]x[1,1]"), 0, 12, DEFAULT_BUDGET), {}),
-    "sd_fast at d < 0": (
-        lambda sp: zeta._sd_fast(sp, A(sp, "x[1,0]"), -1, 12, DEFAULT_BUDGET), {}),
+    "zeta of 1": (lambda sp: zeta_trunc(Element.one(sp), 12), {}),
     "depth1 at d = 0": (lambda sp: zeta._depth1_power_sum(sp, 1, 0, 12), {}),
     "depth1 past the valuation": (lambda sp: zeta._depth1_power_sum(sp, 5, 3, 12), {}),
     "depth1 past the window": (lambda sp: zeta._depth1_power_sum(sp, 2, 4, 12), {}),
@@ -173,24 +168,32 @@ def test_depth1_windows_outside_the_kernel_are_not_cached():
     assert sizes(spec) == {"depth1_power_sum": want}
 
 
-# a cached sum must not answer a call whose budget it would exceed
-BUDGETED = {
-    "power_sum_d": lambda sp, **kw: power_sum_d(A(sp, "x[1,0]"), 3, 10, **kw),
-    "power_sum_lt": lambda sp, **kw: power_sum_lt(A(sp, "x[1,0]"), 4, 10, **kw),
-    "depth1_power_sum": lambda sp, **kw: zeta._depth1_power_sum(sp, 1, 3, 16, **kw),
-    "zeta_trunc": lambda sp, **kw: zeta_trunc(E(sp, "x[1,0]"), 10, **kw),
-}
+def test_zeta_asks_a_tail_only_for_its_heads_window():
+    # the head x[3,0] reaches d(3 + 1) < 16, so d <= 3, and depth 3 needs
+    # d >= 2; the tail x[1,0]x[1,0] alone would reach d(1 + 1) < 16, d <= 7
+    spec = field_from_q(2)
+    zeta_trunc(E(spec, "x[3,0]x[1,0]x[1,0]"), 16)
+    asked = {(len(w), t) for w, t, N in spec._memos["partial_sums"]}
+    assert asked == {(3, 4), (2, 2), (1, 1)}
+    # so the depth-one kernel ran at no degree above 3
+    assert max(d for s, d, N in spec._memos["depth1_power_sum"]) == 3
 
 
-@pytest.mark.parametrize("name", sorted(BUDGETED))
-def test_small_budget_raises_after_a_default_budget_hit(name):
+def test_lowered_budget_raises_on_a_fresh_field(monkeypatch, capsys):
+    powsum = ["powsum", "--q", "3", "--d", "3", "--prec", "10", "x[1,0]"]
     spec = field_from_q(3)
-    call = BUDGETED[name]
-    got = call(spec)
-    assert call(spec) is got
-    with pytest.raises(BudgetExceededError):
-        call(spec, budget=5)
-    assert call(spec, budget=DEFAULT_BUDGET) is got
+    power_sum_d(A(spec, "x[1,0]"), 3, 10)
+    zeta_trunc(E(spec, "x[1,0]"), 10)
+    assert cli.main(powsum) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(zeta, "BUDGET", 5)
+    spec = field_from_q(3)
+    with pytest.raises(BudgetExceededError, match="27 chains, over budget 5"):
+        power_sum_d(A(spec, "x[1,0]"), 3, 10)
+    with pytest.raises(BudgetExceededError, match=r"q\^d = 3\^2 exceeds budget 5"):
+        zeta_trunc(E(spec, "x[1,0]"), 10)
+    assert cli.main(powsum) == 1
+    assert capsys.readouterr().err == "error: power sum needs 27 chains, over budget 5\n"
 
 
 def test_memoized_caches_per_field_by_arguments():
