@@ -13,10 +13,18 @@ Power sums over monic polynomials:
                 eps_1^{deg a_1} ... eps_n^{deg a_n} / (a_1^{s_1} ... a_n^{s_n})
     S_{<d}    = sum of S_m for 0 <= m < d
 
-for a positive array arr = ((eps_1..eps_n); (s_1..s_n)).  ``power_sum_d``
-enumerates chains literally and is the brute-force side of every numeric
-identity check.  Every enumeration is capped at ``BUDGET`` polynomials,
-chains or coefficient vectors, read when it runs; past the cap it raises
+for a positive array arr = ((eps_1..eps_n); (s_1..s_n)).  The public
+power-sum functions take two routes:
+
+- ``power_sum_d`` enumerates chains literally.  It is the brute-force side
+  of every numeric identity check, the Chen family's power sums, and
+  ``amzv powsum`` without ``--lt``.
+- ``power_sum_lt``, ``power_sum_lt_element`` and ``zeta_trunc`` take the
+  factorized route below.  It enumerates no chain and no monic polynomial;
+  its only enumeration is the depth-one kernel's coefficient vectors.
+
+Every enumeration is capped at ``BUDGET`` polynomials, chains or
+coefficient vectors, read when it runs; past the cap it raises
 :class:`BudgetExceededError`.
 
 ``zeta_trunc`` sums S_d over d up to the precision horizon; every summand has
@@ -37,15 +45,19 @@ the kernel therefore only ever enumerates q^d vectors with d(s+1) < N.  This
 route is cross-checked against the chain enumerator in the test suite.
 
 Coefficients are stored as field indices: a series window is a tuple of ints,
-and ``+``, ``-``, ``*`` and scaling look their results up in the per-field
+and ``+``, ``-`` and scaling look their results up in the per-field
 ``add``/``mul``/``neg`` index tables (:attr:`FieldSpec.idx_ops`), which are
-built once per field and survive memo clearing.  Products of series, the
-inverse powers 1/a^s of the chain enumerator and the depth-one kernel share
-one truncated convolution (``_conv``) and one unit-series inverse
-(``_unit_inv``).  :class:`FieldElem` values appear only at the boundary:
-the constructor, ``coeff``, ``coeffs``, ``scale``'s argument, and the text
-functions ``format_laurent`` / ``parse_laurent``.  Each binary operation
-checks once that both operands live over the same field.
+built once per field and survive memo clearing.  Every product of series
+(``Laurent.__mul__`` and the powers (1 + h)^s of the inverse powers 1/a^s) is
+one product of two Python ints (``_mul_series``): each coefficient's k base-p
+digits go in byte sub-slots, 2k - 1 of them per power of u and wide enough
+that no sum of digit products carries (``FieldSpec.packings``); the product's
+sub-slots are reduced mod p, then mod the field's modulus, back to indices.
+The unit-series inverse (``_unit_inv``) is a recursion on indices.
+:class:`FieldElem` values appear only at the boundary: the constructor,
+``coeff``, ``coeffs``, ``scale``'s argument, and the text functions
+``format_laurent`` / ``parse_laurent``.  Each binary operation checks once
+that both operands live over the same field.
 """
 
 from __future__ import annotations
@@ -271,9 +283,7 @@ class Laurent:
         if not a or not b:
             return Laurent.zero(spec, prec)
         lo = self.val + other.val
-        width = min(prec - lo, len(a) + len(b) - 1)
-        add, mul, _ = spec.idx_ops
-        return _laurent(spec, lo, _conv(a, b, width, add, mul), prec)
+        return _laurent(spec, lo, _mul_series(spec, a, b, prec - lo), prec)
 
     def agrees_with(self, other: "Laurent") -> bool:
         """Coefficient equality on the common guaranteed range."""
@@ -326,19 +336,27 @@ def _laurent(spec: FieldSpec, val: int, idx, prec: int) -> Laurent:
 # -- the series kernel: truncated power series as lists of field indices ---------
 
 
-def _conv(a, b, width: int, add, mul) -> list[int]:
-    """The first ``width`` coefficients of the product of index series a, b."""
-    width = max(0, width)
-    out = [0] * width
-    for i, ai in enumerate(a[:width]):
-        if ai:
-            row = mul[ai]
-            k = i
-            for bj in b[: width - i]:
-                if bj:
-                    out[k] = add[out[k]][row[bj]]
-                k += 1
-    return out
+def _mul_series(spec: FieldSpec, a, b, width: int):
+    """At most ``width`` leading coefficients of the product of index series
+    a, b, as a sequence of field indices, from one product of packed integers
+    (see ``FieldSpec.packings``); the rest of the first ``width`` are zero."""
+    if width <= 0 or not a or not b:
+        return ()
+    a, b = a[:width], b[:width]
+    w, stride, enc, planes, dec = spec.packings[min(len(a), len(b))]
+    x = int.from_bytes(enc(a), "little")
+    y = x if b is a else int.from_bytes(enc(b), "little")
+    size = len(a) + len(b) - 1
+    n = min(width, size) * stride
+    raw = (x * y).to_bytes(size * stride, "little")[:n]
+    # each sub-slot mod p: its bytes, weighted by 256^j mod p, summed plane
+    # by plane; two residues add to at most 2p - 2 < 256, so no byte carries
+    res = raw[::w].translate(planes[0])
+    for j in range(1, w):
+        res = (int.from_bytes(res, "little")
+               + int.from_bytes(raw[j::w].translate(planes[j]), "little"))
+        res = res.to_bytes(n // w, "little").translate(planes[0])
+    return dec(res)
 
 
 def _unit_inv(h, M: int, add, mul, neg) -> list[int]:
@@ -359,18 +377,19 @@ def _unit_inv(h, M: int, add, mul, neg) -> list[int]:
     return g
 
 
-def _unit_inv_pow(h, s: int, M: int, ops) -> list[int]:
+def _unit_inv_pow(spec: FieldSpec, h, s: int, M: int) -> list[int]:
     """The first M coefficients of (1 + h_1 u + h_2 u^2 + ...)^(-s)."""
-    add, mul, neg = ops
     if s > 1:
-        pw, cur = [1], [1, *h]
-        while s:
+        pw, cur = None, [1, *h]
+        while True:
             if s & 1:
-                pw = _conv(pw, cur, M, add, mul)
+                pw = cur if pw is None else _mul_series(spec, pw, cur, M)
             s >>= 1
-            if s:
-                cur = _conv(cur, cur, M, add, mul)
+            if not s:
+                break
+            cur = _mul_series(spec, cur, cur, M)
         h = pw[1:]
+    add, mul, neg = spec.idx_ops
     return _unit_inv(h, M, add, mul, neg)
 
 
@@ -497,7 +516,7 @@ def _inv_pow(spec: FieldSpec, a: tuple[int, ...], s: int, prec_coeffs: int) -> L
     d = len(a) - 1
     # a = theta^d (1 + h(u)) with h_t the coefficient of theta^(d-t)
     h = [a[d - t] for t in range(1, min(d, prec_coeffs - 1) + 1)]
-    g = _unit_inv_pow(h, s, prec_coeffs, spec.idx_ops)
+    g = _unit_inv_pow(spec, h, s, prec_coeffs)
     return _laurent(spec, d * s, g, d * s + prec_coeffs)
 
 
@@ -537,16 +556,10 @@ def _power_sum_d(spec: FieldSpec, arr: ZetaArray, d: int, N: int) -> Laurent:
 
 
 def power_sum_lt(arr: ZetaArray, d: int, N: int) -> Laurent:
-    """S_{<d}(arr) = sum of S_m(arr) over 0 <= m < d, absolute precision N."""
-    return _power_sum_lt(arr.spec, arr, d, N)
-
-
-@memoized("power_sum_lt")
-def _power_sum_lt(spec: FieldSpec, arr: ZetaArray, d: int, N: int) -> Laurent:
-    acc = Laurent.zero(spec, N)
-    for m in range(max(d, 0)):
-        acc = acc + power_sum_d(arr, m, N)
-    return acc
+    """S_{<d}(arr) = sum of S_m(arr) over 0 <= m < d, absolute precision N,
+    by the factorized route (:func:`_partial_sums`)."""
+    spec = arr.spec
+    return _lt_word(spec, array_to_word(arr, spec), d, N)
 
 
 def power_sum_lt_element(e: Element, d: int, N: int) -> Laurent:
@@ -554,14 +567,16 @@ def power_sum_lt_element(e: Element, d: int, N: int) -> Laurent:
     spec = e.spec
     acc = Laurent.zero(spec, N)
     for w, c in e.idx.items():
-        term = power_sum_lt(_word_array(spec, w), d, N) if w else Laurent.one(spec, N)
+        term = _lt_word(spec, w, d, N) if w else Laurent.one(spec, N)
         acc = acc + term.scale(spec.elements[c])
     return acc
 
 
-@memoized("word_array")
-def _word_array(spec: FieldSpec, w: Word) -> ZetaArray:
-    return word_to_array(w)
+def _lt_word(spec: FieldSpec, w: Word, d: int, N: int) -> Laurent:
+    """S_{<d}(w) of a nonempty word; S_{<0} = 0 takes no memo entry."""
+    if d <= 0:
+        return Laurent.zero(spec, N)
+    return _partial_sums(spec, w, d, N)[d]
 
 
 # -- fast per-degree kernel for the zeta map --------------------------------------
@@ -587,12 +602,11 @@ def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
     if q**d > BUDGET:
         raise BudgetExceededError(f"q^d = {q}^{d} exceeds budget {BUDGET}")
     M = N - v
-    ops = spec.idx_ops
-    add = ops[0]
+    add = spec.idx_ops[0]
     total = [0] * M
     for h in itertools.product(range(q), repeat=d):
         # the unit part (1 + h_1 u + ... + h_d u^d)^(-s) of 1/a^s, mod u^M
-        g = _unit_inv_pow(h, s, M, ops)
+        g = _unit_inv_pow(spec, h, s, M)
         for m in range(M):
             total[m] = add[total[m]][g[m]]
     return _laurent(spec, v, total, N)

@@ -140,6 +140,14 @@ def test_budget_exit_1(capsys):
     assert "budget" in err
 
 
+def test_lt_above_the_horizon_needs_no_chain_budget(capsys):
+    # every S_m with m >= 1 of x[40,0] has valuation >= 40 > 5, so S_{<30} is
+    # exactly 1 below u^5; summing S_m over chains would need 4^10 = 1048576
+    # chains at m = 10 alone
+    argv = ["powsum", "--q", "4", "--d", "30", "--lt", "--prec", "5", "x[40,0]"]
+    assert run_cli(capsys, argv) == (0, "1 + O(u^5)\n", "")
+
+
 def test_verify_small_pass(capsys):
     code, out, _ = run_cli(
         capsys,

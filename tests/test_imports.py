@@ -11,10 +11,12 @@ field tables belongs there too: other modules use ``idx_ops``, ``elements``,
 tables.  In ``verify.py`` only ``CheckReport.expect`` counts instances and
 records failures.  The algebra modules and the harness work on
 ``Element.idx``, the field-index coefficients, and never read the
-``FieldElem`` view ``.terms``.
+``FieldElem`` view ``.terms``.  The package has no runtime dependencies:
+every module it imports is in the standard library or is ``amzv`` itself.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,21 @@ def test_every_import_is_used(path):
     used = _used(tree)
     unused = sorted(name for name, _ in _imported(tree) if name not in used)
     assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_standard_library_or_amzv(path):
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            tops = [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        bad += [f"line {node.lineno}: {top}" for top in tops
+                if top != "amzv" and top not in sys.stdlib_module_names]
+    assert not bad, f"{path.name} imports outside the standard library: {bad}"
 
 
 @pytest.mark.parametrize("name", FAULT_FREE)

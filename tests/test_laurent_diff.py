@@ -2,18 +2,29 @@
 
 The reference below keeps ``{exponent: FieldElem}`` plus a precision horizon
 and does every operation with ``FieldElem`` arithmetic, straight from the
-definitions; it shares no code with :class:`amzv.Laurent`.
+definitions; it shares no code with :class:`amzv.Laurent`.  Series products
+are packed-integer products whose sub-slot width grows with the shorter
+factor, so products run over every field kind up to q = 64 and over windows
+of up to 200 coefficients, and at every length up to 256 where the width
+steps up.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amzv import Laurent, field_from_q, format_laurent, parse_laurent
+from amzv import Laurent, Poly, field_from_q, format_laurent, laurent_inv_pow, parse_laurent
 
 from conftest import get_spec
 
-QS = (2, 3, 4, 9)
+QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64)
+EXTENSION_QS = (4, 8, 9, 16, 25, 27, 32, 49, 64)
+# the longest window the random products draw, and the longest at which
+# the product's sub-slot width steps up (F_2 steps at 256)
+LONG = 200
+WIDEST = 256
 
 
 class Ref:
@@ -61,12 +72,13 @@ class Ref:
 
 
 @st.composite
-def series_pair(draw):
+def series_pair(draw, max_size=10):
     spec = get_spec(draw(st.sampled_from(QS)))
 
     def one():
         val = draw(st.integers(-4, 8))
-        idx = draw(st.lists(st.integers(0, spec.q - 1), max_size=10))
+        n = draw(st.integers(0, max_size))
+        idx = draw(st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n))
         prec = val + draw(st.integers(-2, len(idx) + 4))
         coeffs = [spec.elements[i] for i in idx]
         return Laurent(spec, val, coeffs, prec), Ref(spec, dict(enumerate(coeffs, val)), prec)
@@ -105,6 +117,62 @@ def test_laurent_matches_reference(case):
     assert x.agrees_with(y) == rx.agrees_with(ry)
     assert x.agrees_with(x.truncate(x.prec - 1))
     assert (x == y) == (x.prec == y.prec and rx.c == ry.c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(series_pair(max_size=LONG))
+def test_long_products_match_reference(case):
+    _, (x, rx), (y, ry), _ = case
+    agree(x * y, rx * ry)
+    agree(x * x, rx * rx)
+
+
+def _widening_lengths(q):
+    """The window lengths n <= WIDEST at which the packed product's
+    sub-slot width steps up, each with its predecessor: a sub-slot of the
+    product holds at most n * k * (p - 1)^2, and w bytes hold below 256^w."""
+    spec = get_spec(q)
+    term = spec.k * (spec.p - 1) ** 2
+    out = {1}
+    w = 1
+    while (n := (256**w - 1) // term) < WIDEST:
+        out |= {n, n + 1}
+        w += 1
+    return sorted(out)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_products_at_every_sub_slot_width_match_reference(q):
+    # the square of an all-(q - 1) window fills its middle sub-slot to the
+    # bound; a product with a random window mixes the digits
+    spec = get_spec(q)
+    rng = random.Random(q)
+    top = spec.elements[-1]
+    for n in _widening_lengths(q):
+        x = Laurent(spec, 0, [top] * n, n + 2)
+        rx = Ref(spec, dict(enumerate([top] * n)), n + 2)
+        agree(x * x, rx * rx)
+        coeffs = [spec.elements[rng.randrange(q)] for _ in range(n)]
+        y = Laurent(spec, 1, coeffs, 3 * n)
+        agree(x * y, rx * Ref(spec, dict(enumerate(coeffs, 1)), 3 * n))
+
+
+@pytest.mark.parametrize("q", EXTENSION_QS)
+def test_inv_pow_matches_the_poly_power(q):
+    # 1/a^s times a^s, in the reference's arithmetic, is 1 below the horizon
+    spec = get_spec(q)
+    rng = random.Random(q)
+    M = 12
+    for d in (1, 2):
+        a = Poly(spec, [spec.elements[rng.randrange(q)] for _ in range(d)] + [spec.one])
+        power = Poly.one(spec)
+        for s in range(1, q + 2):
+            power = power * a
+            inv = laurent_inv_pow(a, s, M)
+            assert inv.prec == d * s + M
+            ri = Ref(spec, dict(enumerate(inv.coeffs, inv.val)), inv.prec)
+            rp = Ref(spec, {-i: c for i, c in enumerate(power.coeffs)}, 10**6)
+            agree(Laurent.one(spec, M), ri * rp)
 
 
 @settings(max_examples=200, deadline=None)

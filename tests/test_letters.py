@@ -12,6 +12,7 @@ import pytest
 
 from amzv import (
     Element,
+    Laurent,
     Letter,
     antipode,
     basis_words,
@@ -23,6 +24,7 @@ from amzv import (
     letter,
     parse_element,
     parse_word,
+    power_sum_d,
     power_sum_lt,
     power_sum_lt_element,
     shuffle,
@@ -159,18 +161,27 @@ def test_single_words_get_the_memoized_result_uncopied():
     assert got.terms == want
 
 
-def test_power_sum_lt_is_memoized_and_arrays_are_built_once(monkeypatch):
+def test_power_sum_lt_is_memoized_and_enumerates_no_polynomial(monkeypatch):
     spec = field_from_q(2)
     e = parse_element("x[1,0] + x[2,0] + x[1,0]x[1,0]", spec)
     arr = word_to_array(parse_word("x[1,0]", spec))
     first = power_sum_lt(arr, 3, 12)
     assert power_sum_lt(word_to_array(parse_word("x[1,0]", spec)), 3, 12) is first
-    built = []
-    monkeypatch.setattr(zeta, "word_to_array", lambda w: built.append(w) or word_to_array(w))
-    want = power_sum_lt_element(e, 3, 12)
+    # every coefficient of e is 1: the chain enumerator's sums, before the patch
+    want = []
     for d in range(4):
-        power_sum_lt_element(e, d, 12)
-    assert sorted(built) == sorted(e.terms)
-    assert power_sum_lt_element(e, 3, 12) == want
+        acc = Laurent.zero(spec, 12)
+        for w in e.idx:
+            for m in range(d):
+                acc = acc + power_sum_d(word_to_array(w), m, 12)
+        want.append(acc)
+
+    def no_enumeration(d, spec):
+        raise AssertionError(f"monic_enum({d}) on the factorized route")
+
     spec.clear_memos()
-    assert power_sum_lt(arr, 3, 12) is not first and power_sum_lt(arr, 3, 12) == first
+    monkeypatch.setattr(zeta, "monic_enum", no_enumeration)
+    assert [power_sum_lt_element(e, d, 12) for d in range(4)] == want
+    again = power_sum_lt(arr, 3, 12)
+    assert again is not first and again == first
+    assert power_sum_lt(arr, 3, 12) is again

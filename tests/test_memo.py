@@ -41,7 +41,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "amzv"
 MEMO_NAMES = {
     "delta", "shuffle", "diamond", "bracket",
     "coproduct_letter", "coproduct", "antipode", "mzv_letter", "mzv_word",
-    "inv_pow", "power_sum_d", "power_sum_lt", "word_array", "depth1_power_sum",
+    "inv_pow", "power_sum_d", "depth1_power_sum",
     "partial_sums", "basis_words",
 }
 
@@ -75,8 +75,6 @@ CALLS = {
     "mzv_word": lambda sp: coproduct_mzv_word(W(sp, "x[2,0]x[1,0]"), sp),
     "inv_pow": lambda sp: laurent_inv_pow(Poly(sp, (sp.g, sp.one, sp.one)), 2, 6),
     "power_sum_d": lambda sp: power_sum_d(A(sp, "x[1,1]x[1,0]"), 2, 10),
-    "power_sum_lt": lambda sp: power_sum_lt(A(sp, "x[2,1]"), 3, 10),
-    "word_array": lambda sp: zeta._word_array(sp, W(sp, "x[2,1]x[1,0]")),
     "depth1_power_sum": lambda sp: zeta._depth1_power_sum(sp, 1, 2, 12),
     "partial_sums": lambda sp: zeta._partial_sums(sp, W(sp, "x[1,1]x[1,0]"), 5, 12),
     "basis_words": lambda sp: verify._basis(sp, 3),
@@ -132,6 +130,7 @@ TRIVIAL = {
     "power sum below the depth": (
         lambda sp: power_sum_d(A(sp, "x[1,0]x[1,1]x[1,0]"), 1, 10), {}),
     "power sum at d < 0": (lambda sp: power_sum_d(A(sp, "x[1,0]"), -1, 10), {}),
+    "S_<0 of a word": (lambda sp: power_sum_lt(A(sp, "x[2,1]x[1,0]"), 0, 10), {}),
     "zeta of 1": (lambda sp: zeta_trunc(Element.one(sp), 12), {}),
     "depth1 at d = 0": (lambda sp: zeta._depth1_power_sum(sp, 1, 0, 12), {}),
     "depth1 past the valuation": (lambda sp: zeta._depth1_power_sum(sp, 5, 3, 12), {}),

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from amzv import (
     Element,
@@ -190,6 +192,51 @@ def test_power_sum_lt_examples(spec_q2, spec_q3):
         arr = ZetaArray((spec.one,), (2,))
         assert power_sum_lt(arr, 0, 6).is_zero()
         assert power_sum_lt(arr, -2, 6).is_zero()
+
+
+# the most chains the oracle side of a drawn case may enumerate
+ORACLE_CHAINS = 3000
+
+
+def _chains(q, depth, d):
+    """Chains of monic polynomials that S_{<d} of a depth-``depth`` word sums."""
+    return sum(q ** (m + sum(rest)) for m in range(d)
+               for rest in itertools.combinations(range(m), depth - 1))
+
+
+@st.composite
+def lt_case(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    spec = get_spec(q)
+    words = draw(st.lists(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(0, q - 2)), max_size=3),
+        min_size=1, max_size=3))
+    d, N = draw(st.integers(0, 4)), draw(st.integers(0, 24))
+    assume(all(_chains(q, len(w), d) <= ORACLE_CHAINS for w in words if w))
+    terms = [(parse_word("".join(f"x[{n},{j}]" for n, j in w) or "1", spec),
+              spec.elements[draw(st.integers(1, q - 1))]) for w in words]
+    return spec, terms, d, N
+
+
+@settings(max_examples=150, deadline=None)
+@given(lt_case())
+def test_factorized_lt_matches_chain_enumeration(case):
+    # S_{<d} on the factorized route against the sum of S_m, m < d, over chains
+    spec, terms, d, N = case
+    want_e = Laurent.zero(spec, N)
+    e = Element.zero(spec)
+    for w, c in terms:
+        e = e + Element.from_word(spec, w, c)
+        if not w:
+            want_e = want_e + Laurent.one(spec, N).scale(c)
+            continue
+        arr = word_to_array(w)
+        want = Laurent.zero(spec, N)
+        for m in range(d):
+            want = want + power_sum_d(arr, m, N)
+        assert power_sum_lt(arr, d, N) == want
+        want_e = want_e + want.scale(c)
+    assert power_sum_lt_element(e, d, N) == want_e
 
 
 @pytest.mark.parametrize("q", [2, 3])
