@@ -27,14 +27,7 @@ from .words import (
     parse_element,
     parse_word,
 )
-from .zeta import (
-    BudgetExceededError,
-    format_laurent,
-    power_sum_d,
-    power_sum_lt,
-    word_to_array,
-    zeta_trunc,
-)
+from .zeta import BudgetExceededError, format_laurent, power_sum_lt_element, zeta_trunc
 
 
 class UsageError(ValueError):
@@ -93,10 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--modulus", help="comma-separated ascending coefficients of the modulus"
     )
-    common.add_argument("--ascii", action="store_true", help="ASCII tensor symbol")
-    common.add_argument(
-        "--format", choices=("text", "machine"), default="text", dest="fmt"
-    )
 
     sub = top.add_subparsers(dest="command", required=True)
     for name, doc in (
@@ -109,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("b")
     p = sub.add_parser("coproduct", parents=[common], help="coproduct of an element")
     p.add_argument("a")
+    p.add_argument("--ascii", action="store_true", help="ASCII tensor symbol")
     p = sub.add_parser("antipode", parents=[common], help="antipode of an element")
     p.add_argument("a")
     p = sub.add_parser("powsum", parents=[common], help="power sum S_d (or S_<d) of a word")
@@ -126,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=20260810)
+    p.add_argument("--format", choices=("text", "machine"), default="text", dest="fmt")
     return top
 
 
@@ -172,9 +163,12 @@ def _run(args) -> int:
             raise UsageError(str(exc)) from None
         if not w:
             raise UsageError("power sums need a nonempty word")
-        arr = word_to_array(w)
+        e = Element.from_word(spec, w)
         prec = _nonnegative(args.prec, "--prec")
-        ps = power_sum_lt(arr, args.d, prec) if args.lt else power_sum_d(arr, args.d, prec)
+        # S_d = S_{<d+1} - S_{<d}, both from the factorized route
+        ps = power_sum_lt_element(e, args.d, prec)
+        if not args.lt:
+            ps = power_sum_lt_element(e, args.d + 1, prec) - ps
         print(format_laurent(ps))
         return 0
     if cmd == "zeta":
@@ -203,10 +197,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (BudgetExceededError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

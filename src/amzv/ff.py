@@ -100,31 +100,6 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
     return _poly_trim(tuple(x % p for x in a))
 
 
-def _monic_polys(p: int, deg: int):
-    if deg == 0:
-        yield (1,)
-        return
-    span = p**deg
-    for v in range(span):
-        coeffs = []
-        t = v
-        for _ in range(deg):
-            coeffs.append(t % p)
-            t //= p
-        yield tuple(coeffs) + (1,)
-
-
-def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
-    k = len(m) - 1
-    if k == 1:
-        return True
-    for d in range(1, k):
-        for cand in _monic_polys(p, d):
-            if not _poly_mod(m, cand, p):
-                return False
-    return True
-
-
 def _coordinate_tables(p: int, k: int) -> tuple[tuple, tuple]:
     """``(add, neg)`` on the indices ``sum c_i p^i`` of coordinate vectors
     ``(c_0, ..., c_{k-1})``: coordinate-wise sum and negation mod p, which
@@ -306,6 +281,11 @@ class FieldSpec:
         already walked has order dividing that subgroup's, below q - 1, so it
         is skipped: the walked subgroups are distinct, and the products number
         at most the sum of the divisors of q - 1.
+
+        This walk is also the field's one irreducibility check.  Modulo a
+        reducible modulus the units number fewer than q - 1, so no candidate
+        reaches order q - 1, and the walk meets a zero divisor, whose powers
+        never return to 1: that raises ``ValueError``.
         """
         p, n = self.p, self.q - 1
         seen = bytearray(self.q)
@@ -319,7 +299,7 @@ class FieldSpec:
                 x = _poly_mod(_poly_mul(x, step, p), modulus, p)
             if x != (1,):
                 # a zero divisor: its powers never return to 1
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+                raise ValueError("modulus is reducible")
             if len(powers) == n:
                 return powers
             for v in powers:
@@ -480,9 +460,9 @@ def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
     """Build the spec for F_{p^k}.
 
     The modulus (monic of degree k, irreducible over F_p, ascending
-    coefficients) defaults to a fixed table entry.  Every monic linear
-    modulus gives F_p itself, so for k = 1 a given one is checked and then
-    left out of the key.  The
+    coefficients) defaults to a fixed table entry; :class:`FieldSpec`
+    rejects a reducible one.  Every monic linear modulus gives F_p itself,
+    so for k = 1 a given one is checked and then left out of the key.  The
     primitive element g is the smallest element in coordinate order that
     generates the unit group.
     """
@@ -497,8 +477,6 @@ def field_make(p: int, k: int = 1, modulus=None) -> FieldSpec:
         mod = _poly_trim(tuple(c % p for c in modulus))
         if len(mod) != k + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if not _is_irreducible(mod, p):
-            raise ValueError("modulus is reducible")
     if k == 1:
         return FieldSpec(p, 1, ())
     if modulus is None:

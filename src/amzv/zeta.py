@@ -16,11 +16,12 @@ Power sums over monic polynomials:
 for a positive array arr = ((eps_1..eps_n); (s_1..s_n)).  The public
 power-sum functions take two routes:
 
-- ``power_sum_d`` enumerates chains literally.  It is the brute-force side
-  of every numeric identity check, the Chen family's power sums, and
-  ``amzv powsum`` without ``--lt``.
+- ``power_sum_d`` enumerates chains literally.  It is an oracle only: the
+  brute-force side of the numeric identity checks and the source of the
+  Chen family's power sums.
 - ``power_sum_lt``, ``power_sum_lt_element`` and ``zeta_trunc`` take the
-  factorized route below.  It enumerates no chain and no monic polynomial;
+  factorized route below, and so does ``amzv powsum``, which reads S_d as
+  S_{<d+1} - S_{<d}.  It enumerates no chain and no monic polynomial;
   its only enumeration is the depth-one kernel's coefficient vectors.
 
 Every enumeration is capped at ``BUDGET`` polynomials, chains or
@@ -41,8 +42,10 @@ and summing the expansion over all q^d coefficient vectors needs only the
 first N - ds coefficients.  Whenever d > N - ds - 1 the truncated sum picks
 up a factor q from each coefficient that cannot influence the window, and
 q = 0 in characteristic p, so the whole power sum vanishes below the horizon;
-the kernel therefore only ever enumerates q^d vectors with d(s+1) < N.  This
-route is cross-checked against the chain enumerator in the test suite.
+the kernel therefore only ever enumerates q^d vectors with d(s+1) < N.  That
+window rule lives in one function, ``_degree_end``, which the kernel, the
+partial sums and ``zeta_trunc`` all read.  This route is cross-checked
+against the chain enumerator in the test suite.
 
 Coefficients are stored as field indices: a series window is a tuple of ints,
 and ``+``, ``-`` and scaling look their results up in the per-field
@@ -582,14 +585,20 @@ def _lt_word(spec: FieldSpec, w: Word, d: int, N: int) -> Laurent:
 # -- fast per-degree kernel for the zeta map --------------------------------------
 
 
+def _degree_end(s: int, N: int) -> int:
+    """The first degree D >= 1 from which on S_d(s) is zero below u^N:
+    D = max(1, ceil(N / (s + 1))), so d >= 1 has an open window iff
+    d(s + 1) < N (see module docstring)."""
+    return max(1, -(-N // (s + 1)))
+
+
 def _depth1_power_sum(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
     """S_d((1); (s)) to absolute precision N, summing the expansions of
     1/a^s over all monic a of degree d but only on the window that survives
     the characteristic-p collapse (see module docstring)."""
     if d == 0:
         return Laurent.one(spec, N)
-    v = d * s
-    if v >= N or d * (s + 1) >= N:
+    if d >= _degree_end(s, N):
         return Laurent.zero(spec, N)
     return _depth1_window(spec, s, d, N)
 
@@ -617,18 +626,15 @@ def _partial_sums(spec: FieldSpec, w: Word, t: int, N: int) -> tuple[Laurent, ..
     """(S_{<0}(w), ..., S_{<t}(w)) to absolute precision N, for a nonempty
     word w = x_{s,eps} v, from S_d(w) = eps^d S_d(s) S_{<d}(v).
 
-    S_d(w) is zero below the horizon for d < depth - 1, and for d >= 1 with
-    d(s+1) >= N, where the head's window is closed.  Only the degrees in
+    S_d(w) is zero below the horizon for d < depth - 1, and from the head's
+    :func:`_degree_end` on, where its window is closed.  Only the degrees in
     between take a head, and the tail v is asked for its partial sums up to
     the last degree whose head is nonzero, so the recursion goes one level
     per letter and no tail computes degrees its head cannot reach."""
     head = w[0]
-    s = head.n
     terms = {}
-    for d in range(len(w) - 1, t):
-        if d and d * (s + 1) >= N:
-            break
-        h = _depth1_power_sum(spec, s, d, N)
+    for d in range(len(w) - 1, min(t, _degree_end(head.n, N))):
+        h = _depth1_power_sum(spec, head.n, d, N)
         if not h.is_zero():
             terms[d] = h.scale(head.eps ** d)
     if len(w) > 1 and terms:
@@ -646,16 +652,15 @@ def _partial_sums(spec: FieldSpec, w: Word, t: int, N: int) -> tuple[Laurent, ..
 def zeta_trunc(e: Element, N: int) -> Laurent:
     """The truncated zeta value of an element, exact to precision N.
 
-    On a word this is S_{<D}, where D >= 1 is the first degree whose head
-    window d(s_1+1) < N is closed: every later S_d vanishes below the
-    horizon.  The empty word maps to 1; the map is linear.
+    On a word this is S_{<D}, where D = ``_degree_end(s_1, N)`` is the
+    first degree whose head window is closed: every later S_d vanishes below
+    the horizon.  The empty word maps to 1; the map is linear.
     """
     spec = e.spec
     acc = Laurent.zero(spec, N)
     for w, c in e.idx.items():
         if w:
-            # D = max(1, ceil(N / (s_1 + 1)))
-            term = _partial_sums(spec, w, max(1, -(-N // (w[0].n + 1))), N)[-1]
+            term = _partial_sums(spec, w, _degree_end(w[0].n, N), N)[-1]
         else:
             term = Laurent.one(spec, N)
         acc = acc + term.scale(spec.elements[c])

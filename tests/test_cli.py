@@ -4,7 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from amzv import cli
+from amzv import (
+    basis_words,
+    field_from_q,
+    format_laurent,
+    format_word,
+    power_sum_d,
+    word_to_array,
+)
+from amzv import cli, zeta
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -133,11 +141,19 @@ def test_verify_negative_bounds_exit_2(capsys, flag):
 
 
 def test_budget_exit_1(capsys):
-    code, _, err = run_cli(
-        capsys, ["powsum", "--q", "3", "--d", "15", "--prec", "6", "x[1,0]"]
+    # S_4 of x[1,0] has an open window below u^9 (4 * 2 < 9), and the
+    # depth-one kernel would sum 32^4 coefficient vectors for it
+    code, out, err = run_cli(
+        capsys, ["powsum", "--q", "32", "--d", "4", "--prec", "9", "x[1,0]"]
     )
-    assert code == 1
-    assert "budget" in err
+    assert (code, out, err) == (1, "", "error: q^d = 32^4 exceeds budget 1000000\n")
+
+
+def test_powsum_above_the_horizon_needs_no_budget(capsys):
+    # S_15 of x[1,0] has valuation >= 15 > 6, so it is exactly zero below
+    # u^6; summing it over chains would need 3^15 = 14348907 of them
+    argv = ["powsum", "--q", "3", "--d", "15", "--prec", "6", "x[1,0]"]
+    assert run_cli(capsys, argv) == (0, "0 + O(u^6)\n", "")
 
 
 def test_lt_above_the_horizon_needs_no_chain_budget(capsys):
@@ -212,7 +228,7 @@ def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
         (None, ["powsum", "--q", "2", "x[1,0]"]),                  # no --d: exit 2
         ("3", ["shuffle", "x[1,1]", "x[1,1]"]),                    # AMZV_Q default
         (None, ["shuffle", "x[1,1]", "x[1,1]"]),                   # AMZV_Q unset again: exit 2
-        (None, ["powsum", "--q", "3", "--d", "15", "--prec", "6", "x[1,0]"]),  # budget: exit 1
+        (None, ["powsum", "--q", "32", "--d", "4", "--prec", "9", "x[1,0]"]),  # budget: exit 1
         (None, ["zeta", "--q", "2", "--prec", "4", "x[1,0]"]),
     ]
 
@@ -233,3 +249,48 @@ def test_cached_parser_matches_fresh_parsers(capsys, monkeypatch):
     assert cached == run(fresh=True)
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli._parser()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the chain route was entered")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["powsum", "--q", "3", "--d", "2", "--prec", "16", "x[1,1]x[1,0]"],
+     "u^12 + u^14 + g^1*u^15 + O(u^16)"),
+    (["powsum", "--q", "3", "--d", "3", "--lt", "--prec", "12", "x[2,1]"],
+     "1 + g^1*u^6 + u^8 + O(u^12)"),
+    (["zeta", "--q", "4", "--prec", "10", "x[1,2]x[2,0]"], "g^2*u^4 + g^2*u^7 + O(u^10)"),
+])
+def test_powsum_and_zeta_enumerate_no_chain(capsys, monkeypatch, argv, expected):
+    for name in ("monic_enum", "power_sum_d", "_power_sum_d", "_inv_pow"):
+        monkeypatch.setattr(zeta, name, _refuse)
+    assert run_cli(capsys, argv) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_powsum_matches_the_chain_oracle(capsys, q):
+    # the chain enumerator is exact below its horizon, so one oracle value
+    # at u^12, truncated, gives S_d at every lower precision
+    spec = field_from_q(q)
+    for weight in range(1, 4):
+        for w in basis_words(weight, spec):
+            for d in range(4):
+                want = power_sum_d(word_to_array(w), d, 12)
+                for prec in range(13):
+                    argv = ["powsum", "--q", str(q), "--d", str(d), "--prec", str(prec),
+                            format_word(w, spec)]
+                    expected = format_laurent(want.truncate(prec)) + "\n"
+                    assert run_cli(capsys, argv) == (0, expected, ""), argv
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["shuffle", "--q", "2", "--format", "machine", "x[1,0]", "x[1,0]"], "--format"),
+    (["zeta", "--q", "2", "--ascii", "x[1,0]"], "--ascii"),
+    (["basis", "--q", "2", "--weight-max", "1", "--ascii"], "--ascii"),
+    (["coproduct", "--q", "2", "--format", "text", "x[1,0]"], "--format"),
+])
+def test_flags_a_command_ignores_are_usage_errors(capsys, argv, flag):
+    code, out, err = _call(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"error: unrecognized arguments: {flag}" in err
