@@ -16,17 +16,19 @@ Power sums over monic polynomials:
 for a positive array arr = ((eps_1..eps_n); (s_1..s_n)).  The public
 power-sum functions take two routes:
 
-- ``power_sum_d`` enumerates chains literally.  It is an oracle only: the
-  brute-force side of the numeric identity checks and the source of the
-  Chen family's power sums.
+- ``power_sum_d`` is an oracle only, sharing only the series kernel with
+  the route below: the brute-force side of the numeric identity checks and
+  the source of the Chen family's power sums.  The sum over one chain of degrees factors into
+  per-degree sums E(s, m) = sum of 1/a^s over monic a of degree m, so it
+  enumerates the monic polynomials of each degree once per call.
 - ``power_sum_lt``, ``power_sum_lt_element`` and ``zeta_trunc`` take the
   factorized route below, and so does ``amzv powsum``, which reads S_d as
-  S_{<d+1} - S_{<d}.  It enumerates no chain and no monic polynomial;
+  S_{<d+1} - S_{<d}.  It enumerates no monic polynomial;
   its only enumeration is the depth-one kernel's coefficient vectors.
 
-Every enumeration is capped at ``BUDGET`` polynomials, chains or
-coefficient vectors, read when it runs; past the cap it raises
-:class:`BudgetExceededError`.
+Every enumeration visits the q^d monic polynomials or coefficient vectors of
+one degree d, and q^d is capped at ``BUDGET``, read when it runs; past the
+cap it raises :class:`BudgetExceededError`.
 
 ``zeta_trunc`` sums S_d over d up to the precision horizon; every summand has
 valuation >= d, so the truncated sum is exact to the horizon.  It peels one
@@ -45,7 +47,7 @@ q = 0 in characteristic p, so the whole power sum vanishes below the horizon;
 the kernel therefore only ever enumerates q^d vectors with d(s+1) < N.  That
 window rule lives in one function, ``_degree_end``, which the kernel, the
 partial sums and ``zeta_trunc`` all read.  This route is cross-checked
-against the chain enumerator in the test suite.
+against the oracle ``power_sum_d`` in the test suite.
 
 Coefficients are stored as field indices: a series window is a tuple of ints,
 and ``+``, ``-`` and scaling look their results up in the per-field
@@ -72,13 +74,20 @@ from dataclasses import dataclass
 from .ff import FieldElem, FieldSpec, check_field, memoized
 from .words import Element, Word, letter
 
-# the most monic polynomials, chains or coefficient vectors one power sum may
-# enumerate; read at call time, so it is in no memo key
+# the most monic polynomials or coefficient vectors of one degree that one
+# enumeration may visit; read at call time, so it is in no memo key
 BUDGET = 10**6
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a power-sum enumeration would exceed its chain budget."""
+    """Raised when an enumeration of one degree would exceed ``BUDGET``."""
+
+
+def _check_budget(q: int, d: int) -> None:
+    """Refuse to enumerate the q^d monic polynomials or coefficient vectors
+    of degree d when there are more than ``BUDGET`` of them."""
+    if q**d > BUDGET:
+        raise BudgetExceededError(f"q^d = {q}^{d} exceeds budget {BUDGET}")
 
 
 # -- polynomials in theta ------------------------------------------------------
@@ -169,18 +178,10 @@ def monic_enum(d: int, spec: FieldSpec) -> list[Poly]:
     """All q^d monic polynomials of degree d, in a fixed counting order."""
     if d < 0:
         raise ValueError("degree must be >= 0")
-    if spec.q**d > BUDGET:
-        raise BudgetExceededError(f"q^d = {spec.q}^{d} exceeds budget {BUDGET}")
-    out = []
-    for v in range(spec.q**d):
-        coeffs = []
-        t = v
-        for _ in range(d):
-            coeffs.append(spec.elements[t % spec.q])
-            t //= spec.q
-        coeffs.append(spec.one)
-        out.append(Poly(spec, coeffs))
-    return out
+    _check_budget(spec.q, d)
+    # the constant term varies fastest
+    return [Poly(spec, (*c[::-1], spec.one))
+            for c in itertools.product(spec.elements, repeat=d)]
 
 
 # -- truncated Laurent series in u = 1/theta ------------------------------------
@@ -495,7 +496,7 @@ def array_to_word(arr: ZetaArray, spec: FieldSpec) -> Word:
     return tuple(letter(spec, n, e) for n, e in zip(arr.s, arr.eps))
 
 
-# -- power sums by literal chain enumeration --------------------------------------
+# -- power sums by monic enumeration (the oracle) ---------------------------------
 
 
 def laurent_inv_pow(a: Poly, s: int, prec_coeffs: int) -> Laurent:
@@ -529,8 +530,9 @@ def _chain_degrees(d: int, depth: int):
 
 
 def power_sum_d(arr: ZetaArray, d: int, N: int) -> Laurent:
-    """S_d(arr) to absolute precision N, by enumerating every chain of monic
-    polynomials with strictly decreasing degrees d = deg a_1 > ... >= 0."""
+    """S_d(arr) to absolute precision N, by enumerating the monic polynomials
+    of each degree d >= m >= 0 once; the first degree is d, so q^d over
+    ``BUDGET`` raises before any sum runs."""
     if d < 0 or d < arr.depth - 1:
         return Laurent.zero(arr.spec, N)
     return _power_sum_d(arr.spec, arr, d, N)
@@ -538,24 +540,20 @@ def power_sum_d(arr: ZetaArray, d: int, N: int) -> Laurent:
 
 @memoized("power_sum_d")
 def _power_sum_d(spec: FieldSpec, arr: ZetaArray, d: int, N: int) -> Laurent:
-    n = arr.depth
-    q = spec.q
-    total = sum(q ** sum(degs) for degs in _chain_degrees(d, n))
-    if total > BUDGET:
-        raise BudgetExceededError(
-            f"power sum needs {total} chains, over budget {BUDGET}"
-        )
+    # a chain's tuples sum to the product of its per-degree monic sums
+    # E(s, m), and each E is enumerated once
+    sums = {}
     acc = Laurent.zero(spec, N)
-    for degs in _chain_degrees(d, n):
-        scalar = spec.one
-        for e, di in zip(arr.eps, degs):
-            scalar = scalar * e**di
-        for polys in itertools.product(*(monic_enum(di, spec) for di in degs)):
-            term = laurent_inv_pow(polys[0], arr.s[0], N)
-            for a, si in zip(polys[1:], arr.s[1:]):
-                term = term * laurent_inv_pow(a, si, N)
-            acc = acc + term.scale(scalar)
-    return acc.truncate(N)
+    for degs in _chain_degrees(d, arr.depth):
+        scalar, term = spec.one, Laurent.one(spec, N)
+        for e, s, m in zip(arr.eps, arr.s, degs):
+            if (s, m) not in sums:
+                sums[s, m] = sum((laurent_inv_pow(a, s, N) for a in monic_enum(m, spec)),
+                                 Laurent.zero(spec, N))
+            scalar = scalar * e**m
+            term = term * sums[s, m]
+        acc = acc + term.scale(scalar)
+    return acc
 
 
 def power_sum_lt(arr: ZetaArray, d: int, N: int) -> Laurent:
@@ -576,10 +574,11 @@ def power_sum_lt_element(e: Element, d: int, N: int) -> Laurent:
 
 
 def _lt_word(spec: FieldSpec, w: Word, d: int, N: int) -> Laurent:
-    """S_{<d}(w) of a nonempty word; S_{<0} = 0 takes no memo entry."""
+    """S_{<d}(w) of a nonempty word; S_{<0} = 0 takes no memo entry.  S_m(w)
+    is zero below u^N from its head's window end on, so d is cut there."""
     if d <= 0:
         return Laurent.zero(spec, N)
-    return _partial_sums(spec, w, d, N)[d]
+    return _partial_sums(spec, w, min(d, _degree_end(w[0].n, N)), N)[-1]
 
 
 # -- fast per-degree kernel for the zeta map --------------------------------------
@@ -608,8 +607,7 @@ def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
     """:func:`_depth1_power_sum` for d >= 1 whose window below N is open."""
     v = d * s
     q = spec.q
-    if q**d > BUDGET:
-        raise BudgetExceededError(f"q^d = {q}^{d} exceeds budget {BUDGET}")
+    _check_budget(q, d)
     M = N - v
     add = spec.idx_ops[0]
     total = [0] * M

@@ -178,6 +178,21 @@ def test_zeta_asks_a_tail_only_for_its_heads_window():
     assert max(d for s, d, N in spec._memos["depth1_power_sum"]) == 3
 
 
+def test_partial_sums_stop_at_the_heads_window_end(capsys):
+    # S_m(w) is zero below the horizon from its head's window end on, so
+    # S_{<d} at any d asks for no partial sum past that end
+    spec = field_from_q(3)
+    e = E(spec, "x[2,1]x[1,0]") + E(spec, "x[1,1]")
+    assert zeta.power_sum_lt_element(e, 10**6, 14) == zeta_trunc(e, 14)
+    keys = spec._memos["partial_sums"]
+    assert keys and all(t <= zeta._degree_end(w[0].n, N) for w, t, N in keys)
+    powsum = ["powsum", "--q", "3", "--d", str(10**6), "--prec", "14", "x[2,1]x[1,0]"]
+    assert cli.main(powsum + ["--lt"]) == 0
+    assert capsys.readouterr().out == "g^1*u^6 + u^8 + g^1*u^12 + O(u^14)\n"
+    assert cli.main(powsum) == 0
+    assert capsys.readouterr().out == "0 + O(u^14)\n"
+
+
 def test_lowered_budget_raises_on_a_fresh_field(monkeypatch, capsys):
     powsum = ["powsum", "--q", "3", "--d", "3", "--prec", "10", "x[1,0]"]
     spec = field_from_q(3)
@@ -187,7 +202,7 @@ def test_lowered_budget_raises_on_a_fresh_field(monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setattr(zeta, "BUDGET", 5)
     spec = field_from_q(3)
-    with pytest.raises(BudgetExceededError, match="27 chains, over budget 5"):
+    with pytest.raises(BudgetExceededError, match=r"q\^d = 3\^3 exceeds budget 5"):
         power_sum_d(A(spec, "x[1,0]"), 3, 10)
     with pytest.raises(BudgetExceededError, match=r"q\^d = 3\^2 exceeds budget 5"):
         zeta_trunc(E(spec, "x[1,0]"), 10)

@@ -1,7 +1,5 @@
-import itertools
-
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amzv import (
@@ -9,6 +7,7 @@ from amzv import (
     Laurent,
     Poly,
     ZetaArray,
+    field_from_q,
     array_to_word,
     format_laurent,
     laurent_inv_pow,
@@ -24,7 +23,8 @@ from amzv import (
     word_to_array,
     zeta_trunc,
 )
-from amzv.verify import Rng
+from amzv import zeta
+from amzv.verify import Rng, check_zeta_homomorphism
 from amzv.zeta import BudgetExceededError, _depth1_power_sum
 
 from conftest import get_spec
@@ -194,16 +194,8 @@ def test_power_sum_lt_examples(spec_q2, spec_q3):
         assert power_sum_lt(arr, -2, 6).is_zero()
 
 
-# the most chains the oracle side of a drawn case may enumerate
-ORACLE_CHAINS = 3000
-
-
-def _chains(q, depth, d):
-    """Chains of monic polynomials that S_{<d} of a depth-``depth`` word sums."""
-    return sum(q ** (m + sum(rest)) for m in range(d)
-               for rest in itertools.combinations(range(m), depth - 1))
-
-
+# every drawn S_{<d} has d <= 4, so the oracle enumerates at most q^3 = 125
+# monic polynomials per degree and needs no cap on the draw
 @st.composite
 def lt_case(draw):
     q = draw(st.sampled_from((2, 3, 4, 5)))
@@ -212,7 +204,6 @@ def lt_case(draw):
         st.lists(st.tuples(st.integers(1, 4), st.integers(0, q - 2)), max_size=3),
         min_size=1, max_size=3))
     d, N = draw(st.integers(0, 4)), draw(st.integers(0, 24))
-    assume(all(_chains(q, len(w), d) <= ORACLE_CHAINS for w in words if w))
     terms = [(parse_word("".join(f"x[{n},{j}]" for n, j in w) or "1", spec),
               spec.elements[draw(st.integers(1, q - 1))]) for w in words]
     return spec, terms, d, N
@@ -303,6 +294,48 @@ def test_depth1_kernel_matches_enumeration(q):
                 fast = _depth1_power_sum(spec, s, d, N)
                 slow = power_sum_d(arr1(spec, s), d, N)
                 assert fast == slow.truncate(fast.prec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_depth1_zeta_stops_at_the_window_end(q):
+    # the oracle sums every degree with d*s < N (valuation bound), so a
+    # window end one degree early shows at small N, where S_1 reaches u^N
+    spec = get_spec(q)
+    for s in range(1, 5):
+        for j in range(q - 1):
+            arr = arr1(spec, s, j)
+            e = Element.from_word(spec, array_to_word(arr, spec))
+            for N in range(3 * (s + 1) + 1):
+                want = Laurent.zero(spec, N)
+                for d in range(-(-N // s)):
+                    want = want + power_sum_d(arr, d, N)
+                assert zeta_trunc(e, N) == want, (s, j, N)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the oracle entered the factorized route")
+
+
+def test_the_chain_oracle_takes_no_factorized_route(monkeypatch):
+    words = ("x[2,1]", "x[1,1]x[2,0]", "x[1,0]x[1,1]x[1,0]")
+    N = 14
+    spec = field_from_q(3)
+    want = {}
+    for text in words:
+        arr = word_to_array(parse_word(text, spec))
+        for d in range(4):
+            want[text, d] = power_sum_lt(arr, d + 1, N) - power_sum_lt(arr, d, N)
+    assert any(not v.is_zero() for v in want.values())
+    for name in ("_partial_sums", "_depth1_power_sum", "_depth1_window", "_degree_end"):
+        monkeypatch.setattr(zeta, name, _refuse)
+    spec = field_from_q(3)
+    for text in words:
+        arr = word_to_array(parse_word(text, spec))
+        for d in range(4):
+            assert power_sum_d(arr, d, N) == want[text, d], (text, d)
+    # with no trials, the check runs the Chen family alone
+    rep = check_zeta_homomorphism(field_from_q(2), trials=0)
+    assert rep.passed, rep.failures
 
 
 # -- zeta ---------------------------------------------------------------------------
