@@ -34,28 +34,33 @@ class UsageError(ValueError):
     pass
 
 
+def _ints(text: str, sep: str, flag: str) -> list[int]:
+    try:
+        return [int(c) for c in text.split(sep)]
+    except ValueError:
+        raise UsageError(f"bad {flag} {text!r}") from None
+
+
 def _field_from_args(args) -> FieldSpec:
-    """The field named by --q, --p/--k/--modulus or AMZV_Q; every bad value
+    """The field named by --q, by --p/--k/--modulus or by AMZV_Q, which
+    either flag overrides; every bad value, and --q with any of the others,
     is a usage error."""
     try:
-        if args.p is not None:
-            if args.k is None:
-                raise UsageError("--p requires --k")
-            modulus = None
-            if args.modulus:
-                try:
-                    modulus = tuple(int(c) for c in args.modulus.split(","))
-                except ValueError:
-                    raise UsageError(f"bad --modulus {args.modulus!r}") from None
+        if (args.p, args.k, args.modulus) != (None, None, None):
+            if args.q is not None:
+                raise UsageError("--q cannot be combined with --p, --k or --modulus")
+            if args.p is None or args.k is None:
+                raise UsageError("--p and --k go together; --modulus needs both")
+            modulus = None if args.modulus is None else _ints(args.modulus, ",", "--modulus")
             return field_make(args.p, args.k, modulus)
         qtext = args.q if args.q is not None else os.environ.get("AMZV_Q")
+        flag = "--q" if args.q is not None else "AMZV_Q"
         if qtext is None:
             raise UsageError("no field given: use --q or --p/--k (or set AMZV_Q)")
-        qtext = str(qtext)
-        if "^" in qtext:
-            p, k = qtext.split("^", 1)
-            return field_make(int(p), int(k))
-        return field_from_q(int(qtext))
+        q = _ints(qtext, "^", flag)
+        if len(q) > 2:
+            raise UsageError(f"bad {flag} {qtext!r}")
+        return field_make(*q) if len(q) == 2 else field_from_q(*q)
     except ValueError as exc:  # a UsageError passes through unchanged
         raise UsageError(str(exc)) from None
 
@@ -124,7 +129,8 @@ def _run(args) -> int:
     cmd = args.command
     if cmd == "verify":
         specs = None
-        if args.q is not None or args.p is not None or "AMZV_Q" in os.environ:
+        given = (args.q, args.p, args.k, args.modulus)
+        if given != (None,) * len(given) or "AMZV_Q" in os.environ:
             specs = [_field_from_args(args)]
         reports = verify.run_default_matrix(
             specs,

@@ -30,12 +30,12 @@ Every enumeration visits the q^d monic polynomials or coefficient vectors of
 one degree d, and q^d is capped at ``BUDGET``, read when it runs; past the
 cap it raises :class:`BudgetExceededError`.
 
-``zeta_trunc`` sums S_d over d up to the precision horizon; every summand has
-valuation >= d, so the truncated sum is exact to the horizon.  It peels one
-letter at a time, S_d(x_{s,eps} w) = eps^d S_d(s) S_{<d}(w): one memoized
-function returns the partial sums S_{<0}(w), ..., S_{<t}(w) of a word and asks
-its tail only for the degrees where the head is nonzero.  The depth-one
-power sums S_d(s) go through a faster kernel: for a monic
+``zeta_trunc`` is S_{<N+1}: every summand S_d has valuation >= d, so the sum
+is exact to the horizon.  The route peels one letter at a time,
+S_d(x_{s,eps} w) = eps^d S_d(s) S_{<d}(w), and one memoized step adds degree
+t - 1 to S_{<t-1}, asking the tail only where the head is nonzero; run for t
+in ascending order, it builds each S_{<t} once, with a stack as deep as the
+word.  The depth-one power sums S_d(s) go through a faster kernel: for a monic
 a = theta^d + c_{d-1}theta^{d-1} + ... + c_0,
 
     1/a^s = u^{ds} (1 + h(u))^{-s},   h(u) = sum_t c_{d-t} u^t,
@@ -45,9 +45,9 @@ first N - ds coefficients.  Whenever d > N - ds - 1 the truncated sum picks
 up a factor q from each coefficient that cannot influence the window, and
 q = 0 in characteristic p, so the whole power sum vanishes below the horizon;
 the kernel therefore only ever enumerates q^d vectors with d(s+1) < N.  That
-window rule lives in one function, ``_degree_end``, which the kernel, the
-partial sums and ``zeta_trunc`` all read.  This route is cross-checked
-against the oracle ``power_sum_d`` in the test suite.
+window rule lives in one function, ``_degree_end``, which the kernel and the
+partial sums read.  This route is cross-checked against the oracle
+``power_sum_d`` in the test suite.
 
 Coefficients are stored as field indices: a series window is a tuple of ints,
 and ``+``, ``-`` and scaling look their results up in the per-field
@@ -574,11 +574,17 @@ def power_sum_lt_element(e: Element, d: int, N: int) -> Laurent:
 
 
 def _lt_word(spec: FieldSpec, w: Word, d: int, N: int) -> Laurent:
-    """S_{<d}(w) of a nonempty word; S_{<0} = 0 takes no memo entry.  S_m(w)
-    is zero below u^N from its head's window end on, so d is cut there."""
-    if d <= 0:
+    """S_{<d}(w) of a nonempty word.  S_m(w) is zero below u^N for m below
+    its depth minus one, so S_{<d} is zero for d < len(w) and takes no memo
+    entry, and from its head's window end on, so d is cut there.  The steps
+    t = len(w), ..., d run in ascending order: each finds its predecessor in
+    the memo, so the stack grows with the word's depth, not its degree."""
+    top = min(d, _degree_end(w[0].n, N))
+    if top < len(w):
         return Laurent.zero(spec, N)
-    return _partial_sums(spec, w, min(d, _degree_end(w[0].n, N)), N)[-1]
+    for t in range(len(w), top + 1):
+        acc = _partial_sums(spec, w, t, N)
+    return acc
 
 
 # -- fast per-degree kernel for the zeta map --------------------------------------
@@ -620,46 +626,31 @@ def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
 
 
 @memoized("partial_sums")
-def _partial_sums(spec: FieldSpec, w: Word, t: int, N: int) -> tuple[Laurent, ...]:
-    """(S_{<0}(w), ..., S_{<t}(w)) to absolute precision N, for a nonempty
-    word w = x_{s,eps} v, from S_d(w) = eps^d S_d(s) S_{<d}(v).
+def _partial_sums(spec: FieldSpec, w: Word, t: int, N: int) -> Laurent:
+    """S_{<t}(w) to absolute precision N, for a nonempty word w = x_{s,eps} v
+    and len(w) <= t <= ``_degree_end(s, N)``, by one degree of
+    S_d(w) = eps^d S_d(s) S_{<d}(v):
 
-    S_d(w) is zero below the horizon for d < depth - 1, and from the head's
-    :func:`_degree_end` on, where its window is closed.  Only the degrees in
-    between take a head, and the tail v is asked for its partial sums up to
-    the last degree whose head is nonzero, so the recursion goes one level
-    per letter and no tail computes degrees its head cannot reach."""
-    head = w[0]
-    terms = {}
-    for d in range(len(w) - 1, min(t, _degree_end(head.n, N))):
-        h = _depth1_power_sum(spec, head.n, d, N)
-        if not h.is_zero():
-            terms[d] = h.scale(head.eps ** d)
-    if len(w) > 1 and terms:
-        tail = _partial_sums(spec, w[1:], max(terms), N)
-        terms = {d: h * tail[d] for d, h in terms.items()}
-    acc = Laurent.zero(spec, N)
-    out = [acc]
-    for d in range(t):
-        if d in terms:
-            acc = acc + terms[d]
-        out.append(acc)
-    return tuple(out)
+        S_{<t}(w) = S_{<t-1}(w) + eps^(t-1) S_{t-1}(s) S_{<t-1}(v),
+
+    with S_{<t-1}(w) = 0 for t - 1 < len(w).  Where S_{t-1}(s) is zero the
+    step returns its predecessor and asks the tail nothing."""
+    head, d = w[0], t - 1
+    acc = _partial_sums(spec, w, d, N) if d >= len(w) else Laurent.zero(spec, N)
+    h = _depth1_power_sum(spec, head.n, d, N)
+    if h.is_zero():
+        return acc
+    term = h.scale(head.eps ** d)
+    if len(w) > 1:
+        term = term * _lt_word(spec, w[1:], d, N)
+    return acc + term
 
 
 def zeta_trunc(e: Element, N: int) -> Laurent:
-    """The truncated zeta value of an element, exact to precision N.
+    """The truncated zeta value of an element, exact to precision N: S_{<N+1}.
 
-    On a word this is S_{<D}, where D = ``_degree_end(s_1, N)`` is the
-    first degree whose head window is closed: every later S_d vanishes below
-    the horizon.  The empty word maps to 1; the map is linear.
+    Every word's S_d vanishes below the horizon from its head's window end
+    ``_degree_end(s_1, N)`` <= N + 1 on, so this is the full sum.  The empty
+    word maps to 1; the map is linear.
     """
-    spec = e.spec
-    acc = Laurent.zero(spec, N)
-    for w, c in e.idx.items():
-        if w:
-            term = _partial_sums(spec, w, _degree_end(w[0].n, N), N)[-1]
-        else:
-            term = Laurent.one(spec, N)
-        acc = acc + term.scale(spec.elements[c])
-    return acc
+    return power_sum_lt_element(e, N + 1, N)

@@ -118,10 +118,40 @@ def test_zero_prec_is_allowed(capsys):
     (["--p", "2", "--k", "2", "--modulus", "1,0,1"], "modulus is reducible"),
     (["--p", "2", "--k", "2", "--modulus", "1,1"], "modulus must be monic of degree k"),
     (["--q", "128"], "q = 128 exceeds the supported maximum 64"),
+    (["--q", "3", "--p", "2", "--k", "1"], "--q cannot be combined with --p, --k or --modulus"),
+    (["--q", "3", "--k", "2"], "--q cannot be combined with --p, --k or --modulus"),
+    (["--q", "3", "--modulus", "1,1,1"], "--q cannot be combined with --p, --k or --modulus"),
+    (["--p", "2"], "--p and --k go together; --modulus needs both"),
+    (["--k", "2"], "--p and --k go together; --modulus needs both"),
+    (["--modulus", "1,1,1"], "--p and --k go together; --modulus needs both"),
+    (["--p", "2", "--k", "2", "--modulus", "1,x,1"], "bad --modulus '1,x,1'"),
+    (["--p", "2", "--k", "2", "--modulus", ""], "bad --modulus ''"),
+    (["--q", "three"], "bad --q 'three'"),
+    (["--q", "2^x"], "bad --q '2^x'"),
+    (["--q", "2^2^2"], "bad --q '2^2^2'"),
 ])
 def test_bad_field_flags_exit_2(capsys, flags, message):
     code, out, err = run_cli(capsys, ["shuffle", *flags, "x[1,0]", "x[1,0]"])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_field_flags_and_amzv_q(capsys, monkeypatch):
+    monkeypatch.setenv("AMZV_Q", "three")
+    assert run_cli(capsys, ["shuffle", "x[1,0]", "x[1,0]"]) == (
+        2, "", "error: bad AMZV_Q 'three'\n")
+    # a flag overrides the environment: --q, and --p/--k as a pair
+    monkeypatch.setenv("AMZV_Q", "3")
+    assert run_cli(capsys, ["shuffle", "--q", "2", "x[1,0]", "x[1,0]"]) == (0, "x[2,0]\n", "")
+    argv = ["shuffle", "--p", "2", "--k", "2", "x[1,1]", "x[1,1]"]
+    assert run_cli(capsys, argv) == (0, "x[2,2]\n", "")
+    assert run_cli(capsys, ["shuffle", "--k", "2", "x[1,0]", "x[1,0]"]) == (
+        2, "", "error: --p and --k go together; --modulus needs both\n")
+
+
+def test_verify_rejects_a_field_flag_it_cannot_use(capsys):
+    # --k alone used to be ignored, and the default matrix ran
+    assert run_cli(capsys, ["verify", "--k", "2"]) == (
+        2, "", "error: --p and --k go together; --modulus needs both\n")
 
 
 @pytest.mark.parametrize("argv,message", [

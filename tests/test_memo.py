@@ -169,11 +169,12 @@ def test_depth1_windows_outside_the_kernel_are_not_cached():
 
 def test_zeta_asks_a_tail_only_for_its_heads_window():
     # the head x[3,0] reaches d(3 + 1) < 16, so d <= 3, and depth 3 needs
-    # d >= 2; the tail x[1,0]x[1,0] alone would reach d(1 + 1) < 16, d <= 7
+    # d >= 2, so S_<t is built at t = 3, 4; the tail x[1,0]x[1,0] alone would
+    # reach d(1 + 1) < 16, d <= 7, but is asked only up to t = 2
     spec = field_from_q(2)
     zeta_trunc(E(spec, "x[3,0]x[1,0]x[1,0]"), 16)
     asked = {(len(w), t) for w, t, N in spec._memos["partial_sums"]}
-    assert asked == {(3, 4), (2, 2), (1, 1)}
+    assert asked == {(3, 3), (3, 4), (2, 2), (1, 1)}
     # so the depth-one kernel ran at no degree above 3
     assert max(d for s, d, N in spec._memos["depth1_power_sum"]) == 3
 
@@ -191,6 +192,44 @@ def test_partial_sums_stop_at_the_heads_window_end(capsys):
     assert capsys.readouterr().out == "g^1*u^6 + u^8 + g^1*u^12 + O(u^14)\n"
     assert cli.main(powsum) == 0
     assert capsys.readouterr().out == "0 + O(u^14)\n"
+
+
+def test_partial_sums_are_built_once_per_degree_in_any_order():
+    # a cold ask at the window end D builds S_<t for every t <= D on the
+    # way, so asking each d < D afterwards, in any order, adds no entry
+    N = 16
+    spec = field_from_q(3)
+    arr = A(spec, "x[1,1]x[1,0]x[2,1]")
+    D = zeta._degree_end(1, N)
+    top = power_sum_lt(arr, D, N)
+    keys = set(spec._memos["partial_sums"])
+    got = {d: power_sum_lt(arr, d, N) for d in reversed(range(D))}
+    assert set(spec._memos["partial_sums"]) == keys
+    fresh = field_from_q(3)
+    arr = A(fresh, "x[1,1]x[1,0]x[2,1]")
+    want = {d: power_sum_lt(arr, d, N) for d in range(D + 1)}
+    assert want == {**got, D: top}
+    assert sum(not v.is_zero() for v in want.values()) >= 3
+
+
+def test_partial_sums_stack_grows_with_the_depth_not_the_degree(monkeypatch):
+    step = zeta._partial_sums
+    depth = [0, 0]  # current, deepest
+
+    def nested(*args):
+        depth[0] += 1
+        depth[1] = max(depth)
+        try:
+            return step(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(zeta, "_partial_sums", nested)
+    # a depth-3 word whose head's window ends at D = 8
+    e = E(field_from_q(2), "x[1,0]x[1,0]x[1,0]")
+    assert zeta._degree_end(1, 16) == 8
+    assert not zeta_trunc(e, 16).is_zero()
+    assert 3 <= depth[1] <= 2 * 3
 
 
 def test_lowered_budget_raises_on_a_fresh_field(monkeypatch, capsys):
