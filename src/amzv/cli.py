@@ -5,6 +5,10 @@ reproducible from the command line alone (the environment variable ``AMZV_Q``
 may supply a default field size, nothing else).  Exit codes: 0 success,
 1 computation error (for example an enumeration budget), 2 usage or parse
 error, 3 verification found failures.
+
+Only the word algebra is imported with this module: the ``zeta`` and
+``verify`` modules are imported by the subcommands that use them, so a
+request pays for compiling only what it runs.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ import functools
 import os
 import sys
 
-from . import verify
 from .coalgebra import antipode, coproduct
-from .ff import FieldSpec, field_from_q, field_make
+from .ff import BudgetExceededError, FieldSpec, field_from_q, field_make
 from .products import diamond, shuffle, triangle
 from .words import (
     Element,
@@ -27,7 +30,6 @@ from .words import (
     parse_element,
     parse_word,
 )
-from .zeta import BudgetExceededError, format_laurent, power_sum_lt_element, zeta_trunc
 
 
 class UsageError(ValueError):
@@ -128,6 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     cmd = args.command
     if cmd == "verify":
+        from . import verify
+
         specs = None
         given = (args.q, args.p, args.k, args.modulus)
         if given != (None,) * len(given) or "AMZV_Q" in os.environ:
@@ -163,6 +167,8 @@ def _run(args) -> int:
         print(format_element(antipode(a)))
         return 0
     if cmd == "powsum":
+        from .zeta import format_laurent, power_sum_lt_element
+
         try:
             w = parse_word(args.word, spec)
         except ValueError as exc:
@@ -178,6 +184,8 @@ def _run(args) -> int:
         print(format_laurent(ps))
         return 0
     if cmd == "zeta":
+        from .zeta import format_laurent, zeta_trunc
+
         a = _parse_operand(args.a, spec)
         print(format_laurent(zeta_trunc(a, _nonnegative(args.prec, "--prec"))))
         return 0

@@ -15,7 +15,10 @@ corrupting wrapper of ``delta_coeff``, of ``coproduct_letter`` and
 ``_coproduct_word``, or of ``_antipode_word`` in every ``amzv`` module that
 imported the function by name; the recursions look those names up at call
 time, so they see the corruption too.  On exit, also when the block raises,
-every name is bound to its original again.  The rebinding is process-wide:
+every name is bound to its original again.  Every ``amzv`` module is
+imported, and every name of the lazy package resolved, before the names
+are rebound, so that no module loaded inside the block keeps a corrupted
+name after it.  The rebinding is process-wide:
 nothing else should use the package during the block.  The field's memo
 caches are cleared on both edges so corrupted values cannot mix with clean
 ones.  These are test-only hooks; the CLI never exposes them.
@@ -23,6 +26,8 @@ ones.  These are test-only hooks; the CLI never exposes them.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import sys
 from contextlib import contextmanager
 
@@ -65,6 +70,16 @@ _WRAPPERS = {
 }
 
 
+def _load_package() -> None:
+    """Import every ``amzv`` module and resolve every name the package
+    exports, which it otherwise does on first use."""
+    package = sys.modules[__package__]
+    for info in pkgutil.iter_modules(package.__path__, f"{__package__}."):
+        importlib.import_module(info.name)
+    for name in package.__all__:
+        getattr(package, name)
+
+
 @contextmanager
 def inject_fault(mode: str, *specs):
     """Corrupt the algebra in one fault mode within a block, flushing caches
@@ -73,6 +88,7 @@ def inject_fault(mode: str, *specs):
         raise ValueError(f"unknown fault mode {mode!r}")
     for spec in specs:
         spec.clear_memos()
+    _load_package()
     mods = [m for n, m in list(sys.modules.items())
             if m is not None and (n == "amzv" or n.startswith("amzv."))]
     undo: list = []

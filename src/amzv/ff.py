@@ -30,6 +30,8 @@ The per-field memo policy lives here too: :func:`memoized` caches
 ``fn(spec, *args)`` by ``args`` in a registry on the spec that no other
 module touches, and :meth:`FieldSpec.clear_memos` empties it.
 :func:`check_field` is the one guard against mixing two fields' values.
+:class:`BudgetExceededError`, which ``zeta``'s enumerations raise, is
+defined here so that a caller can catch it without loading ``zeta``.
 """
 
 from __future__ import annotations
@@ -439,11 +441,17 @@ class _Packings(dict):
         return dec
 
 
+class BudgetExceededError(RuntimeError):
+    """Raised when an enumeration of one degree would exceed ``zeta.BUDGET``."""
+
+
 def memoized(name: str):
     """Cache ``fn(spec, *args)`` in ``spec``'s memo ``name``, keyed by the
     hashable ``args``.  Results are pure values, never ``None``, so
     concurrent writers only race on identical data.  Callers answer trivial
-    inputs themselves, so those take no entry."""
+    inputs themselves, so those take no entry.  The cached function's
+    ``lookup(spec, *args)`` returns the cached result, or None if there is
+    none, and takes no entry either."""
     def decorate(fn):
         @functools.wraps(fn)
         def cached(spec: FieldSpec, *args):
@@ -452,6 +460,12 @@ def memoized(name: str):
             if out is None:
                 out = memo[args] = fn(spec, *args)
             return out
+
+        def lookup(spec: FieldSpec, *args):
+            memo = spec._memos.get(name)
+            return None if memo is None else memo.get(args)
+
+        cached.lookup = lookup
         return cached
     return decorate
 

@@ -35,7 +35,8 @@ is exact to the horizon.  The route peels one letter at a time,
 S_d(x_{s,eps} w) = eps^d S_d(s) S_{<d}(w), and one memoized step adds degree
 t - 1 to S_{<t-1}, asking the tail only where the head is nonzero; run for t
 in ascending order, it builds each S_{<t} once, with a stack as deep as the
-word.  The depth-one power sums S_d(s) go through a faster kernel: for a monic
+word, and a walk to S_{<d} resumes after the highest step already built.
+The depth-one power sums S_d(s) go through a faster kernel: for a monic
 a = theta^d + c_{d-1}theta^{d-1} + ... + c_0,
 
     1/a^s = u^{ds} (1 + h(u))^{-s},   h(u) = sum_t c_{d-t} u^t,
@@ -69,18 +70,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
-from .ff import FieldElem, FieldSpec, check_field, memoized
+from .ff import BudgetExceededError, FieldElem, FieldSpec, check_field, memoized
 from .words import Element, Word, letter
 
 # the most monic polynomials or coefficient vectors of one degree that one
 # enumeration may visit; read at call time, so it is in no memo key
 BUDGET = 10**6
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration of one degree would exceed ``BUDGET``."""
 
 
 def _check_budget(q: int, d: int) -> None:
@@ -456,22 +452,31 @@ def parse_laurent(text: str, spec: FieldSpec) -> Laurent:
 # -- positive arrays -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ZetaArray:
-    """The index ((eps_1..eps_n); (s_1..s_n)) of a power sum; depth >= 1."""
+    """The index ((eps_1..eps_n); (s_1..s_n)) of a power sum; depth >= 1.
 
-    eps: tuple[FieldElem, ...]
-    s: tuple[int, ...]
+    Immutable: ``eps`` (unit characters) and ``s`` (positive weights) are
+    set once, and two arrays are equal when both rows are."""
 
-    def __post_init__(self):
-        if len(self.eps) != len(self.s) or not self.s:
+    __slots__ = ("eps", "s", "_hash")
+
+    def __init__(self, eps: tuple[FieldElem, ...], s: tuple[int, ...]):
+        if len(eps) != len(s) or not s:
             raise ValueError("array needs matching nonempty character and weight rows")
-        if any(x < 1 for x in self.s):
+        if any(x < 1 for x in s):
             raise ValueError("weights must be positive")
-        if any(e.idx == 0 for e in self.eps):
+        if any(e.idx == 0 for e in eps):
             raise ValueError("characters must be units")
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "s", s)
         # memos are keyed by arrays: hash once, by the characters' indices
-        object.__setattr__(self, "_hash", hash((self.s, tuple(e.idx for e in self.eps))))
+        object.__setattr__(self, "_hash", hash((s, tuple(e.idx for e in eps))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def depth(self) -> int:
@@ -481,8 +486,16 @@ class ZetaArray:
     def spec(self) -> FieldSpec:
         return self.eps[0].spec
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.eps, self.s) == (other.eps, other.s)
+
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"ZetaArray(eps={self.eps!r}, s={self.s!r})"
 
 
 def word_to_array(w: Word) -> ZetaArray:
@@ -578,11 +591,16 @@ def _lt_word(spec: FieldSpec, w: Word, d: int, N: int) -> Laurent:
     its depth minus one, so S_{<d} is zero for d < len(w) and takes no memo
     entry, and from its head's window end on, so d is cut there.  The steps
     t = len(w), ..., d run in ascending order: each finds its predecessor in
-    the memo, so the stack grows with the word's depth, not its degree."""
+    the memo, so the stack grows with the word's depth, not its degree.  The
+    walk resumes after the highest step already in the memo, so a caller
+    that asks d, d + 1, ... in turn calls each step once."""
     top = min(d, _degree_end(w[0].n, N))
     if top < len(w):
         return Laurent.zero(spec, N)
-    for t in range(len(w), top + 1):
+    t = top
+    while t >= len(w) and (acc := _built_partial_sums(spec, w, t, N)) is None:
+        t -= 1
+    for t in range(t + 1, top + 1):
         acc = _partial_sums(spec, w, t, N)
     return acc
 
@@ -644,6 +662,11 @@ def _partial_sums(spec: FieldSpec, w: Word, t: int, N: int) -> Laurent:
     if len(w) > 1:
         term = term * _lt_word(spec, w[1:], d, N)
     return acc + term
+
+
+# the steps already built, read without a memo entry; bound here, so a
+# wrapper put on ``_partial_sums`` does not hide it
+_built_partial_sums = _partial_sums.lookup
 
 
 def zeta_trunc(e: Element, N: int) -> Laurent:

@@ -215,7 +215,7 @@ def test_verify_reports_failures_exit_3(capsys, monkeypatch):
     def fake_matrix(*a, **k):
         return [CheckReport("thm-x", 2, 3, {}, 1, ["broken"], 0)]
 
-    monkeypatch.setattr(cli.verify, "run_default_matrix", fake_matrix)
+    monkeypatch.setattr("amzv.verify.run_default_matrix", fake_matrix)
     code, out, _ = run_cli(capsys, ["verify", "--q", "2"])
     assert code == 3
     assert "FAIL" in out

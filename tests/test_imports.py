@@ -13,6 +13,10 @@ records failures.  The algebra modules and the harness work on
 ``Element.idx``, the field-index coefficients, and never read the
 ``FieldElem`` view ``.terms``.  The package has no runtime dependencies:
 every module it imports is in the standard library or is ``amzv`` itself.
+A one-shot CLI request pays for compiling every module it loads, so no
+module that ``import amzv.cli`` loads imports ``dataclasses``, or imports
+``zeta`` or ``verify`` when it is itself imported; the subcommands that
+need them import them.
 """
 
 import ast
@@ -152,3 +156,55 @@ def test_algebra_modules_use_index_coefficients(name):
     bad = [f"line {node.lineno}" for node in ast.walk(_tree(SRC / name))
            if isinstance(node, ast.Attribute) and node.attr == "terms"]
     assert not bad, f"{name} reads the FieldElem view .terms: {bad}"
+
+
+def _import_time_nodes(tree):
+    """Every node that runs when the module is imported: all but the bodies
+    of functions."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _amzv_modules(node):
+    """The ``amzv`` modules (file stems) that an import statement loads."""
+    if isinstance(node, ast.Import):
+        names = [a.name.split(".") for a in node.names]
+        return [parts[1] for parts in names if parts[0] == "amzv" and len(parts) > 1]
+    if not isinstance(node, ast.ImportFrom) or not (node.level or node.module.startswith("amzv")):
+        return []
+    parts = (node.module or "").split(".")
+    if not node.level:
+        parts = parts[1:]
+    if parts and parts[0]:
+        return [parts[0]]
+    return [a.name for a in node.names if (SRC / f"{a.name}.py").exists()]
+
+
+def _loaded_by_cli():
+    """The modules that ``import amzv.cli`` loads, the package included."""
+    seen, todo = set(), ["__init__", "cli"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for node in _import_time_nodes(_tree(SRC / f"{name}.py")):
+                todo += _amzv_modules(node)
+    return seen
+
+
+def test_cli_loads_the_word_algebra_only():
+    assert _loaded_by_cli() == {"__init__", "cli", "ff", "words", "products", "coalgebra"}
+
+
+@pytest.mark.parametrize("name", sorted(_loaded_by_cli()))
+def test_cli_modules_import_no_dataclasses_and_defer_zeta_and_verify(name):
+    tree = _tree(SRC / f"{name}.py")
+    bad = sorted({source for _bound, source in _imported(tree)
+                  if source.split(".")[0] == "dataclasses"})
+    bad += [f"line {node.lineno}: {mod}" for node in _import_time_nodes(tree)
+            for mod in _amzv_modules(node) if mod in ("zeta", "verify")]
+    assert not bad, f"{name}.py is loaded by amzv.cli and imports {bad}"

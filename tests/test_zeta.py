@@ -433,3 +433,18 @@ def test_array_validation(spec_q3):
         ZetaArray((spec_q3.zero,), (1,))
     with pytest.raises(ValueError):
         ZetaArray((spec_q3.one, spec_q3.one), (1,))
+
+
+def test_array_is_an_immutable_value(spec_q3):
+    one, g = spec_q3.one, spec_q3.g
+    a = ZetaArray((one, g), (1, 2))
+    b = ZetaArray(eps=(one, g), s=(1, 2))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != ZetaArray((one, g), (1, 3)) and a != ((one, g), (1, 2))
+    assert repr(a) == f"ZetaArray(eps=({one!r}, {g!r}), s=(1, 2))"
+    for name in ("eps", "s", "depth"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(a, name, ())
+    with pytest.raises(AttributeError, match="cannot delete field 's'"):
+        del a.s
+    assert a.s == (1, 2) and a.depth == 2 and a.spec is spec_q3
