@@ -41,7 +41,7 @@ of positive weight),
 
 from __future__ import annotations
 
-from .ff import FieldElem, FieldSpec, memoized
+from .ff import FieldElem, FieldSpec, check_field, memoized
 from .products import binom_mod_p, delta_coeff, bracket, shuffle, triangle, _shuffle_words
 from .words import (
     EMPTY,
@@ -51,7 +51,6 @@ from .words import (
     Word,
     accumulate,
     accumulate_outer,
-    bilinear,
     compositions,
     letter,
     linear,
@@ -119,11 +118,17 @@ def counit(e: Element) -> FieldElem:
 def tensor_shuffle(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise shuffle on ordered pairs:
     (a ⊗ b) ⧢ (c ⊗ d) = (a ⧢ c) ⊗ (b ⧢ d), extended bilinearly."""
-    return bilinear(_shuffle_pairs, s, t)
-
-
-def _shuffle_pairs(spec: FieldSpec, ab: tuple, cd: tuple) -> tuple:
-    return _shuffle_words(spec, ab[0], cd[0]), _shuffle_words(spec, ab[1], cd[1])
+    spec = s.spec
+    if t.spec is not spec:
+        check_field(spec, t.spec)
+    mul = spec.idx_ops[1]
+    acc: dict = {}
+    for (a, b), c1 in s.idx.items():
+        row = mul[c1]
+        for (c, d), c2 in t.idx.items():
+            accumulate_outer(spec, acc, _shuffle_words(spec, a, c).idx,
+                             _shuffle_words(spec, b, d).idx, row[c2])
+    return _element(spec, acc)
 
 
 def _antipode_word(spec: FieldSpec, u: Word) -> Element:

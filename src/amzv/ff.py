@@ -22,10 +22,6 @@ Units are printed in exponent form ``g^j`` where ``g`` is a fixed primitive
 element chosen deterministically (the first element, in coordinate order,
 whose multiplicative order is q - 1).  Zero prints as ``0``.
 
-``FieldSpec.packings`` holds the tables of the packed series product: they
-put a series of indices into one Python int, a byte sub-slot per
-coordinate, and read a product's sub-slots back as indices.
-
 The per-field memo policy lives here too: :func:`memoized` caches
 ``fn(spec, *args)`` by ``args`` in a registry on the spec that no other
 module touches, and :meth:`FieldSpec.clear_memos` empties it.
@@ -37,8 +33,6 @@ defined here so that a caller can catch it without loading ``zeta``.
 from __future__ import annotations
 
 import functools
-import itertools
-import struct
 from collections import defaultdict
 
 MAX_Q = 64
@@ -206,9 +200,7 @@ class FieldSpec:
     tables, and like ``letters`` they outlive :meth:`clear_memos`.
     ``FieldElem`` arithmetic looks its result's index up there and returns
     the shared element ``elements[i]``, and ``units`` is the tuple g^0, ...,
-    g^(q-2) of every unit in exponent order.  ``packings`` holds the tables
-    of the packed series product (see :class:`_Packings`), built on first
-    use and also kept across :meth:`clear_memos`.
+    g^(q-2) of every unit in exponent order.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
@@ -251,11 +243,11 @@ class FieldSpec:
         self._log = tuple(log)
         self.g = self.units[1 % n]
 
-        # the packed series product's tables, built on first use
-        self.packings = _Packings(self)
-
-        # the shared word letters, filled on demand by ``amzv.words.letter``
+        # the shared word letters, filled on demand by ``amzv.words.letter``,
+        # and the packed series product's tables, filled by ``amzv.zeta``;
+        # neither is a memo, so both outlive ``clear_memos``
         self.letters: dict = {}
+        self.packings: dict = {}
         # memo name -> {args: result}, filled by ``memoized`` functions
         self._memos: defaultdict[str, dict] = defaultdict(dict)
 
@@ -359,86 +351,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"
-
-
-class _Packings(dict):
-    """``packings[n]`` is ``(w, stride, enc, planes, dec)``: the tables that
-    multiply series of field indices as packed integers
-    (``amzv.zeta._mul_series``) when each product coefficient is a sum of at
-    most n products.
-
-    Coordinate j of the coefficient of u^i takes the w-byte sub-slot
-    (2k - 1) i + j of a little-endian integer, so a coefficient takes
-    ``stride`` = (2k - 1) w bytes.  A product of two such integers holds in
-    each sub-slot a coefficient of a polynomial of degree below 2k - 1 in the
-    generator t: a sum of at most n * k products of digits below p.  With w
-    the least byte count above n * k * (p - 1)^2, no sub-slot carries into
-    the next.
-
-    - ``enc(a)`` is the packed bytes of a series of indices;
-    - ``planes[j]`` is the ``bytes.translate`` table taking byte j of a
-      sub-slot, b, to b * 256^j mod p;
-    - ``dec(r)`` reads each run of 2k - 1 residues mod p, a polynomial in t,
-      as the index of its remainder modulo the modulus; for k = 1 the
-      residues are the indices.
-
-    Tables are built once per width, on first use, and kept across
-    :meth:`FieldSpec.clear_memos`.
-    """
-
-    def __init__(self, spec: FieldSpec):
-        super().__init__()
-        self.spec = spec
-        self.by_width: dict = {}
-        self.dec = None
-
-    def __missing__(self, n: int) -> tuple:
-        spec = self.spec
-        p, k = spec.p, spec.k
-        w = ((n * k * (p - 1) ** 2).bit_length() + 7) >> 3
-        tables = self.by_width.get(w)
-        if tables is None:
-            stride = (2 * k - 1) * w
-            if stride == 1:
-                # a series of indices below p packs as its own bytes
-                enc = bytes
-            else:
-                # the k - 1 sub-slots above the digits start empty
-                pad = bytes((k - 1) * w)
-                slots = tuple(b"".join(c.to_bytes(w, "little") for c in e.coeffs) + pad
-                              for e in spec.elements)
-
-                def enc(a):
-                    return b"".join(map(slots.__getitem__, a))
-            # b * 256^j mod p is periodic in b with period p
-            rows = (bytes(b * pow(256, j, p) % p for b in range(p)) for j in range(w))
-            planes = tuple((row * (256 // p + 1))[:256] for row in rows)
-            if self.dec is None:
-                self.dec = self._decoder()
-            tables = self.by_width[w] = (w, stride, enc, planes, self.dec)
-        self[n] = tables
-        return tables
-
-    def _decoder(self):
-        spec = self.spec
-        k, p = spec.k, spec.p
-        if k == 1:
-            return bytes
-        # index p is the polynomial generator t, and c in F_p has index c;
-        # values in the order of ``product``, whose last coordinate runs fastest
-        add, mul, _ = spec.idx_ops
-        values, tj = [0], 1
-        for _ in range(2 * k - 1):
-            values = [add[v][mul[c][tj]] for v in values for c in range(p)]
-            tj = mul[tj][p]
-        # keys are the 1-tuples that ``iter_unpack`` yields, in the same order
-        runs = struct.Struct(f"{2 * k - 1}s").iter_unpack
-        residues = itertools.product(range(p), repeat=2 * k - 1)
-        table = dict(zip(runs(bytes(itertools.chain.from_iterable(residues))), values))
-
-        def dec(r):
-            return list(map(table.__getitem__, runs(r)))
-        return dec
 
 
 class BudgetExceededError(RuntimeError):

@@ -298,13 +298,9 @@ def linear(op, e: Element) -> Element:
 
 
 def bilinear(op, a: Element, b: Element) -> Element:
-    """The bilinear extension of ``op(spec, key_a, key_b)`` to ``a`` and ``b``.
-
-    ``op`` returns an Element, or a pair ``(L, R)`` of Elements standing for
-    ``L ⊗ R``, which is accumulated without being built.  On two single keys
-    with coefficient 1, an Element from ``op`` is returned uncopied, as in
-    :func:`linear`.
-    """
+    """The bilinear extension of ``op(spec, key_a, key_b) -> Element`` to
+    ``a`` and ``b``.  On two single keys with coefficient 1 this is ``op``'s
+    own result, uncopied, as in :func:`linear`."""
     spec = a.spec
     if b.spec is not spec:
         check_field(spec, b.spec)
@@ -312,20 +308,13 @@ def bilinear(op, a: Element, b: Element) -> Element:
         (ka, ca), = a.idx.items()
         (kb, cb), = b.idx.items()
         if ca == 1 and cb == 1:
-            got = op(spec, ka, kb)
-            if type(got) is not tuple:
-                return got
-            return _element(spec, accumulate_outer(spec, {}, got[0].idx, got[1].idx))
+            return op(spec, ka, kb)
     mul = spec.idx_ops[1]
     acc: dict = {}
     for ka, ca in a.idx.items():
         row = mul[ca]
         for kb, cb in b.idx.items():
-            got = op(spec, ka, kb)
-            if type(got) is tuple:
-                accumulate_outer(spec, acc, got[0].idx, got[1].idx, row[cb])
-            else:
-                accumulate(spec, acc, got.idx, row[cb])
+            accumulate(spec, acc, op(spec, ka, kb).idx, row[cb])
     return _element(spec, acc)
 
 

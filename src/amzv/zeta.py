@@ -55,10 +55,9 @@ and ``+``, ``-`` and scaling look their results up in the per-field
 ``add``/``mul``/``neg`` index tables (:attr:`FieldSpec.idx_ops`), which are
 built once per field and survive memo clearing.  Every product of series
 (``Laurent.__mul__`` and the powers (1 + h)^s of the inverse powers 1/a^s) is
-one product of two Python ints (``_mul_series``): each coefficient's k base-p
-digits go in byte sub-slots, 2k - 1 of them per power of u and wide enough
-that no sum of digit products carries (``FieldSpec.packings``); the product's
-sub-slots are reduced mod p, then mod the field's modulus, back to indices.
+one product of two Python ints (``_mul_series``) in the layout that
+``_packing`` documents and builds the tables for, once per field and byte
+width, in ``FieldSpec.packings``, outside the memos.
 The unit-series inverse (``_unit_inv``) is a recursion on indices.
 :class:`FieldElem` values appear only at the boundary: the constructor,
 ``coeff``, ``coeffs``, ``scale``'s argument, and the text functions
@@ -70,6 +69,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import struct
 
 from .ff import BudgetExceededError, FieldElem, FieldSpec, check_field, memoized
 from .words import Element, Word, letter
@@ -339,11 +339,12 @@ def _laurent(spec: FieldSpec, val: int, idx, prec: int) -> Laurent:
 def _mul_series(spec: FieldSpec, a, b, width: int):
     """At most ``width`` leading coefficients of the product of index series
     a, b, as a sequence of field indices, from one product of packed integers
-    (see ``FieldSpec.packings``); the rest of the first ``width`` are zero."""
+    (see :func:`_packing`); the rest of the first ``width`` are zero."""
     if width <= 0 or not a or not b:
         return ()
     a, b = a[:width], b[:width]
-    w, stride, enc, planes, dec = spec.packings[min(len(a), len(b))]
+    terms = min(len(a), len(b))
+    w, stride, enc, planes, dec = spec.packings.get(terms) or _packing(spec, terms)
     x = int.from_bytes(enc(a), "little")
     y = x if b is a else int.from_bytes(enc(b), "little")
     size = len(a) + len(b) - 1
@@ -357,6 +358,80 @@ def _mul_series(spec: FieldSpec, a, b, width: int):
                + int.from_bytes(raw[j::w].translate(planes[j]), "little"))
         res = res.to_bytes(n // w, "little").translate(planes[0])
     return dec(res)
+
+
+def _packing(spec: FieldSpec, n: int) -> tuple:
+    """``(w, stride, enc, planes, dec)``: the tables with which
+    :func:`_mul_series` multiplies series of field indices as packed
+    integers when each product coefficient is a sum of at most n products.
+
+    Coordinate j of the coefficient of u^i takes the w-byte sub-slot
+    (2k - 1) i + j of a little-endian integer, so a coefficient takes
+    ``stride`` = (2k - 1) w bytes.  A product of two such integers holds in
+    each sub-slot a coefficient of a polynomial of degree below 2k - 1 in the
+    generator t: a sum of at most n * k products of digits below p.  With w
+    the least byte count above n * k * (p - 1)^2, no sub-slot carries into
+    the next.
+
+    - ``enc(a)`` is the packed bytes of a series of indices;
+    - ``planes[j]`` is the ``bytes.translate`` table taking byte j of a
+      sub-slot, b, to b * 256^j mod p;
+    - ``dec(r)`` reads each run of 2k - 1 residues mod p, a polynomial in t,
+      as the index of its remainder modulo the modulus; for k = 1 the
+      residues are the indices.
+
+    They are cached in ``spec.packings`` under n, and shared per byte width
+    under ``("width", w)`` and per field under ``"dec"``; no memo holds
+    them, so they outlive ``clear_memos``.
+    """
+    packings = spec.packings
+    p, k = spec.p, spec.k
+    w = ((n * k * (p - 1) ** 2).bit_length() + 7) >> 3
+    tables = packings.get(("width", w))
+    if tables is None:
+        stride = (2 * k - 1) * w
+        if stride == 1:
+            # a series of indices below p packs as its own bytes
+            enc = bytes
+        else:
+            # the k - 1 sub-slots above the digits start empty
+            pad = bytes((k - 1) * w)
+            slots = tuple(b"".join(c.to_bytes(w, "little") for c in e.coeffs) + pad
+                          for e in spec.elements)
+
+            def enc(a):
+                return b"".join(map(slots.__getitem__, a))
+        # b * 256^j mod p is periodic in b with period p
+        rows = (bytes(b * pow(256, j, p) % p for b in range(p)) for j in range(w))
+        planes = tuple((row * (256 // p + 1))[:256] for row in rows)
+        dec = packings.get("dec")
+        if dec is None:
+            dec = packings["dec"] = _run_decoder(spec)
+        tables = packings["width", w] = (w, stride, enc, planes, dec)
+    packings[n] = tables
+    return tables
+
+
+def _run_decoder(spec: FieldSpec):
+    """The ``dec`` of :func:`_packing`, one per field."""
+    k, p = spec.k, spec.p
+    if k == 1:
+        return bytes
+    # index p is the polynomial generator t, and c in F_p has index c;
+    # values in the order of ``product``, whose last coordinate runs fastest
+    add, mul, _ = spec.idx_ops
+    values, tj = [0], 1
+    for _ in range(2 * k - 1):
+        values = [add[v][mul[c][tj]] for v in values for c in range(p)]
+        tj = mul[tj][p]
+    # keys are the 1-tuples that ``iter_unpack`` yields, in the same order
+    runs = struct.Struct(f"{2 * k - 1}s").iter_unpack
+    residues = itertools.product(range(p), repeat=2 * k - 1)
+    table = dict(zip(runs(bytes(itertools.chain.from_iterable(residues))), values))
+
+    def dec(r):
+        return list(map(table.__getitem__, runs(r)))
+    return dec
 
 
 def _unit_inv(h, M: int, add, mul, neg) -> list[int]:

@@ -8,8 +8,11 @@ every other module caches through ``ff.memoized`` and never reads
 ``_memos`` or calls a ``.memo(...)`` method itself.  The format of the
 field tables belongs there too: other modules use ``idx_ops``, ``elements``,
 ``units``, ``log`` and ``unit_from_exp``, never ``FieldSpec``'s private
-tables.  In ``verify.py`` only ``CheckReport.expect`` counts instances and
-records failures.  The algebra modules and the harness work on
+tables.  The two per-field caches kept outside the registry, across
+``clear_memos``, have one owner each: ``FieldSpec.__init__`` creates them,
+and only ``words.py`` touches ``.letters`` and only ``zeta.py``
+``.packings``.  In ``verify.py`` only ``CheckReport.expect`` counts
+instances and records failures.  The algebra modules and the harness work on
 ``Element.idx``, the field-index coefficients, and never read the
 ``FieldElem`` view ``.terms``.  The package has no runtime dependencies:
 every module it imports is in the standard library or is ``amzv`` itself.
@@ -31,6 +34,8 @@ FAULT_FREE = ("products.py", "coalgebra.py")
 NOT_FF = sorted(p for p in SRC.glob("*.py") if p.name != "ff.py")
 FIELD_TABLES = {"_add", "_mul", "_neg", "_inv", "_log"}
 INDEX_CODED = ("products.py", "coalgebra.py", "verify.py")
+# the per-field caches that ``clear_memos`` keeps, and the module that fills each
+KEPT_CACHES = {"letters": "words.py", "packings": "zeta.py"}
 
 
 def _tree(path):
@@ -116,6 +121,26 @@ def test_only_ff_touches_the_memo_registry(path):
               and node.func.attr == "memo"):
             bad.append(f"line {node.lineno}: .memo(...)")
     assert not bad, f"{path.name} bypasses ff.memoized: {bad}"
+
+
+def _field_spec_init(tree):
+    """Every node of ``FieldSpec.__init__``, by ``id``; none outside ``ff.py``."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "FieldSpec":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    return set(map(id, ast.walk(fn)))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_each_kept_field_cache_has_one_owner(path):
+    tree = _tree(path)
+    init = _field_spec_init(tree)
+    bad = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+           if isinstance(node, ast.Attribute) and id(node) not in init
+           and KEPT_CACHES.get(node.attr, path.name) != path.name]
+    assert not bad, f"{path.name} touches another module's field cache: {bad}"
 
 
 @pytest.mark.parametrize("path", NOT_FF, ids=lambda p: p.name)

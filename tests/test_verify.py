@@ -14,6 +14,7 @@ from amzv import (
     word_weight,
 )
 from amzv import Element, coproduct, faults, parse_element, parse_laurent, parse_word
+from amzv import field_from_q, verify, zeta
 from amzv.verify import CheckReport, Rng
 
 from conftest import get_spec
@@ -148,6 +149,29 @@ def test_checks_pass_small(q):
     assert check_coalgebra(spec, 4).passed
     assert check_hopf(spec, 4).passed
     assert check_coproduct_oracle(spec, max_n=5, table_n=8, word_weight_bound=4).passed
+
+
+def _record_basis_weights(monkeypatch):
+    """The weights of every basis that ``verify`` builds from now on."""
+    built = []
+    build = verify.basis_words
+    monkeypatch.setattr(verify, "basis_words",
+                        lambda w, spec: built.append(w) or build(w, spec))
+    return built
+
+
+def test_dimension_family_stops_at_the_budget(monkeypatch):
+    # q = 3 has 2 * 3^(w - 1) words of weight w: 54 at w = 4, 162 at w = 5
+    built = _record_basis_weights(monkeypatch)
+    monkeypatch.setattr(zeta, "BUDGET", 54)
+    assert check_hopf(field_from_q(3), max_weight=2).passed
+    assert max(built) == 4
+
+
+def test_word_oracle_builds_no_basis(monkeypatch):
+    built = _record_basis_weights(monkeypatch)
+    rep = check_coproduct_oracle(field_from_q(3), max_n=3, table_n=3, word_weight_bound=4)
+    assert rep.passed and built == []
 
 
 def test_checks_pass_q4_small(spec_q4):

@@ -241,11 +241,6 @@ def test_linear_and_bilinear_extensions(spec_q3):
     )
     assert linear(lambda spec, w: Element.zero(spec), e).is_zero()
     f = parse_element("x[1,1]", spec_q3)
-    pairs = bilinear(
-        lambda spec, a, b: (Element.from_word(spec, a), Element.from_word(spec, b)), e, f
-    )
-    u, v, w = W(spec_q3, "x[1,0]"), W(spec_q3, "x[2,1]"), W(spec_q3, "x[1,1]")
-    assert pairs.terms == {(u, w): spec_q3.one, (v, w): spec_q3.residue(2)}
     assert bilinear(lambda spec, a, b: Element.from_word(spec, a + b), e, f) == concat(e, f)
 
 

@@ -89,6 +89,22 @@ def test_laurent_mul_tracks_precision(spec_q2):
     assert c == L(spec_q2, "u^3 + O(u^7)")
 
 
+def test_packed_product_tables_outlive_memo_clearing():
+    # at q = 49 the sub-slots are one byte wide for products of up to three
+    # terms per coefficient and two bytes wide from four terms on
+    spec = field_from_q(49)
+    short = Laurent(spec, 0, [spec.g] * 3, 3)
+    long = Laurent(spec, 0, [spec.g] * 6, 6)
+    products = (short * short, long * long)
+    assert (spec.packings[3][0], spec.packings[6][0]) == (1, 2)
+    tables = dict(spec.packings)
+    spec.clear_memos()
+    assert (short * short, long * long) == products
+    # the repeat products add no entry and rebuild no table
+    assert spec.packings == tables
+    assert all(spec.packings[n] is t for n, t in tables.items())
+
+
 def test_laurent_truncate_below_valuation(spec_q2):
     a = L(spec_q2, "u^6 + u^7 + O(u^9)")
     t = a.truncate(4)
