@@ -24,6 +24,7 @@ from .products import diamond, shuffle, triangle
 from .words import (
     Element,
     basis_words,
+    check_basis_budget,
     format_element,
     format_tensor,
     format_word,
@@ -190,7 +191,10 @@ def _run(args) -> int:
         print(format_laurent(zeta_trunc(a, _nonnegative(args.prec, "--prec"))))
         return 0
     if cmd == "basis":
-        for w in range(_nonnegative(args.weight_max, "--weight-max") + 1):
+        weight_max = _nonnegative(args.weight_max, "--weight-max")
+        # the count grows with the weight, so this refuses before any output
+        check_basis_budget(weight_max, spec)
+        for w in range(weight_max + 1):
             for word in basis_words(w, spec):
                 print(format_word(word, spec))
         return 0

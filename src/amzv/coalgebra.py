@@ -42,7 +42,7 @@ of positive weight),
 from __future__ import annotations
 
 from .ff import FieldElem, FieldSpec, check_field, memoized
-from .products import binom_mod_p, delta_coeff, bracket, shuffle, triangle, _shuffle_words
+from .products import binom_mod_p, delta_coeff, shuffle, triangle, _bracket, _shuffle_words
 from .words import (
     EMPTY,
     Element,
@@ -74,8 +74,7 @@ def _coproduct_letter(spec: FieldSpec, x: Letter) -> TensorElement:
             cb = binom_mod_p(r + m - 2, m, spec.p)
             if cb == 0:
                 continue
-            word = tuple(letter(spec, i, spec.one) for i in comp)
-            br = bracket(word, spec)
+            br = _bracket(spec, comp) if comp else Element.one(spec)
             if br.is_zero():
                 continue
             accumulate_outer(spec, acc, {left: 1}, br.idx, spec.residue(cb).idx)
@@ -86,14 +85,14 @@ def _coproduct_word(spec: FieldSpec, u: Word) -> TensorElement:
     if not u:
         return TensorElement.from_pair(spec, EMPTY, EMPTY)
     if len(u) == 1:
-        return coproduct_letter(u[0])
+        return _coproduct_letter(spec, u[0])
     return _coproduct_step(spec, u)
 
 
 @memoized("coproduct")
 def _coproduct_step(spec: FieldSpec, u: Word) -> TensorElement:
     head, v = u[0], u[1:]
-    dh = coproduct_letter(head)
+    dh = _coproduct_letter(spec, head)
     dv = _coproduct_word(spec, v)
     mul = spec.idx_ops[1]
     acc: dict = {(EMPTY, u): 1}

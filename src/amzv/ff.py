@@ -26,8 +26,9 @@ The per-field memo policy lives here too: :func:`memoized` caches
 ``fn(spec, *args)`` by ``args`` in a registry on the spec that no other
 module touches, and :meth:`FieldSpec.clear_memos` empties it.
 :func:`check_field` is the one guard against mixing two fields' values.
-:class:`BudgetExceededError`, which ``zeta``'s enumerations raise, is
-defined here so that a caller can catch it without loading ``zeta``.
+The enumeration cap ``BUDGET`` and :class:`BudgetExceededError`, which
+``zeta``'s enumerations and :func:`amzv.words.basis_words` raise, are
+defined here so that no caller needs ``zeta`` to read or catch them.
 """
 
 from __future__ import annotations
@@ -353,8 +354,14 @@ class FieldSpec:
         return f"FieldSpec(q={self.q})"
 
 
+# the most words of one weight, or monic polynomials or coefficient vectors
+# of one degree, that one enumeration may visit; read at call time, so it
+# is in no memo key
+BUDGET = 10**6
+
+
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration of one degree would exceed ``zeta.BUDGET``."""
+    """Raised when an enumeration would visit more than ``BUDGET`` items."""
 
 
 def memoized(name: str):

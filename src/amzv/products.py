@@ -113,7 +113,7 @@ def _diamond_step(spec: FieldSpec, u: Word, v: Word) -> Element:
     head = letter(spec, n, eab)
     acc: dict = {(head,) + w: c for w, c in tail.idx.items()}
     for j in range(1, n):
-        dc = delta_coeff(a1, b1, j, spec).idx
+        dc = _delta(spec, a1, b1, j).idx
         if dc == 0:
             continue
         xj = _word_elem(spec, (letter(spec, j, spec.one),))
@@ -196,7 +196,7 @@ def _bracket(spec: FieldSpec, comp: tuple[int, ...]) -> Element:
     wt = sum(comp)
     coeff = spec.residue(-1) ** len(comp)
     for n in comp:
-        coeff = coeff * delta_coeff(1, wt + 1, n, spec)
+        coeff = coeff * _delta(spec, 1, wt + 1, n)
         if coeff.idx == 0:
             return Element.zero(spec)
     return shuffle_words(spec, *((letter(spec, n, spec.one),) for n in comp)).scale(coeff)

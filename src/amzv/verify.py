@@ -46,7 +46,7 @@ from .words import (
     word_weight,
     _element,
 )
-from . import zeta
+from . import ff
 from .zeta import ZetaArray, power_sum_d, power_sum_lt_element, zeta_trunc
 
 
@@ -349,8 +349,8 @@ def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> Che
 
     The dimension family counts the basis words of each weight w up to
     ``dim_weight``.  It stops before the first weight whose (q - 1) q^(w - 1)
-    words exceed ``zeta.BUDGET``, read when it runs, so no larger basis is
-    built."""
+    words exceed ``ff.BUDGET``, read when it runs, the cap at which
+    ``basis_words`` refuses them."""
     rep = CheckReport(
         "thm-hopf-algebra", spec.q, max_weight, {"dim_weight": dim_weight}
     )
@@ -380,7 +380,7 @@ def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> Che
             if w == 0
             else sum(comb(w - 1, r - 1) * (spec.q - 1) ** r for r in range(1, w + 1))
         )
-        if expected > zeta.BUDGET:
+        if expected > ff.BUDGET:
             break
         got = len(_basis(spec, w))
         rep.expect(got == expected, "dimension", w=w, got=got, expected=expected)

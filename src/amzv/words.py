@@ -41,7 +41,8 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .ff import FieldElem, FieldSpec, check_field
+from . import ff
+from .ff import BudgetExceededError, FieldElem, FieldSpec, check_field
 
 # a letter's value is ((n << _CHAR_BITS | j) << _CODE_BITS) | spec.code:
 # j <= q - 2 < 2**6 and every FieldSpec.code is below 2**15
@@ -337,8 +338,19 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def check_basis_budget(w: int, spec: FieldSpec) -> None:
+    """Refuse a weight w whose (q - 1) q^(w - 1) words exceed ``ff.BUDGET``,
+    read when it runs."""
+    q = spec.q
+    # q >= 2, so the power already exceeds the budget past its bit length
+    if w > 0 and (q - 1) * q ** min(w - 1, ff.BUDGET.bit_length()) > ff.BUDGET:
+        raise BudgetExceededError(
+            f"(q - 1) q^(w - 1) = {q - 1}*{q}^{w - 1} exceeds budget {ff.BUDGET}")
+
+
 def basis_words(w: int, spec: FieldSpec) -> list[Word]:
-    """All words of weight exactly w, in canonical order ([1] for w = 0).
+    """All words of weight exactly w, in canonical order ([1] for w = 0);
+    a weight with more words than ``ff.BUDGET`` raises before any is built.
 
     Built in that order, depth by depth: the words of weight w and depth r
     are every letter (n, j), in (n, j) order, followed by each word of
@@ -346,6 +358,7 @@ def basis_words(w: int, spec: FieldSpec) -> list[Word]:
     """
     if w < 0:
         raise ValueError("weight must be >= 0")
+    check_basis_budget(w, spec)
     tails: dict = {(0, 0): [EMPTY]}
 
     def words(weight: int, depth: int) -> list[Word]:

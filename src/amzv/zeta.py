@@ -27,8 +27,8 @@ power-sum functions take two routes:
   its only enumeration is the depth-one kernel's coefficient vectors.
 
 Every enumeration visits the q^d monic polynomials or coefficient vectors of
-one degree d, and q^d is capped at ``BUDGET``, read when it runs; past the
-cap it raises :class:`BudgetExceededError`.
+one degree d, and q^d is capped at ``amzv.ff.BUDGET``, read when it runs;
+past the cap it raises :class:`BudgetExceededError`.
 
 ``zeta_trunc`` is S_{<N+1}: every summand S_d has valuation >= d, so the sum
 is exact to the horizon.  The route peels one letter at a time,
@@ -71,19 +71,16 @@ import itertools
 import re
 import struct
 
+from . import ff
 from .ff import BudgetExceededError, FieldElem, FieldSpec, check_field, memoized
 from .words import Element, Word, letter
-
-# the most monic polynomials or coefficient vectors of one degree that one
-# enumeration may visit; read at call time, so it is in no memo key
-BUDGET = 10**6
 
 
 def _check_budget(q: int, d: int) -> None:
     """Refuse to enumerate the q^d monic polynomials or coefficient vectors
-    of degree d when there are more than ``BUDGET`` of them."""
-    if q**d > BUDGET:
-        raise BudgetExceededError(f"q^d = {q}^{d} exceeds budget {BUDGET}")
+    of degree d when there are more than ``ff.BUDGET`` of them."""
+    if q**d > ff.BUDGET:
+        raise BudgetExceededError(f"q^d = {q}^{d} exceeds budget {ff.BUDGET}")
 
 
 # -- polynomials in theta ------------------------------------------------------
@@ -620,7 +617,7 @@ def _chain_degrees(d: int, depth: int):
 def power_sum_d(arr: ZetaArray, d: int, N: int) -> Laurent:
     """S_d(arr) to absolute precision N, by enumerating the monic polynomials
     of each degree d >= m >= 0 once; the first degree is d, so q^d over
-    ``BUDGET`` raises before any sum runs."""
+    ``ff.BUDGET`` raises before any sum runs."""
     if d < 0 or d < arr.depth - 1:
         return Laurent.zero(arr.spec, N)
     return _power_sum_d(arr.spec, arr, d, N)

@@ -164,6 +164,18 @@ def test_basis_usage_errors_exit_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("q,weight_max", [(64, 4), (2, 10**9)])
+def test_basis_past_the_budget_exits_1_before_any_output(capsys, q, weight_max):
+    # q = 64 has 63 * 64^3 words of weight 4, past ff.BUDGET = 10^6
+    assert run_cli(capsys, ["basis", "--q", str(q), "--weight-max", str(weight_max)]) == (
+        1, "", f"error: (q - 1) q^(w - 1) = {q - 1}*{q}^{weight_max - 1} exceeds budget 1000000\n")
+
+
+def test_basis_within_the_budget_prints_every_word(capsys):
+    code, out, err = run_cli(capsys, ["basis", "--q", "64", "--weight-max", "3"])
+    assert (code, out.count("\n"), err) == (0, 1 + 63 * (1 + 64 + 64**2), "")
+
+
 @pytest.mark.parametrize("flag", ["--weight-max", "--dmax", "--trials"])
 def test_verify_negative_bounds_exit_2(capsys, flag):
     code, out, err = run_cli(capsys, ["verify", "--q", "2", flag, "-1"])

@@ -73,6 +73,13 @@ def test_a_zeta_request_loads_zeta_but_not_verify():
     assert loaded(request) == {"amzv.zeta"}
 
 
+def test_a_basis_request_loads_neither_zeta_nor_verify():
+    request = ("import amzv, amzv.cli\n"
+               "assert amzv.cli.main(['basis', '--q', '3', '--weight-max', '2']) == 0\n"
+               "assert amzv.cli.main(['basis', '--q', '64', '--weight-max', '4']) == 1")
+    assert loaded(request) == set()
+
+
 def test_a_budget_error_exits_1_without_loading_verify():
     request = ("import amzv.cli\n"
                "assert amzv.cli.main(['powsum', '--q', '32', '--d', '4', '--prec', '9', "
@@ -109,20 +116,54 @@ print("ok")
 
 @pytest.mark.parametrize("first", ["check_algebra", "verify"])
 def test_a_module_first_loaded_in_a_fault_block_keeps_no_corrupted_name(first):
-    # verify imports delta_coeff by name; were it loaded inside the block, it
-    # would copy the corrupting wrapper, which the block's exit never undoes
+    # a fault rebinds one private core in its own module, so a module loaded
+    # inside the block sees the fault through the clean public name
     body = f"""
 import amzv
 from amzv.faults import DELTA_CORRUPT, inject_fault
+
+def bindings():
+    return {{(n, k): v for n, m in list(sys.modules.items()) if n.startswith("amzv")
+            for k, v in vars(m).items()}}
+
 spec = amzv.field_from_q(3)
-clean = amzv.products.delta_coeff
+clean = amzv.products.delta_coeff(1, 2, 2, spec)
+before = bindings()
 with inject_fault(DELTA_CORRUPT, spec):
     getattr(amzv, {first!r})
-    assert amzv.verify.delta_coeff is not clean
-assert amzv.products.delta_coeff is clean
+    assert amzv.verify.delta_coeff(1, 2, 2, spec) == clean + spec.one
+    assert amzv.verify.delta_coeff is amzv.products.delta_coeff
+after = bindings()
+assert [key for key, v in before.items() if after[key] is not v] == []
 assert amzv.verify.delta_coeff is amzv.products.delta_coeff
-assert amzv.delta_coeff is clean
 assert amzv.check_algebra(spec, 3).passed
+print("ok")
+"""
+    assert run_fresh(body) == "ok\n"
+
+
+# fault mode -> (a call through a public name, its value under the fault,
+# given its clean value ``clean``)
+SHOWN = {
+    "DELTA_CORRUPT": ("amzv.delta_coeff(1, 2, 2, spec)", "clean + spec.one"),
+    "DROP_UNIT_TENSOR": ("amzv.coproduct_letter(x)",
+                         "clean - amzv.TensorElement.from_pair(spec, (), (x,))"),
+    "ANTIPODE_SIGN": ("amzv.antipode(amzv.Element.from_word(spec, (x,)))", "-clean"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SHOWN))
+def test_a_public_name_first_resolved_in_a_fault_block_shows_the_fault(mode):
+    call, faulty = SHOWN[mode]
+    body = f"""
+import amzv
+from amzv.faults import {mode}, inject_fault
+spec = amzv.field_from_q(3)
+x = amzv.letter(spec, 2, spec.one)
+with inject_fault({mode}, spec):
+    got = {call}
+clean = {call}
+assert got == {faulty} and got != clean, (got, clean)
 print("ok")
 """
     assert run_fresh(body) == "ok\n"

@@ -3,7 +3,11 @@
 Every name a module under ``src/amzv`` imports (``__init__`` excepted, whose
 imports are its exports) must be used in that module, and the algebra
 modules must not import the fault switches: the negative controls install
-their corruptions from outside.  The memo registry belongs to ``ff.py``:
+their corruptions from outside.  Each fault switch wraps a private function
+of the module named beside it in ``faults._WRAPPERS``, which no other module
+imports by name, so rebinding it there reaches every caller.  The hot
+recursions call the memoized cores, never the validating public wrappers.
+The memo registry belongs to ``ff.py``:
 every other module caches through ``ff.memoized`` and never reads
 ``_memos`` or calls a ``.memo(...)`` method itself.  The format of the
 field tables belongs there too: other modules use ``idx_ops``, ``elements``,
@@ -36,6 +40,15 @@ FIELD_TABLES = {"_add", "_mul", "_neg", "_inv", "_log"}
 INDEX_CODED = ("products.py", "coalgebra.py", "verify.py")
 # the per-field caches that ``clear_memos`` keeps, and the module that fills each
 KEPT_CACHES = {"letters": "words.py", "packings": "zeta.py"}
+# the validating public wrappers, and the recursions that call their cores instead
+PUBLIC_WRAPPERS = {"delta_coeff", "coproduct_letter", "bracket"}
+HOT_RECURSIONS = {
+    "_diamond_step": "products.py",
+    "_bracket": "products.py",
+    "_coproduct_letter": "coalgebra.py",
+    "_coproduct_word": "coalgebra.py",
+    "_coproduct_step": "coalgebra.py",
+}
 
 
 def _tree(path):
@@ -108,6 +121,45 @@ def test_algebra_modules_do_not_import_faults(name):
         assert "faults" not in (bound, *source.strip(".").split(".")), (
             f"{name} imports {bound} from {source or 'the top level'}"
         )
+
+
+def _top_level_functions(path):
+    return {node.name: node for node in _tree(path).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def _fault_targets():
+    """(file of the defining module, function name) of every entry of
+    ``faults._WRAPPERS``, read from its source."""
+    for node in _tree(SRC / "faults.py").body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_WRAPPERS":
+            return sorted({(f"{entry.elts[0].id}.py", entry.elts[1].value)
+                           for targets in node.value.values for entry in targets.elts})
+    return []
+
+
+@pytest.mark.parametrize("home,name", _fault_targets())
+def test_each_fault_target_is_a_private_function_no_other_module_imports(home, name):
+    assert name.startswith("_") and name in _top_level_functions(SRC / home), (
+        f"faults._WRAPPERS names {name}, which is no private function of {home}")
+    bad = [path.name for path in MODULES if path.name != home
+           for node in ast.walk(_tree(path)) if isinstance(node, ast.ImportFrom)
+           for a in node.names if a.name == name]
+    assert not bad, f"{bad} import {name} by name, so a fault rebinding in {home} misses them"
+
+
+def test_the_fault_targets_are_the_four_private_cores():
+    assert {name for _, name in _fault_targets()} == {
+        "_delta", "_coproduct_letter", "_coproduct_word", "_antipode_word"}
+
+
+@pytest.mark.parametrize("name", sorted(HOT_RECURSIONS))
+def test_hot_recursions_call_no_validating_wrapper(name):
+    fn = _top_level_functions(SRC / HOT_RECURSIONS[name])[name]
+    bad = sorted({f"line {node.lineno}: {node.func.id}" for node in ast.walk(fn)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in PUBLIC_WRAPPERS})
+    assert not bad, f"{name} calls a validating wrapper instead of its core: {bad}"
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "ff.py"),

@@ -3,7 +3,7 @@
 Every memoized function hands back its cached object on a repeat call and
 a fresh, equal one after ``clear_memos()``; trivial inputs (an empty word, a
 single letter, a degree below the depth or outside the window) are answered
-without taking a memo entry; and the enumeration budget ``amzv.zeta.BUDGET``
+without taking a memo entry; and the enumeration budget ``amzv.ff.BUDGET``
 is read when a sum runs, so it is part of no key.
 """
 
@@ -29,7 +29,7 @@ from amzv import (
     word_to_array,
     zeta_trunc,
 )
-from amzv import cli, verify, zeta
+from amzv import cli, ff, verify, zeta
 from amzv.coalgebra import coproduct_mzv_recursive, coproduct_mzv_word
 from amzv.ff import memoized
 from amzv.products import delta_coeff
@@ -239,7 +239,7 @@ def test_lowered_budget_raises_on_a_fresh_field(monkeypatch, capsys):
     zeta_trunc(E(spec, "x[1,0]"), 10)
     assert cli.main(powsum) == 0
     capsys.readouterr()
-    monkeypatch.setattr(zeta, "BUDGET", 5)
+    monkeypatch.setattr(ff, "BUDGET", 5)
     spec = field_from_q(3)
     with pytest.raises(BudgetExceededError, match=r"q\^d = 3\^3 exceeds budget 5"):
         power_sum_d(A(spec, "x[1,0]"), 3, 10)

@@ -14,7 +14,7 @@ from amzv import (
     word_weight,
 )
 from amzv import Element, coproduct, faults, parse_element, parse_laurent, parse_word
-from amzv import field_from_q, verify, zeta
+from amzv import ff, field_from_q, verify
 from amzv.verify import CheckReport, Rng
 
 from conftest import get_spec
@@ -163,7 +163,7 @@ def _record_basis_weights(monkeypatch):
 def test_dimension_family_stops_at_the_budget(monkeypatch):
     # q = 3 has 2 * 3^(w - 1) words of weight w: 54 at w = 4, 162 at w = 5
     built = _record_basis_weights(monkeypatch)
-    monkeypatch.setattr(zeta, "BUDGET", 54)
+    monkeypatch.setattr(ff, "BUDGET", 54)
     assert check_hopf(field_from_q(3), max_weight=2).passed
     assert max(built) == 4
 

@@ -19,7 +19,8 @@ from amzv import (
     parse_word,
     word_weight,
 )
-from amzv.ff import FieldElem
+from amzv import ff
+from amzv.ff import BudgetExceededError, FieldElem
 from amzv.words import (
     EMPTY,
     TensorElement,
@@ -159,6 +160,16 @@ def test_basis_counts_against_enumeration(q):
         assert len(set(words)) == len(words)
         if w <= 6:
             assert set(words) == _brute_words(spec, w)
+
+
+def test_a_basis_past_the_budget_raises_before_it_is_built(monkeypatch, spec_q3):
+    # q = 3 has 2 * 3^(w - 1) words of weight w: 54 at w = 4
+    monkeypatch.setattr(ff, "BUDGET", 54)
+    assert len(basis_words(4, spec_q3)) == 54
+    monkeypatch.setattr(ff, "BUDGET", 53)
+    with pytest.raises(BudgetExceededError, match=r"= 2\*3\^3 exceeds budget 53$"):
+        basis_words(4, spec_q3)
+    assert len(basis_words(3, spec_q3)) == 18
 
 
 def test_basis_canonical_order(spec_q3):
