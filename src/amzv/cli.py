@@ -23,11 +23,11 @@ from .ff import BudgetExceededError, FieldSpec, field_from_q, field_make
 from .products import diamond, shuffle, triangle
 from .words import (
     Element,
-    basis_words,
     check_basis_budget,
     format_element,
     format_tensor,
     format_word,
+    iter_basis_words,
     parse_element,
     parse_word,
 )
@@ -178,10 +178,13 @@ def _run(args) -> int:
             raise UsageError("power sums need a nonempty word")
         e = Element.from_word(spec, w)
         prec = _nonnegative(args.prec, "--prec")
-        # S_d = S_{<d+1} - S_{<d}, both from the factorized route
-        ps = power_sum_lt_element(e, args.d, prec)
-        if not args.lt:
-            ps = power_sum_lt_element(e, args.d + 1, prec) - ps
+        # S_d = S_{<d+1} - S_{<d}, both from the factorized route; the walk
+        # to S_{<d+1} refuses a budget first and builds S_{<d} on its way
+        if args.lt:
+            ps = power_sum_lt_element(e, args.d, prec)
+        else:
+            ps = power_sum_lt_element(e, args.d + 1, prec)
+            ps = ps - power_sum_lt_element(e, args.d, prec)
         print(format_laurent(ps))
         return 0
     if cmd == "zeta":
@@ -195,7 +198,7 @@ def _run(args) -> int:
         # the count grows with the weight, so this refuses before any output
         check_basis_budget(weight_max, spec)
         for w in range(weight_max + 1):
-            for word in basis_words(w, spec):
+            for word in iter_basis_words(w, spec):
                 print(format_word(word, spec))
         return 0
     raise AssertionError(f"unhandled command {cmd}")

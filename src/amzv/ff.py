@@ -11,8 +11,10 @@ An element's coordinates ``(c_0, ..., c_{k-1})`` are those of
 ``FieldSpec.idx_ops`` on these indices.  Addition and negation are
 coordinate arithmetic mod p (XOR and the identity when p = 2).
 Multiplication goes through the exp/log tables of the primitive element
-``g``: walking the powers of each candidate by polynomial products finds
-``g`` and its exp table in O(q) products, and ``a * b = g^(log a + log b)``.
+``g``.  Multiplying by an element c is an F_p-linear map on coordinates,
+so it is an index table built from the images c t^j of the basis; walking
+each candidate's powers on its table finds ``g`` and its exp table in O(q)
+steps, and ``a * b = g^(log a + log b)``.  No polynomial is multiplied.
 These are the only arithmetic tables: ``FieldElem`` operations look the
 result's index up in them and return the shared element with that index,
 and a unit's inverse and powers come from its discrete log and the tuple
@@ -34,6 +36,7 @@ defined here so that no caller needs ``zeta`` to read or catch them.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import defaultdict
 
 MAX_Q = 64
@@ -72,48 +75,36 @@ def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
     return c[:i]
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
-
-
-def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # m is monic; ordinary long division, remainder only.
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) > dm:
-        lead = a[-1] % p
-        if lead:
-            off = len(a) - 1 - dm
-            for i in range(dm):
-                a[off + i] = (a[off + i] - lead * m[i]) % p
-        a.pop()
-    return _poly_trim(tuple(x % p for x in a))
-
-
 def _coordinate_tables(p: int, k: int) -> tuple[tuple, tuple]:
     """``(add, neg)`` on the indices ``sum c_i p^i`` of coordinate vectors
     ``(c_0, ..., c_{k-1})``: coordinate-wise sum and negation mod p, which
     for p = 2 are XOR and the identity.  Built one coordinate at a time: the
     index ``a + size * t`` puts coordinate ``t`` above the ``size`` indices
-    already tabled."""
+    already tabled, so its row is old row ``a`` shifted by ``size * c`` for
+    c = 0, ..., p - 1, one block each, rotated left by ``t`` blocks.  The
+    rows of F_p are thus the rotations of ``range(p)``."""
     add: tuple = ((0,),)
     neg: tuple = (0,)
     size = 1
     for _ in range(k):
-        add = tuple(
-            tuple(x + size * ((t + u) % p) for u in range(p) for x in add[a])
-            for t in range(p) for a in range(size)
-        )
+        flat = [tuple(x + size * c for c in range(p) for x in row) for row in add]
+        add = tuple(f[t * size:] + f[:t * size] for t in range(p) for f in flat)
         neg = tuple(x + size * (-t % p) for t in range(p) for x in neg)
         size *= p
     return add, neg
+
+
+def _linear_row(images, add: tuple, p: int) -> list[int]:
+    """The index table of the F_p-linear map that sends the basis vector
+    e_j (index p^j) to the index ``images[j]``: one coordinate at a time,
+    the index ``a + size * c`` maps to ``row[a] + c * images[j]``."""
+    row = [0]
+    for y in images:
+        mults = [0]
+        for _ in range(p - 1):
+            mults.append(add[mults[-1]][y])
+        row = [add[x][m] for m in mults for x in row]
+    return row
 
 
 def check_field(spec: FieldSpec, other: FieldSpec) -> None:
@@ -212,15 +203,13 @@ class FieldSpec:
         self.key = (p, k, modulus)
         q = self.q
         # ``key`` as one int: p, then k < 8, then the modulus's low k
-        # coefficients read in base p (m < q <= MAX_Q = 2**6).  Equal keys
+        # coefficients read in base p (below q <= MAX_Q = 2**6).  Equal keys
         # give equal codes, different keys different ones, all below 2**15.
-        m = 0
-        for c in reversed(modulus[:k]):
-            m = m * p + c
-        self.code = (p << 3 | k) << 6 | m
+        self.code = (p << 3 | k) << 6 | self._index(modulus[:k])
 
         self.elements: tuple[FieldElem, ...] = tuple(
-            FieldElem(self._digits(v), self, v) for v in range(q)
+            FieldElem(c[::-1], self, v)
+            for v, c in enumerate(itertools.product(range(p), repeat=k))
         )
         self.zero = self.elements[0]
         self.one = self.elements[1]
@@ -228,16 +217,16 @@ class FieldSpec:
         # the arithmetic tables, on element indices: add and neg by
         # coordinate arithmetic, mul through g's exp/log tables
         add, neg = _coordinate_tables(p, k)
-        # F_p itself is F_p[t]/(t): its key has an empty modulus
-        exp = self._generator_powers(modulus or (0, 1))
+        exp = self._generator_powers(add)
         n = q - 1
         log: list = [None] * q
         for j, v in enumerate(exp):
             log[v] = j
-        # a * b = g^(log a + log b); row and column 0 are zero
+        # a * b = g^(log a + log b): the row of g^i is exp rotated by i, read
+        # at the logs; row and column 0 are zero
         exp2 = exp + exp
         logs = log[1:]
-        mul = ((0,) * q, *((0, *[exp2[i + j] for j in logs]) for i in logs))
+        mul = ((0,) * q, *((0, *map(exp2[i:i + n].__getitem__, logs)) for i in logs))
         self.idx_ops: tuple = (add, mul, neg)
 
         self.units = tuple(map(self.elements.__getitem__, exp))
@@ -254,45 +243,51 @@ class FieldSpec:
 
     # -- construction helpers -------------------------------------------------
 
-    def _digits(self, v: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.k):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
-
     def _index(self, coeffs: tuple[int, ...]) -> int:
         v = 0
         for c in reversed(coeffs):
             v = v * self.p + c
         return v
 
-    def _generator_powers(self, modulus: tuple[int, ...]) -> list[int]:
+    def _generator_powers(self, add: tuple) -> list[int]:
         """The indices of g^0, ..., g^(q-2), where g is the first element in
         index order whose multiplicative order is q - 1.
 
-        Each candidate's powers are walked by polynomial products modulo
-        ``modulus`` until they return to 1.  A candidate inside a subgroup
+        Multiplication by an element c is F_p-linear, so it is the index
+        table :func:`_linear_row` builds from the images c t^j, and each
+        candidate's powers are walked on that row until they return to 1.
+        For k > 1 the images come from the row of t, whose image of t^(k-1)
+        is t^k reduced by the modulus.  A candidate inside a subgroup
         already walked has order dividing that subgroup's, below q - 1, so it
-        is skipped: the walked subgroups are distinct, and the products number
-        at most the sum of the divisors of q - 1.
+        is skipped: the walked subgroups are distinct, and the walk steps
+        number at most the sum of the divisors of q - 1.
 
         This walk is also the field's one irreducibility check.  Modulo a
         reducible modulus the units number fewer than q - 1, so no candidate
         reaches order q - 1, and the walk meets a zero divisor, whose powers
         never return to 1: that raises ``ValueError``.
         """
-        p, n = self.p, self.q - 1
+        p, k, n = self.p, self.k, self.q - 1
+        if n == 1:  # F_2, whose one unit is 1
+            return [1]
+        if k > 1:
+            # t^k = -(m_0 + m_1 t + ... + m_{k-1} t^(k-1))
+            top = self._index(tuple(-c % p for c in self.modulus[:k]))
+            times_t = _linear_row([p**j for j in range(1, k)] + [top], add, p)
         seen = bytearray(self.q)
-        for c in range(1, self.q):
+        seen[1] = 1  # the subgroup {1} needs no walk
+        for c in range(2, self.q):
             if seen[c]:
                 continue
-            step = _poly_trim(self.elements[c].coeffs)
-            powers, x = [1], step
-            while x != (1,) and len(powers) < n:
-                powers.append(self._index(x))
-                x = _poly_mod(_poly_mul(x, step, p), modulus, p)
-            if x != (1,):
+            images = [c]
+            for _ in range(k - 1):
+                images.append(times_t[images[-1]])
+            row = _linear_row(images, add, p)
+            powers, x = [1], c
+            while x != 1 and len(powers) < n:
+                powers.append(x)
+                x = row[x]
+            if x != 1:
                 # a zero divisor: its powers never return to 1
                 raise ValueError("modulus is reducible")
             if len(powers) == n:

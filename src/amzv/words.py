@@ -348,29 +348,50 @@ def check_basis_budget(w: int, spec: FieldSpec) -> None:
             f"(q - 1) q^(w - 1) = {q - 1}*{q}^{w - 1} exceeds budget {ff.BUDGET}")
 
 
-def basis_words(w: int, spec: FieldSpec) -> list[Word]:
-    """All words of weight exactly w, in canonical order ([1] for w = 0);
-    a weight with more words than ``ff.BUDGET`` raises before any is built.
+def iter_basis_words(w: int, spec: FieldSpec) -> Iterator[Word]:
+    """The words of weight exactly w, one at a time in canonical order
+    ([1] for w = 0); a weight with more words than ``ff.BUDGET`` raises
+    before the first is yielded.
 
     Built in that order, depth by depth: the words of weight w and depth r
     are every letter (n, j), in (n, j) order, followed by each word of
-    weight w - n and depth r - 1, and those tails are built once and shared.
+    weight w - n and depth r - 1.  Those tails, of lower weight, are built
+    once and shared, and so is each weight's row of letters; the words of
+    weight w themselves are yielded and not kept.
     """
     if w < 0:
         raise ValueError("weight must be >= 0")
     check_basis_budget(w, spec)
+    rows: dict = {}
     tails: dict = {(0, 0): [EMPTY]}
 
-    def words(weight: int, depth: int) -> list[Word]:
+    def extend(weight: int, depth: int) -> Iterator[Word]:
+        for n in range(1, weight - depth + 2) if depth else ():
+            rest = tail(weight - n, depth - 1)
+            row = rows.get(n)
+            if row is None:
+                row = rows[n] = [letter(spec, n, u) for u in spec.units]
+            for lt in row:
+                for t in rest:
+                    yield (lt,) + t
+
+    def tail(weight: int, depth: int) -> list[Word]:
         got = tails.get((weight, depth))
         if got is None:
-            got = tails[(weight, depth)] = []
-            for n in range(1, weight - depth + 2) if depth else ():
-                rest = words(weight - n, depth - 1)
-                got += [(letter(spec, n, u),) + t for u in spec.units for t in rest]
+            got = tails[(weight, depth)] = list(extend(weight, depth))
         return got
 
-    return [u for depth in range(1 if w else 0, w + 1) for u in words(w, depth)]
+    if w == 0:
+        yield EMPTY
+    for depth in range(1, w + 1):
+        yield from extend(w, depth)
+
+
+def basis_words(w: int, spec: FieldSpec) -> list[Word]:
+    """The list of :func:`iter_basis_words`: all words of weight exactly w,
+    in canonical order; a weight with more words than ``ff.BUDGET`` raises
+    before any is built."""
+    return list(iter_basis_words(w, spec))
 
 
 # -- parsing and formatting -----------------------------------------------------

@@ -28,7 +28,11 @@ power-sum functions take two routes:
 
 Every enumeration visits the q^d monic polynomials or coefficient vectors of
 one degree d, and q^d is capped at ``amzv.ff.BUDGET``, read when it runs;
-past the cap it raises :class:`BudgetExceededError`.
+past the cap it raises :class:`BudgetExceededError`.  Each route refuses
+where it starts: ``monic_enum`` before it lists a polynomial, and a walk to
+S_{<d} before its first step, at the first degree it would sum past the
+cap.  Its tails sum only lower degrees, so a value that cannot finish sums
+no vector.
 
 ``zeta_trunc`` is S_{<N+1}: every summand S_d has valuation >= d, so the sum
 is exact to the horizon.  The route peels one letter at a time,
@@ -665,13 +669,22 @@ def _lt_word(spec: FieldSpec, w: Word, d: int, N: int) -> Laurent:
     t = len(w), ..., d run in ascending order: each finds its predecessor in
     the memo, so the stack grows with the word's depth, not its degree.  The
     walk resumes after the highest step already in the memo, so a caller
-    that asks d, d + 1, ... in turn calls each step once."""
+    that asks d, d + 1, ... in turn calls each step once.  Before the first
+    step the walk refuses the first degree past the budget that it would
+    sum, so it sums no vector for a value it cannot finish."""
     top = min(d, _degree_end(w[0].n, N))
     if top < len(w):
         return Laurent.zero(spec, N)
     t = top
     while t >= len(w) and (acc := _built_partial_sums(spec, w, t, N)) is None:
         t -= 1
+    # the steps t + 1, ..., top sum the head's degrees t, ..., top - 1 (from
+    # 1 on: degree 0 sums no vector), and every tail's degrees are lower
+    q, m = spec.q, max(1, t)
+    while m < top and q**m <= ff.BUDGET:
+        m += 1
+    if m < top:
+        _check_budget(q, m)
     for t in range(t + 1, top + 1):
         acc = _partial_sums(spec, w, t, N)
     return acc
@@ -700,10 +713,10 @@ def _depth1_power_sum(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
 
 @memoized("depth1_power_sum")
 def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
-    """:func:`_depth1_power_sum` for d >= 1 whose window below N is open."""
+    """:func:`_depth1_power_sum` for d >= 1 whose window below N is open;
+    :func:`_lt_word`, its one route, has refused a q^d past the budget."""
     v = d * s
     q = spec.q
-    _check_budget(q, d)
     M = N - v
     add = spec.idx_ops[0]
     total = [0] * M

@@ -1,5 +1,8 @@
+import contextlib
+import os
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -169,6 +172,20 @@ def test_basis_past_the_budget_exits_1_before_any_output(capsys, q, weight_max):
     # q = 64 has 63 * 64^3 words of weight 4, past ff.BUDGET = 10^6
     assert run_cli(capsys, ["basis", "--q", str(q), "--weight-max", str(weight_max)]) == (
         1, "", f"error: (q - 1) q^(w - 1) = {q - 1}*{q}^{weight_max - 1} exceeds budget 1000000\n")
+
+
+def test_basis_streams_its_words():
+    # the 61 440 words of weight 4 at q = 16, held in one list, peaked at
+    # 5.6 MB of Python allocations; streamed, only the 3 840 + 225 + 15
+    # tails of lower weight are kept, about 0.5 MB
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert cli.main(["basis", "--q", "16", "--weight-max", "4"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_basis_within_the_budget_prints_every_word(capsys):

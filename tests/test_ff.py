@@ -215,17 +215,20 @@ def test_tables_match_reference_when_t_is_not_primitive(p, k, modulus, t_order):
     _check_against_reference(spec)
 
 
-def test_f64_takes_linearly_many_polynomial_products(monkeypatch):
-    calls = []
-    real = ff._poly_mul
+def test_f64_takes_linearly_many_walk_steps(monkeypatch):
+    # every step of the generator walk, and every image of t, is one
+    # lookup in an index table that ``_linear_row`` returns
+    steps = []
+    real = ff._linear_row
 
-    def counted(a, b, p):
-        calls.append(1)
-        return real(a, b, p)
+    class CountedRow(list):
+        def __getitem__(self, i):
+            steps.append(1)
+            return list.__getitem__(self, i)
 
-    monkeypatch.setattr(ff, "_poly_mul", counted)
+    monkeypatch.setattr(ff, "_linear_row", lambda *args: CountedRow(real(*args)))
     spec = field_make(2, 6)
-    assert 0 < len(calls) <= 4 * spec.q
+    assert 0 < len(steps) <= 4 * spec.q
 
 
 def test_prime_field_modulus_is_checked():
@@ -240,3 +243,58 @@ def test_spec_rejects_reducible_modulus():
     # t + 1 squares to 0 modulo t^2 + 1 over F_2: its powers never reach 1
     with pytest.raises(ValueError, match="reducible"):
         FieldSpec(2, 2, (1, 0, 1))
+
+
+def _has_factor(p, modulus):
+    """Whether some monic polynomial of degree 1 .. k // 2 divides the
+    monic ``modulus`` of degree k, found by trial division."""
+    k = len(modulus) - 1
+    for d in range(1, k // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            f = (*low, 1)
+            r = list(modulus)
+            for i in range(k - d, -1, -1):  # cancel t^(i + d)
+                lead = r[i + d]
+                for j in range(d + 1):
+                    r[i + j] = (r[i + j] - lead * f[j]) % p
+            if not any(r[:d]):
+                return True
+    return False
+
+
+SMALL_EXTENSIONS = [(p, k) for p in (2, 3, 5, 7) for k in range(2, 7) if p**k <= MAX_Q]
+
+
+def _irreducible_count(p, k):
+    """Gauss's count of the monic irreducibles of degree k over F_p:
+    (1/k) * sum over d | k of mu(d) p^(k/d)."""
+    def mu(n):
+        out, f = 1, 2
+        while n > 1:
+            if n % f == 0:
+                n //= f
+                if n % f == 0:
+                    return 0
+                out = -out
+            f += 1
+        return out
+    return sum(mu(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+
+
+@pytest.mark.parametrize("p,k", SMALL_EXTENSIONS)
+def test_every_small_modulus(p, k):
+    # every monic modulus is rejected exactly when trial division finds a
+    # factor; up to q = 27 each accepted one also builds the reference tables
+    accepted = 0
+    for low in itertools.product(range(p), repeat=k):
+        modulus = (*low, 1)
+        if _has_factor(p, modulus):
+            with pytest.raises(ValueError, match="modulus is reducible"):
+                field_make(p, k, modulus)
+            continue
+        spec = field_make(p, k, modulus)
+        accepted += 1
+        if spec.q <= 27:
+            _check_against_reference(spec)
+        assert spec.g ** (spec.q - 1) == spec.one
+    assert accepted == _irreducible_count(p, k)

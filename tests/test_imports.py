@@ -18,7 +18,10 @@ and only ``words.py`` touches ``.letters`` and only ``zeta.py``
 ``.packings``.  In ``verify.py`` only ``CheckReport.expect`` counts
 instances and records failures.  The algebra modules and the harness work on
 ``Element.idx``, the field-index coefficients, and never read the
-``FieldElem`` view ``.terms``.  The package has no runtime dependencies:
+``FieldElem`` view ``.terms``.  The enumeration budget is checked where
+each route starts: ``zeta._check_budget`` is called only by ``monic_enum``
+and ``_lt_word``, so both refuse before any work.  The package has no
+runtime dependencies:
 every module it imports is in the standard library or is ``amzv`` itself.
 A one-shot CLI request pays for compiling every module it loads, so no
 module that ``import amzv.cli`` loads imports ``dataclasses``, or imports
@@ -160,6 +163,23 @@ def test_hot_recursions_call_no_validating_wrapper(name):
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id in PUBLIC_WRAPPERS})
     assert not bad, f"{name} calls a validating wrapper instead of its core: {bad}"
+
+
+def _budget_checks():
+    """(module, enclosing top-level definition) of every call of
+    ``_check_budget`` in the package."""
+    for path in MODULES:
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_check_budget" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    yield path.name, getattr(top, "name", f"line {top.lineno}")
+
+
+def test_the_budget_is_checked_where_each_route_starts():
+    # monic_enum refuses before it lists a polynomial and _lt_word before its
+    # walk sums a vector; a check further down would refuse after the work
+    assert sorted(set(_budget_checks())) == [("zeta.py", "_lt_word"), ("zeta.py", "monic_enum")]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "ff.py"),

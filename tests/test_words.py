@@ -19,7 +19,7 @@ from amzv import (
     parse_word,
     word_weight,
 )
-from amzv import ff
+from amzv import ff, words
 from amzv.ff import BudgetExceededError, FieldElem
 from amzv.words import (
     EMPTY,
@@ -27,6 +27,7 @@ from amzv.words import (
     accumulate,
     accumulate_outer,
     bilinear,
+    iter_basis_words,
     linear,
     word_key,
 )
@@ -170,6 +171,20 @@ def test_a_basis_past_the_budget_raises_before_it_is_built(monkeypatch, spec_q3)
     with pytest.raises(BudgetExceededError, match=r"= 2\*3\^3 exceeds budget 53$"):
         basis_words(4, spec_q3)
     assert len(basis_words(3, spec_q3)) == 18
+
+
+def test_the_basis_stream_asks_one_letter_per_weight_and_character(monkeypatch):
+    calls = []
+    real = words.letter
+    monkeypatch.setattr(words, "letter",
+                        lambda spec, n, eps: calls.append((n, eps.idx)) or real(spec, n, eps))
+    spec = field_from_q(3)
+    stream = iter_basis_words(6, spec)
+    assert calls == []  # nothing is built before the first word is asked for
+    got = list(stream)
+    assert len(calls) == len(set(calls)) <= 6 * (spec.q - 1)
+    monkeypatch.setattr(words, "letter", real)
+    assert got == basis_words(6, spec) and len(got) == 2 * 3**5
 
 
 def test_basis_canonical_order(spec_q3):

@@ -23,7 +23,7 @@ from amzv import (
     word_to_array,
     zeta_trunc,
 )
-from amzv import zeta
+from amzv import cli, zeta
 from amzv.verify import Rng, check_zeta_homomorphism
 from amzv.zeta import BudgetExceededError, _depth1_power_sum
 
@@ -296,6 +296,24 @@ def test_power_sum_valuation_bound(q):
 def test_power_sum_budget(spec_q3):
     with pytest.raises(BudgetExceededError):
         power_sum_d(arr1(spec_q3, 1), 15, 8)
+
+
+@pytest.mark.parametrize("q,prec,text,d", [
+    (32, 9, "x[1,0]", 4),  # degrees 1..4 have open windows, and 32^4 > 10^6
+    (2, 99999, "x[5,0]", 20),  # 16 666 open degrees; 2^20 is the first past it
+])
+def test_depth_one_budget_refuses_before_any_vector(monkeypatch, q, prec, text, d):
+    # a late refusal fails at the first unit series it sums, not after
+    # running through the degrees below d
+    def summed(*args):
+        raise AssertionError("a coefficient vector was summed before the refusal")
+
+    monkeypatch.setattr(zeta, "_unit_inv_pow", summed)
+    spec = field_from_q(q)
+    with pytest.raises(BudgetExceededError, match=rf"^q\^d = {q}\^{d} exceeds budget 1000000$"):
+        zeta_trunc(parse_element(text, spec), prec)
+    # powsum asks S_<(d+1) before S_<d, so it refuses before summing too
+    assert cli.main(["powsum", "--q", str(q), "--d", str(d), "--prec", str(prec), text]) == 1
 
 
 # -- the fast depth-one kernel against plain enumeration -----------------------------
