@@ -47,8 +47,6 @@ _EXPORTS = {
     "zeta": (
         "Laurent",
         "Poly",
-        "ZetaArray",
-        "array_to_word",
         "format_laurent",
         "laurent_inv_pow",
         "monic_enum",

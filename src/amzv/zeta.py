@@ -9,12 +9,14 @@ range are exact, never approximate.
 
 Power sums over monic polynomials:
 
-    S_d(arr)  = sum over chains d = deg a_1 > ... > deg a_n >= 0 of
+    S_d(w)    = sum over chains d = deg a_1 > ... > deg a_n >= 0 of
                 eps_1^{deg a_1} ... eps_n^{deg a_n} / (a_1^{s_1} ... a_n^{s_n})
-    S_{<d}    = sum of S_m for 0 <= m < d
+    S_{<d}(w) = sum of S_m(w) for 0 <= m < d
 
-for a positive array arr = ((eps_1..eps_n); (s_1..s_n)).  The public
-power-sum functions take two routes:
+for a nonempty word w = x_{s_1,eps_1} ... x_{s_n,eps_n}; the paper writes
+its index as the positive array ((eps_1..eps_n); (s_1..s_n)), and each
+letter carries its s and eps.  The public power-sum functions take two
+routes:
 
 - ``power_sum_d`` is an oracle only, sharing only the series kernel with
   the route below: the brute-force side of the numeric identity checks and
@@ -77,7 +79,7 @@ import struct
 
 from . import ff
 from .ff import BudgetExceededError, FieldElem, FieldSpec, check_field, memoized
-from .words import Element, Word, letter
+from .words import Element, Word
 
 
 def _check_budget(q: int, d: int) -> None:
@@ -495,7 +497,9 @@ _LTERM_RE = re.compile(r"^(?:(?P<coeff>g\^\d+|\d+)\*?)?(?:u(?:\^(?P<exp>\(?-?\d+
 
 
 def parse_laurent(text: str, spec: FieldSpec) -> Laurent:
-    """Parse the output of :func:`format_laurent` (tests use this)."""
+    """Parse the output of :func:`format_laurent` (tests use this).  A term
+    at or beyond the horizon, which ``format_laurent`` never prints, is
+    refused."""
     coeffs: dict[int, FieldElem] = {}
     prec = None
     for raw in text.strip().split(" + "):
@@ -519,70 +523,13 @@ def parse_laurent(text: str, spec: FieldSpec) -> Laurent:
         coeffs[e] = coeffs.get(e, spec.zero) + c
     if prec is None:
         raise ValueError("series text must end with a precision marker O(u^N)")
+    if coeffs and max(coeffs) >= prec:
+        raise ValueError(f"series term at {_fmt_exp(max(coeffs))} is at or beyond "
+                         f"the horizon O({_fmt_exp(prec)})")
     if not coeffs:
         return Laurent.zero(spec, prec)
     lo = min(coeffs)
     return Laurent(spec, lo, [coeffs.get(e, spec.zero) for e in range(lo, prec)], prec)
-
-
-# -- positive arrays -------------------------------------------------------------
-
-
-class ZetaArray:
-    """The index ((eps_1..eps_n); (s_1..s_n)) of a power sum; depth >= 1.
-
-    Immutable: ``eps`` (unit characters) and ``s`` (positive weights) are
-    set once, and two arrays are equal when both rows are."""
-
-    __slots__ = ("eps", "s", "_hash")
-
-    def __init__(self, eps: tuple[FieldElem, ...], s: tuple[int, ...]):
-        if len(eps) != len(s) or not s:
-            raise ValueError("array needs matching nonempty character and weight rows")
-        if any(x < 1 for x in s):
-            raise ValueError("weights must be positive")
-        if any(e.idx == 0 for e in eps):
-            raise ValueError("characters must be units")
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "s", s)
-        # memos are keyed by arrays: hash once, by the characters' indices
-        object.__setattr__(self, "_hash", hash((s, tuple(e.idx for e in eps))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.s)
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.eps[0].spec
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.eps, self.s) == (other.eps, other.s)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"ZetaArray(eps={self.eps!r}, s={self.s!r})"
-
-
-def word_to_array(w: Word) -> ZetaArray:
-    """x_{s_1,e_1}...x_{s_n,e_n}  ->  ((e_1..e_n); (s_1..s_n))."""
-    if not w:
-        raise ValueError("the empty word has no array presentation")
-    return ZetaArray(tuple(lt.eps for lt in w), tuple(lt.n for lt in w))
-
-
-def array_to_word(arr: ZetaArray, spec: FieldSpec) -> Word:
-    return tuple(letter(spec, n, e) for n, e in zip(arr.s, arr.eps))
 
 
 # -- power sums by monic enumeration (the oracle) ---------------------------------
@@ -618,38 +565,48 @@ def _chain_degrees(d: int, depth: int):
         yield (d,) + tuple(reversed(rest))
 
 
-def power_sum_d(arr: ZetaArray, d: int, N: int) -> Laurent:
-    """S_d(arr) to absolute precision N, by enumerating the monic polynomials
-    of each degree d >= m >= 0 once; the first degree is d, so q^d over
-    ``ff.BUDGET`` raises before any sum runs."""
-    if d < 0 or d < arr.depth - 1:
-        return Laurent.zero(arr.spec, N)
-    return _power_sum_d(arr.spec, arr, d, N)
+def word_to_array(w: Word) -> Word:
+    """The positive array ((eps_1..eps_n); (s_1..s_n)) of a word
+    x_{s_1,eps_1}...x_{s_n,eps_n}: the word itself, whose letters already
+    carry each s and eps; the empty word has none."""
+    if not w:
+        raise ValueError("the empty word has no array presentation")
+    return w
+
+
+def power_sum_d(w: Word, d: int, N: int) -> Laurent:
+    """S_d(w) of a nonempty word to absolute precision N, by enumerating the
+    monic polynomials of each degree d >= m >= 0 once; the first degree is
+    d, so q^d over ``ff.BUDGET`` raises before any sum runs."""
+    spec = word_to_array(w)[0].eps.spec
+    if d < 0 or d < len(w) - 1:
+        return Laurent.zero(spec, N)
+    return _power_sum_d(spec, w, d, N)
 
 
 @memoized("power_sum_d")
-def _power_sum_d(spec: FieldSpec, arr: ZetaArray, d: int, N: int) -> Laurent:
+def _power_sum_d(spec: FieldSpec, w: Word, d: int, N: int) -> Laurent:
     # a chain's tuples sum to the product of its per-degree monic sums
     # E(s, m), and each E is enumerated once
     sums = {}
     acc = Laurent.zero(spec, N)
-    for degs in _chain_degrees(d, arr.depth):
+    for degs in _chain_degrees(d, len(w)):
         scalar, term = spec.one, Laurent.one(spec, N)
-        for e, s, m in zip(arr.eps, arr.s, degs):
+        for lt, m in zip(w, degs):
+            s = lt.n
             if (s, m) not in sums:
                 sums[s, m] = sum((laurent_inv_pow(a, s, N) for a in monic_enum(m, spec)),
                                  Laurent.zero(spec, N))
-            scalar = scalar * e**m
+            scalar = scalar * lt.eps**m
             term = term * sums[s, m]
         acc = acc + term.scale(scalar)
     return acc
 
 
-def power_sum_lt(arr: ZetaArray, d: int, N: int) -> Laurent:
-    """S_{<d}(arr) = sum of S_m(arr) over 0 <= m < d, absolute precision N,
-    by the factorized route (:func:`_partial_sums`)."""
-    spec = arr.spec
-    return _lt_word(spec, array_to_word(arr, spec), d, N)
+def power_sum_lt(w: Word, d: int, N: int) -> Laurent:
+    """S_{<d}(w) of a nonempty word = sum of S_m(w) over 0 <= m < d,
+    absolute precision N, by the factorized route (:func:`_partial_sums`)."""
+    return _lt_word(word_to_array(w)[0].eps.spec, w, d, N)
 
 
 def power_sum_lt_element(e: Element, d: int, N: int) -> Laurent:

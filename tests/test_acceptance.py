@@ -9,7 +9,6 @@ import pytest
 from amzv import (
     Element,
     Laurent,
-    ZetaArray,
     check_algebra,
     check_coalgebra,
     check_coproduct_oracle,
@@ -17,6 +16,7 @@ from amzv import (
     check_zeta_homomorphism,
     faults,
     format_laurent,
+    letter,
     parse_element,
     parse_laurent,
     parse_word,
@@ -176,14 +176,14 @@ def test_criterion_8_spot_values():
         spec = get_spec(q)
         for s in (1, 2, 3):
             for j in range(q - 1):
-                arr = ZetaArray((spec.unit_from_exp(j),), (s,))
+                arr = (letter(spec, s, spec.unit_from_exp(j)),)
                 if power_sum_d(arr, 0, 8) != Laurent.one(spec, 8):
                     ok = False
                     notes.append(f"S_0 != 1 at q={q} s={s} j={j}")
 
     s2 = get_spec(2)
     golden_s1 = "u^2 + u^3 + u^4 + u^5 + u^6 + u^7 + O(u^8)"
-    brute = power_sum_d(ZetaArray((s2.one,), (1,)), 1, 8)
+    brute = power_sum_d((letter(s2, 1, s2.one),), 1, 8)
     if format_laurent(brute) != golden_s1:
         ok = False
         notes.append(f"S_1 golden mismatch: {format_laurent(brute)}")

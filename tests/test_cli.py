@@ -242,7 +242,7 @@ def test_verify_reports_failures_exit_3(capsys, monkeypatch):
     from amzv.verify import CheckReport
 
     def fake_matrix(*a, **k):
-        return [CheckReport("thm-x", 2, 3, {}, 1, ["broken"], 0)]
+        return [CheckReport("thm-x", 2, 3, 1, ["broken"], 0)]
 
     monkeypatch.setattr("amzv.verify.run_default_matrix", fake_matrix)
     code, out, _ = run_cli(capsys, ["verify", "--q", "2"])

@@ -21,9 +21,9 @@ SUBMODULES = sorted(p.stem for p in (SRC / "amzv").glob("*.py") if p.stem != "__
 # ``amzv.__all__`` when the package imported every submodule eagerly
 EXPORTED = [
     "BudgetExceededError", "CheckReport", "Element", "FieldElem", "FieldSpec", "Laurent",
-    "Letter", "Poly", "Rng", "TensorElement", "ZetaArray", "antipode", "array_to_word",
-    "basis_words", "binom_mod_p", "bracket", "check_algebra", "check_coalgebra",
-    "check_coproduct_oracle", "check_hopf", "check_zeta_homomorphism", "coalgebra", "concat",
+    "Letter", "Poly", "Rng", "TensorElement", "antipode", "basis_words", "binom_mod_p",
+    "bracket", "check_algebra", "check_coalgebra", "check_coproduct_oracle", "check_hopf",
+    "check_zeta_homomorphism", "coalgebra", "concat",
     "coproduct", "coproduct_letter", "coproduct_mzv_recursive", "counit", "delta_coeff",
     "diamond", "ff", "field_from_q", "field_make", "format_element", "format_laurent",
     "format_tensor", "format_word", "horizontal", "laurent_inv_pow", "letter", "monic_enum",

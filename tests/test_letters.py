@@ -107,7 +107,7 @@ def test_letter_rejects_bad_input():
 def test_one_argument_forms_read_the_letter():
     spec = get_spec(3)
     arr = word_to_array(parse_word("x[2,1]x[1,0]", spec))
-    assert arr.s == (2, 1) and arr.eps == (spec.g, spec.one)
+    assert [lt.n for lt in arr] == [2, 1] and [lt.eps for lt in arr] == [spec.g, spec.one]
     x = letter(spec, 3, spec.g)
     t = coproduct_letter(x)
     assert t.coeff(((), (x,))) == spec.one and t.coeff(((x,), ())) == spec.one

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import sys
+import tracemalloc
 
 import pytest
 
@@ -81,7 +82,7 @@ def test_reports_reproducible(spec_q2):
 
 
 def test_expect_pass_counts_one_instance():
-    rep = CheckReport("thm-x", 3, 2, {})
+    rep = CheckReport("thm-x", 3, 2)
     rep.expect(True, "family", u=(), n=1)
     assert (rep.instances, rep.failures, rep.passed) == (1, [], True)
 
@@ -89,7 +90,7 @@ def test_expect_pass_counts_one_instance():
 def test_expect_failure_renders_each_value_kind(spec_q3):
     spec = spec_q3
     word = parse_word("x[2,1]x[1,0]", spec)
-    rep = CheckReport("thm-x", 3, 2, {})
+    rep = CheckReport("thm-x", 3, 2)
     rep.expect(
         False, "family",
         empty=(),
@@ -112,7 +113,7 @@ def test_expect_failure_renders_each_value_kind(spec_q3):
 
 
 def test_report_with_no_instance_fails(spec_q2):
-    rep = CheckReport("thm-x", 2, 1, {})
+    rep = CheckReport("thm-x", 2, 1)
     assert (rep.instances, rep.failures, rep.passed) == (0, [], False)
     assert rep.text_block() == "FAIL thm-x (q=2, bound=1, 0 instances, 0 ms)\n  no instance checked"
     # below total weight 2 there is no pair of nonempty words to multiply
@@ -152,11 +153,13 @@ def test_checks_pass_small(q):
 
 
 def _record_basis_weights(monkeypatch):
-    """The weights of every basis that ``verify`` builds from now on."""
+    """The weights of every basis that ``verify`` builds or streams from now
+    on."""
     built = []
-    build = verify.basis_words
-    monkeypatch.setattr(verify, "basis_words",
-                        lambda w, spec: built.append(w) or build(w, spec))
+    for name in ("basis_words", "iter_basis_words"):
+        build = getattr(verify, name)
+        monkeypatch.setattr(verify, name,
+                            lambda w, spec, build=build: built.append(w) or build(w, spec))
     return built
 
 
@@ -166,6 +169,19 @@ def test_dimension_family_stops_at_the_budget(monkeypatch):
     monkeypatch.setattr(ff, "BUDGET", 54)
     assert check_hopf(field_from_q(3), max_weight=2).passed
     assert max(built) == 4
+
+
+def test_dimension_family_keeps_no_word():
+    # F_16 has 15 * 16^(w - 1) words of weight w: 983 040 at w = 5, the last
+    # weight under the budget; a memoized list of them peaks near 100 MB
+    spec = field_from_q(16)
+    tracemalloc.start()
+    try:
+        assert check_hopf(spec, 2).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_word_oracle_builds_no_basis(monkeypatch):
