@@ -18,7 +18,6 @@ _EXPORTS = {
         "Letter",
         "TensorElement",
         "basis_words",
-        "concat",
         "format_element",
         "format_tensor",
         "format_word",

@@ -193,12 +193,6 @@ class Element:
     def weights(self) -> set[int]:
         return {word_weight(w) for w in self.idx}
 
-    def graded_part(self, w: int) -> "Element":
-        return _element(self.spec, {k: c for k, c in self.idx.items() if word_weight(k) == w})
-
-    def bidegrees(self) -> set[tuple[int, int]]:
-        return {(word_weight(l), word_weight(r)) for l, r in self.idx}
-
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
@@ -317,11 +311,6 @@ def bilinear(op, a: Element, b: Element) -> Element:
         for kb, cb in b.idx.items():
             accumulate(spec, acc, op(spec, ka, kb).idx, row[cb])
     return _element(spec, acc)
-
-
-def concat(a: Element, b: Element) -> Element:
-    """Bilinear extension of word concatenation; the empty word is the unit."""
-    return bilinear(lambda spec, u, v: _element(spec, {u + v: 1}), a, b)
 
 
 # -- enumeration ---------------------------------------------------------------

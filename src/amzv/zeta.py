@@ -19,14 +19,17 @@ letter carries its s and eps.  The public power-sum functions take two
 routes:
 
 - ``power_sum_d`` is an oracle only, sharing only the series kernel with
-  the route below: the brute-force side of the numeric identity checks and
-  the source of the Chen family's power sums.  The sum over one chain of degrees factors into
-  per-degree sums E(s, m) = sum of 1/a^s over monic a of degree m, so it
-  enumerates the monic polynomials of each degree once per call.
+  the route below: the brute-force side of the tests' power-sum checks.
+  The sum over one chain of degrees factors into per-degree sums
+  E(s, m) = sum of 1/a^s over monic a of degree m, so it enumerates the
+  monic polynomials of each degree once per call.  It keeps no memo, and
+  neither does ``laurent_inv_pow``: a call's own sums are its only cache.
 - ``power_sum_lt``, ``power_sum_lt_element`` and ``zeta_trunc`` take the
-  factorized route below, and so does ``amzv powsum``, which reads S_d as
-  S_{<d+1} - S_{<d}.  It enumerates no monic polynomial;
-  its only enumeration is the depth-one kernel's coefficient vectors.
+  factorized route below, and so do ``amzv powsum`` and the harness's Chen
+  family, which read S_d as S_{<d+1} - S_{<d}.  It enumerates no monic
+  polynomial; its only enumeration is the depth-one kernel's coefficient
+  vectors, and its memos (the partial-sum steps and the depth-one sums
+  they read again) are the module's only ones.
 
 Every enumeration visits the q^d monic polynomials or coefficient vectors of
 one degree d, and q^d is capped at ``amzv.ff.BUDGET``, read when it runs;
@@ -546,16 +549,9 @@ def laurent_inv_pow(a: Poly, s: int, prec_coeffs: int) -> Laurent:
         raise ValueError("exponent must be >= 1")
     if prec_coeffs < 0:
         raise ValueError("precision must be >= 0")
-    return _inv_pow(a.spec, tuple(c.idx for c in a.coeffs), s, prec_coeffs)
-
-
-@memoized("inv_pow")
-def _inv_pow(spec: FieldSpec, a: tuple[int, ...], s: int, prec_coeffs: int) -> Laurent:
-    """:func:`laurent_inv_pow` of the monic polynomial with coefficient
-    indices ``a`` (ascending)."""
-    d = len(a) - 1
+    spec, d = a.spec, a.degree
     # a = theta^d (1 + h(u)) with h_t the coefficient of theta^(d-t)
-    h = [a[d - t] for t in range(1, min(d, prec_coeffs - 1) + 1)]
+    h = [a.coeffs[d - t].idx for t in range(1, min(d, prec_coeffs - 1) + 1)]
     g = _unit_inv_pow(spec, h, s, prec_coeffs)
     return _laurent(spec, d * s, g, d * s + prec_coeffs)
 
@@ -579,17 +575,12 @@ def power_sum_d(w: Word, d: int, N: int) -> Laurent:
     monic polynomials of each degree d >= m >= 0 once; the first degree is
     d, so q^d over ``ff.BUDGET`` raises before any sum runs."""
     spec = word_to_array(w)[0].eps.spec
+    acc = Laurent.zero(spec, N)
     if d < 0 or d < len(w) - 1:
-        return Laurent.zero(spec, N)
-    return _power_sum_d(spec, w, d, N)
-
-
-@memoized("power_sum_d")
-def _power_sum_d(spec: FieldSpec, w: Word, d: int, N: int) -> Laurent:
+        return acc
     # a chain's tuples sum to the product of its per-degree monic sums
     # E(s, m), and each E is enumerated once
     sums = {}
-    acc = Laurent.zero(spec, N)
     for degs in _chain_degrees(d, len(w)):
         scalar, term = spec.one, Laurent.one(spec, N)
         for lt, m in zip(w, degs):

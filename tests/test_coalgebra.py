@@ -114,7 +114,7 @@ def test_coproduct_linear(spec_q3):
 def test_coproduct_grading(spec_q4):
     for u in words_up_to(spec_q4, 5):
         d = coproduct(E(spec_q4, u))
-        assert {lw + rw for lw, rw in d.bidegrees()} == {word_weight(u)}
+        assert {word_weight(l) + word_weight(r) for l, r in d.idx} == {word_weight(u)}
 
 
 # -- counit -------------------------------------------------------------------------

@@ -23,7 +23,7 @@ EXPORTED = [
     "BudgetExceededError", "CheckReport", "Element", "FieldElem", "FieldSpec", "Laurent",
     "Letter", "Poly", "Rng", "TensorElement", "antipode", "basis_words", "binom_mod_p",
     "bracket", "check_algebra", "check_coalgebra", "check_coproduct_oracle", "check_hopf",
-    "check_zeta_homomorphism", "coalgebra", "concat",
+    "check_zeta_homomorphism", "coalgebra",
     "coproduct", "coproduct_letter", "coproduct_mzv_recursive", "counit", "delta_coeff",
     "diamond", "ff", "field_from_q", "field_make", "format_element", "format_laurent",
     "format_tensor", "format_word", "horizontal", "laurent_inv_pow", "letter", "monic_enum",

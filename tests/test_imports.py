@@ -16,9 +16,10 @@ tables.  The two per-field caches kept outside the registry, across
 ``clear_memos``, have one owner each: ``FieldSpec.__init__`` creates them,
 and only ``words.py`` touches ``.letters`` and only ``zeta.py``
 ``.packings``.  In ``verify.py`` only ``CheckReport.expect`` counts
-instances and records failures.  The algebra modules and the harness work on
-``Element.idx``, the field-index coefficients, and never read the
-``FieldElem`` view ``.terms``.  The enumeration budget is checked where
+instances and records failures, and the harness imports nothing of the
+chain oracle: its numeric families read the factorized route.  The algebra
+modules and the harness work on ``Element.idx``, the field-index
+coefficients, and never read the ``FieldElem`` view ``.terms``.  The enumeration budget is checked where
 each route starts: ``zeta._check_budget`` is called only by ``monic_enum``
 and ``_lt_word``, so both refuse before any work.  The package has no
 runtime dependencies:
@@ -43,6 +44,8 @@ FIELD_TABLES = {"_add", "_mul", "_neg", "_inv", "_log"}
 INDEX_CODED = ("products.py", "coalgebra.py", "verify.py")
 # the per-field caches that ``clear_memos`` keeps, and the module that fills each
 KEPT_CACHES = {"letters": "words.py", "packings": "zeta.py"}
+# the chain-enumeration oracle of ``zeta.py``, which only the tests call
+CHAIN_ORACLE = {"power_sum_d", "monic_enum", "laurent_inv_pow", "Poly"}
 # the validating public wrappers, and the recursions that call their cores instead
 PUBLIC_WRAPPERS = {"delta_coeff", "coproduct_letter", "bracket"}
 HOT_RECURSIONS = {
@@ -246,6 +249,12 @@ def test_only_expect_counts_instances_and_records_failures():
         f"verify.py counts or records outside CheckReport.expect: "
         f"{[f'{scope} line {line}' for scope, line in found if scope != 'CheckReport.expect']}"
     )
+
+
+def test_the_harness_imports_nothing_of_the_chain_oracle():
+    bad = sorted({bound for bound, _ in _imported(_tree(SRC / "verify.py"))
+                  if bound in CHAIN_ORACLE})
+    assert not bad, f"verify.py imports the chain oracle's {bad}"
 
 
 @pytest.mark.parametrize("name", INDEX_CODED)

@@ -30,9 +30,10 @@ def test_a_cold_zeta_check_calls_each_step_about_twice(monkeypatch):
     rep = check_zeta_homomorphism(spec, trials=25)
     assert rep.passed and rep.instances == 170
     built = len(spec._memos["partial_sums"])
-    # each step is built once and asked once more, by its successor
-    assert built == 956
-    assert calls[0] == 1676 <= 2 * built
+    # each step is built once and asked once more, by its successor; the
+    # Chen family's words, read at chen_prec = 96, add 38 steps and 60 calls
+    assert built == 994
+    assert calls[0] == 1736 <= 2 * built
 
 
 def test_asking_ascending_degrees_calls_one_new_step_each(monkeypatch):

