@@ -10,10 +10,13 @@ words, operands and both sides in canonical text, so a failure is replayable
 without rerunning the harness.  A report passes when no instance failed
 and at least one was checked: a check that checked nothing is no evidence.
 
-The harness caches nothing of its own: it builds the basis words of a weight
-on each call, and its numeric families read power sums from the factorized
-route of ``amzv.zeta``, never from the chain-enumeration oracle, which only
-the tests compare with it.
+The harness caches nothing between calls: it builds the basis words of a
+weight on each call, draws each random word as an index that
+``amzv.words.basis_word`` unranks, listing no basis, and its numeric
+families read power sums from the factorized route of ``amzv.zeta``, never
+from the chain-enumeration oracle, which only the tests compare with it.
+Within one call the Chen family keeps a table of the S_d it has read, keyed
+by (word, d), and drops it when the call returns.
 
 Reports are deterministic functions of (check, q, bounds, seed); timings are
 informational only.
@@ -43,6 +46,7 @@ from .words import (
     Element,
     accumulate,
     accumulate_outer,
+    basis_word,
     basis_words,
     compositions,
     format_word,
@@ -164,15 +168,19 @@ class Rng:
 
 def random_element(rng: Rng, max_weight: int, max_terms: int, spec: FieldSpec) -> Element:
     """A random combination: each term picks a weight <= max_weight uniformly,
-    then a uniform basis word of that weight and a uniform unit coefficient."""
+    then a uniform basis word of that weight and a uniform unit coefficient.
+
+    The word is drawn as an index into the (q - 1) q^(w - 1) words of its
+    weight and unranked by ``basis_word``; no basis is listed, so no weight
+    is refused at ``ff.BUDGET``."""
     if max_weight < 1 or max_terms < 1:
         raise ValueError("bounds must be >= 1")
+    q = spec.q
     acc: dict = {}
     for _ in range(1 + rng.below(max_terms)):
         w = 1 + rng.below(max_weight)
-        words = basis_words(w, spec)
-        word = words[rng.below(len(words))]
-        accumulate(spec, acc, {word: spec.unit_from_exp(rng.below(spec.q - 1)).idx})
+        word = basis_word(w, rng.below((q - 1) * q ** (w - 1)), spec)
+        accumulate(spec, acc, {word: spec.unit_from_exp(rng.below(q - 1)).idx})
     return _element(spec, acc)
 
 
@@ -438,11 +446,13 @@ def check_zeta_homomorphism(
 
     The product formula S_d(r) S_d(s) = S_d(r + s) + sum_j D(r, s, j)
     S_d(x_{r+s-j} x_j) reads every S_d from the factorized route, as
-    S_{<d+1} - S_{<d}, the way ``amzv powsum`` does.  The route peels one
-    letter at a time and does not encode the formula, so both sides are
-    values of the production depth-one kernel.  The block runs at its own
-    (generous) precision because power sums at degree d sit very deep in u;
-    a tight horizon would let the comparison hold vacuously as 0 = 0.
+    S_{<d+1} - S_{<d}, the way ``amzv powsum`` does, once per (word, d) in
+    a call: a table local to the call keeps the values read.  The route
+    peels one letter at a time and does not encode the formula, so both
+    sides are values of the production depth-one kernel.  The block runs at
+    its own (generous) precision because power sums at degree d sit very
+    deep in u; a tight horizon would let the comparison hold vacuously as
+    0 = 0.
     """
     rep = CheckReport("thm-shuffle-homomorphism", spec.q, d_max)
     rng = Rng(seed)
@@ -459,8 +469,16 @@ def check_zeta_homomorphism(
         zr = zeta_trunc(a, zeta_prec) * zeta_trunc(b, zeta_prec)
         rep.expect(zl.agrees_with(zr), "zeta-homomorphism", trial=t, a=a, b=b, lhs=zl, rhs=zr)
 
+    # this call's S_d values, each read once from the route: a word's S_d
+    # recurs across (r, s) and the characters
+    sds: dict = {}
+
     def sd(w, d):
-        return power_sum_lt(w, d + 1, chen_prec) - power_sum_lt(w, d, chen_prec)
+        got = sds.get((w, d))
+        if got is None:
+            got = sds[w, d] = (power_sum_lt(w, d + 1, chen_prec)
+                               - power_sum_lt(w, d, chen_prec))
+        return got
 
     # depth-one product formula, twisted and untwisted, exhaustively
     for r in range(1, chen_rs):

@@ -34,11 +34,16 @@ Text forms:
 
 Formatting is canonical: terms are sorted by (weight, depth, letterwise
 (n, char exponent)), coefficient 1 is dropped, output is stable across runs.
+
+The basis words of one weight come in that order too: listed by
+:func:`basis_words`, streamed by :func:`iter_basis_words`, or unranked one
+at a time by :func:`basis_word`, which lists no other word.
 """
 
 from __future__ import annotations
 
 import re
+from math import comb
 from typing import Iterator
 
 from . import ff
@@ -374,6 +379,43 @@ def iter_basis_words(w: int, spec: FieldSpec) -> Iterator[Word]:
         yield EMPTY
     for depth in range(1, w + 1):
         yield from extend(w, depth)
+
+
+def basis_word(w: int, i: int, spec: FieldSpec) -> Word:
+    """The i-th word of :func:`iter_basis_words` (w, spec), for
+    0 <= i < (q - 1) q^(w - 1) (i = 0 for w = 0), built without listing any
+    other word, so no budget applies; any other i raises ``IndexError``.
+
+    It unranks that order: the words of weight w and depth r number
+    C(w - 1, r - 1) (q - 1)^r, and within one depth each letter (n, j), in
+    (n, j) order, heads a block of as many words as there are tails of
+    weight w - n and depth r - 1."""
+    if w < 0:
+        raise ValueError("weight must be >= 0")
+    units = spec.units
+    u = len(units)
+
+    def count(weight: int, depth: int) -> int:
+        # the words of this weight and depth
+        return comb(weight - 1, depth - 1) * u**depth if depth else int(weight == 0)
+
+    if not 0 <= i < (u * spec.q ** (w - 1) if w else 1):
+        raise IndexError(f"no basis word {i} of weight {w} at q = {spec.q}")
+    depth = min(w, 1)
+    while i >= (size := count(w, depth)):
+        i -= size
+        depth += 1
+    letters = []
+    while depth:
+        n = 1
+        while i >= (block := u * (tails := count(w - n, depth - 1))):
+            i -= block
+            n += 1
+        j, i = divmod(i, tails)
+        letters.append(letter(spec, n, units[j]))
+        w -= n
+        depth -= 1
+    return tuple(letters)
 
 
 def basis_words(w: int, spec: FieldSpec) -> list[Word]:

@@ -26,10 +26,13 @@ routes:
   neither does ``laurent_inv_pow``: a call's own sums are its only cache.
 - ``power_sum_lt``, ``power_sum_lt_element`` and ``zeta_trunc`` take the
   factorized route below, and so do ``amzv powsum`` and the harness's Chen
-  family, which read S_d as S_{<d+1} - S_{<d}.  It enumerates no monic
-  polynomial; its only enumeration is the depth-one kernel's coefficient
-  vectors, and its memos (the partial-sum steps and the depth-one sums
-  they read again) are the module's only ones.
+  family, which read S_d as S_{<d+1} - S_{<d}.  ``power_sum_lt_element``
+  sums every word's value into one window of field indices and builds one
+  series at the end; a word that the depth rule makes zero is skipped
+  before any walk.  The route enumerates no monic polynomial; its only
+  enumeration is the depth-one kernel's coefficient vectors, and its memos
+  (the partial-sum steps and the depth-one sums they read again) are the
+  module's only ones.
 
 Every enumeration visits the q^d monic polynomials or coefficient vectors of
 one degree d, and q^d is capped at ``amzv.ff.BUDGET``, read when it runs;
@@ -55,9 +58,11 @@ first N - ds coefficients.  Whenever d > N - ds - 1 the truncated sum picks
 up a factor q from each coefficient that cannot influence the window, and
 q = 0 in characteristic p, so the whole power sum vanishes below the horizon;
 the kernel therefore only ever enumerates q^d vectors with d(s+1) < N.  That
-window rule lives in one function, ``_degree_end``, which the kernel and the
-partial sums read.  This route is cross-checked against the oracle
-``power_sum_d`` in the test suite.
+window rule lives in one function, ``_degree_end``, which only the kernel
+and the depth rule ``_lt_top`` read: S_{<d}(w) is zero below the horizon
+when min(d, ``_degree_end(s_1, N)``) is below the depth of w, and every
+reader of S_{<d} asks ``_lt_top`` for that.  This route is cross-checked
+against the oracle ``power_sum_d`` in the test suite.
 
 Coefficients are stored as field indices: a series window is a tuple of ints,
 and ``+``, ``-`` and scaling look their results up in the per-field
@@ -601,27 +606,50 @@ def power_sum_lt(w: Word, d: int, N: int) -> Laurent:
 
 
 def power_sum_lt_element(e: Element, d: int, N: int) -> Laurent:
-    """Linear extension of S_{<d} to the word algebra; the empty word maps to 1."""
+    """Linear extension of S_{<d} to the word algebra; the empty word maps to 1.
+
+    Every term is summed into one window of field indices below u^N, and one
+    :class:`Laurent` is built from it at the end.  A word that the depth rule
+    of :func:`_lt_top` makes zero is skipped before any walk or series."""
     spec = e.spec
-    acc = Laurent.zero(spec, N)
+    add, mul, _ = spec.idx_ops
+    out = [0] * N
     for w, c in e.idx.items():
-        term = _lt_word(spec, w, d, N) if w else Laurent.one(spec, N)
-        acc = acc + term.scale(spec.elements[c])
-    return acc
+        if not w:
+            x = Laurent.one(spec, N)
+        elif _lt_top(w, d, N):
+            x = _lt_word(spec, w, d, N)
+        else:
+            continue
+        # every value has valuation >= 0 and its window ends below u^N
+        row, k = mul[c], x.val
+        for i in x.idx:
+            out[k] = add[out[k]][row[i]]
+            k += 1
+    return _laurent(spec, 0, out, N)
+
+
+def _lt_top(w: Word, d: int, N: int) -> int:
+    """The last step of the walk to S_{<d}(w) for a nonempty word, or 0 when
+    S_{<d}(w) is zero below u^N.  S_m(w) is zero below u^N for m below its
+    depth minus one, and from its head's window end on, so the walk stops at
+    min(d, ``_degree_end(s_1, N)``) and is empty when that is below the
+    depth.  This is the one depth rule; every reader of S_{<d} asks it."""
+    top = min(d, _degree_end(w[0].n, N))
+    return top if top >= len(w) else 0
 
 
 def _lt_word(spec: FieldSpec, w: Word, d: int, N: int) -> Laurent:
-    """S_{<d}(w) of a nonempty word.  S_m(w) is zero below u^N for m below
-    its depth minus one, so S_{<d} is zero for d < len(w) and takes no memo
-    entry, and from its head's window end on, so d is cut there.  The steps
-    t = len(w), ..., d run in ascending order: each finds its predecessor in
-    the memo, so the stack grows with the word's depth, not its degree.  The
-    walk resumes after the highest step already in the memo, so a caller
-    that asks d, d + 1, ... in turn calls each step once.  Before the first
-    step the walk refuses the first degree past the budget that it would
-    sum, so it sums no vector for a value it cannot finish."""
-    top = min(d, _degree_end(w[0].n, N))
-    if top < len(w):
+    """S_{<d}(w) of a nonempty word; zero, with no memo entry, when
+    :func:`_lt_top` says so.  The steps t = len(w), ..., top run in
+    ascending order: each finds its predecessor in the memo, so the stack
+    grows with the word's depth, not its degree.  The walk resumes after the
+    highest step already in the memo, so a caller that asks d, d + 1, ...
+    in turn calls each step once.  Before the first step the walk refuses
+    the first degree past the budget that it would sum, so it sums no
+    vector for a value it cannot finish."""
+    top = _lt_top(w, d, N)
+    if not top:
         return Laurent.zero(spec, N)
     t = top
     while t >= len(w) and (acc := _built_partial_sums(spec, w, t, N)) is None:

@@ -21,7 +21,10 @@ chain oracle: its numeric families read the factorized route.  The algebra
 modules and the harness work on ``Element.idx``, the field-index
 coefficients, and never read the ``FieldElem`` view ``.terms``.  The enumeration budget is checked where
 each route starts: ``zeta._check_budget`` is called only by ``monic_enum``
-and ``_lt_word``, so both refuse before any work.  The package has no
+and ``_lt_word``, so both refuse before any work.  The depth-one window end
+``zeta._degree_end`` is called only by the kernel's ``_depth1_power_sum``
+and by ``_lt_top``, the one depth rule that says which S_{<d}(w) are zero,
+so no reader of S_{<d} keeps its own copy of that rule.  The package has no
 runtime dependencies:
 every module it imports is in the standard library or is ``amzv`` itself.
 A one-shot CLI request pays for compiling every module it loads, so no
@@ -168,13 +171,13 @@ def test_hot_recursions_call_no_validating_wrapper(name):
     assert not bad, f"{name} calls a validating wrapper instead of its core: {bad}"
 
 
-def _budget_checks():
-    """(module, enclosing top-level definition) of every call of
-    ``_check_budget`` in the package."""
+def _callers(name):
+    """(module, enclosing top-level definition) of every call of ``name``
+    in the package."""
     for path in MODULES:
         for top in _tree(path).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "_check_budget" in (
+                if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     yield path.name, getattr(top, "name", f"line {top.lineno}")
 
@@ -182,7 +185,15 @@ def _budget_checks():
 def test_the_budget_is_checked_where_each_route_starts():
     # monic_enum refuses before it lists a polynomial and _lt_word before its
     # walk sums a vector; a check further down would refuse after the work
-    assert sorted(set(_budget_checks())) == [("zeta.py", "_lt_word"), ("zeta.py", "monic_enum")]
+    assert sorted(set(_callers("_check_budget"))) == [
+        ("zeta.py", "_lt_word"), ("zeta.py", "monic_enum")]
+
+
+def test_the_window_end_is_read_by_the_kernel_and_the_depth_rule_alone():
+    # every reader of S_{<d} asks _lt_top whether a word is zero, so the rule
+    # has one copy
+    assert sorted(set(_callers("_degree_end"))) == [
+        ("zeta.py", "_depth1_power_sum"), ("zeta.py", "_lt_top")]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "ff.py"),

@@ -36,6 +36,22 @@ def test_a_cold_zeta_check_calls_each_step_about_twice(monkeypatch):
     assert calls[0] == 1736 <= 2 * built
 
 
+def test_a_cold_zeta_check_walks_only_words_that_are_not_zero(monkeypatch):
+    # power_sum_lt_element skips each word whose S_{<d} the depth rule makes
+    # zero; asking _lt_word for them too made 2 771 calls here
+    calls = [0]
+    walk = zeta._lt_word
+
+    def counted(*args):
+        calls[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(zeta, "_lt_word", counted)
+    rep = check_zeta_homomorphism(field_from_q(2), trials=25)
+    assert rep.passed and rep.instances == 170
+    assert calls[0] == 1176
+
+
 def test_asking_ascending_degrees_calls_one_new_step_each(monkeypatch):
     calls = count_steps(monkeypatch)
     spec = field_from_q(3)

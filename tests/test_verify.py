@@ -190,6 +190,35 @@ def test_word_oracle_builds_no_basis(monkeypatch):
     assert rep.passed and built == []
 
 
+def test_the_zeta_check_builds_no_basis(monkeypatch):
+    built = _record_basis_weights(monkeypatch)
+    rep = check_zeta_homomorphism(field_from_q(3), trials=5)
+    assert rep.passed and built == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_random_element_draws_the_listed_basis_word(q):
+    # the draw the harness made when it listed each weight's basis
+    spec = get_spec(q)
+
+    def listed(rng):
+        acc = Element.zero(spec)
+        for _ in range(1 + rng.below(3)):
+            words = verify.basis_words(1 + rng.below(4), spec)
+            word = words[rng.below(len(words))]
+            acc = acc + Element.from_word(spec, word, spec.unit_from_exp(rng.below(q - 1)))
+        return acc
+
+    for seed in range(40):
+        assert random_element(Rng(seed), 4, 3, spec) == listed(Rng(seed))
+
+
+def test_random_element_is_not_capped_by_the_budget(monkeypatch, spec_q3):
+    monkeypatch.setattr(ff, "BUDGET", 1)
+    e = random_element(Rng(3), 30, 3, spec_q3)
+    assert e.weights() and max(e.weights()) <= 30
+
+
 def test_checks_pass_q4_small(spec_q4):
     assert check_algebra(spec_q4, 4).passed
     assert check_coalgebra(spec_q4, 4).passed

@@ -24,6 +24,7 @@ from amzv.words import (
     TensorElement,
     accumulate,
     accumulate_outer,
+    basis_word,
     bilinear,
     iter_basis_words,
     linear,
@@ -259,3 +260,25 @@ def test_basis_words_come_in_canonical_order(q, top):
         # the same order spelled out from the letters' attributes
         assert words == sorted(words, key=lambda x: (
             word_weight(x), len(x), [(lt.n, spec.log(lt.eps)) for lt in x]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_basis_word_unranks_the_enumeration(q):
+    # every weight with at most 5 000 words: up to 13 at q = 2, 3 at q = 9
+    spec = get_spec(q)
+    w = 0
+    while (size := _dimension(q, w)) <= 5000:
+        assert [basis_word(w, i, spec) for i in range(size)] == list(iter_basis_words(w, spec))
+        for i in (-1, size, size + 7):
+            with pytest.raises(IndexError):
+                basis_word(w, i, spec)
+        w += 1
+    assert w >= 4
+
+
+def test_basis_word_lists_nothing_and_has_no_budget(monkeypatch, spec_q3):
+    # one word of weight 40 at q = 3, whose 2 * 3^39 words no budget admits
+    monkeypatch.setattr(ff, "BUDGET", 1)
+    last = basis_word(40, 2 * 3**39 - 1, spec_q3)
+    assert format_word(last, spec_q3) == "x[1,1]" * 40
+    assert basis_word(40, 0, spec_q3) == (letter(spec_q3, 40, spec_q3.one),)

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -23,8 +24,8 @@ from amzv import (
     word_to_array,
     zeta_trunc,
 )
-from amzv import cli, zeta
-from amzv.verify import Rng, check_zeta_homomorphism
+from amzv import cli, verify, zeta
+from amzv.verify import Rng, check_zeta_homomorphism, random_element
 from amzv.zeta import BudgetExceededError, _depth1_power_sum
 
 from conftest import get_spec
@@ -254,6 +255,36 @@ def test_factorized_lt_matches_chain_enumeration(case):
     assert power_sum_lt_element(e, d, N) == want_e
 
 
+def _series_sum(e, d, N):
+    """S_{<d}(e) as a sum of scaled series, one ``Laurent`` per term."""
+    spec = e.spec
+    acc = Laurent.zero(spec, N)
+    for w, c in e.idx.items():
+        term = power_sum_lt(w, d, N) if w else Laurent.one(spec, N)
+        acc = acc + term.scale(spec.elements[c])
+    return acc
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_the_window_accumulator_matches_the_series_sum(q):
+    spec = field_from_q(q)
+    rng = Rng(q)
+    # the empty word, a coefficient other than 1 where the field has one, a
+    # depth-3 word (zero for d < 3) and a head whose window closes early
+    # (zero at N <= 7 for every d)
+    c = spec.elements[q - 1]
+    fixed = parse_element("1 + x[1,0]x[1,0]x[1,0] + x[6,0]x[1,0] + x[2,0]", spec).scale(c)
+    elements = [fixed] + [random_element(rng, 4, 4, spec) for _ in range(6)]
+    skipped = nonzero = 0
+    for e in elements:
+        for d, N in itertools.product(range(6), (0, 1, 7, 20)):
+            got = power_sum_lt_element(e, d, N)
+            assert got == _series_sum(e, d, N), (e, d, N)
+            skipped += sum(1 for w in e.idx if w and not zeta._lt_top(w, d, N))
+            nonzero += not got.is_zero()
+    assert skipped >= 150 and nonzero >= 48, (skipped, nonzero)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_power_sum_factorization(q):
     # S_d(arr) = S_d(head) * S_{<d}(tail), exercised on seeded random arrays
@@ -387,6 +418,23 @@ def test_the_chen_family_takes_no_chain_route(monkeypatch):
     for q in (2, 3):
         rep = check_zeta_homomorphism(field_from_q(q), trials=0)
         assert rep.passed, rep.failures
+
+
+@pytest.mark.parametrize("q, reads", [(2, 96), (3, 120)])
+def test_the_chen_family_reads_each_power_sum_once_per_call(monkeypatch, q, reads):
+    # each S_d is S_{<d+1} - S_{<d}, two reads; without the call's table the
+    # family made 426 reads at q = 2 and 1 440 at q = 3
+    calls = []
+    lt = verify.power_sum_lt
+    monkeypatch.setattr(verify, "power_sum_lt",
+                        lambda w, d, N: calls.append((w, d)) or lt(w, d, N))
+    spec = field_from_q(q)
+    for _ in range(2):  # the table does not outlive its call
+        calls.clear()
+        assert check_zeta_homomorphism(spec, trials=0).passed
+        pairs = list(zip(calls[::2], calls[1::2]))
+        assert all(w == v and d == e + 1 for (w, d), (v, e) in pairs)
+        assert len(calls) == 2 * len({(v, e) for _, (v, e) in pairs}) == reads
 
 
 @pytest.mark.parametrize("q", [2, 3])
