@@ -37,19 +37,23 @@ word u of positive weight with Δ(u) = 1 ⊗ u + u ⊗ 1 + Σ u' ⊗ u'' (both s
 of positive weight),
 
     S(u) = -u - Σ S(u') ⧢ u''.
+
+The recursion sums it in one pass: each word-level S(u') ⧢ u'' goes straight
+into S(u)'s dict through ``words.accumulate_bilinear``, and no Element of a
+single product is built.
 """
 
 from __future__ import annotations
 
 from .ff import FieldElem, FieldSpec, check_field, memoized
-from .products import binom_mod_p, delta_coeff, shuffle, triangle, _bracket, _shuffle_words
+from .products import binom_mod_p, delta_coeff, triangle, _bracket, _shuffle_words
 from .words import (
     EMPTY,
     Element,
     Letter,
     TensorElement,
     Word,
-    accumulate,
+    accumulate_bilinear,
     accumulate_outer,
     compositions,
     letter,
@@ -142,8 +146,8 @@ def _antipode_step(spec: FieldSpec, u: Word) -> Element:
     acc: dict = {u: neg[1]}
     for (l, r), c in _coproduct_word(spec, u).idx.items():
         if l and r:
-            term = shuffle(_antipode_word(spec, l), Element.from_word(spec, r))
-            accumulate(spec, acc, term.idx, neg[c])
+            accumulate_bilinear(spec, acc, _shuffle_words, _antipode_word(spec, l).idx,
+                                {r: 1}, neg[c])
     return _element(spec, acc)
 
 

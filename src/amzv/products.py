@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import comb
 
 from .ff import FieldElem, FieldSpec, check_field, memoized
-from .words import Element, Word, accumulate, bilinear, letter, _element
+from .words import Element, Word, accumulate, accumulate_bilinear, bilinear, letter, _element
 
 
 def binom_mod_p(a: int, b: int, p: int) -> int:
@@ -116,19 +116,9 @@ def _diamond_step(spec: FieldSpec, u: Word, v: Word) -> Element:
         dc = _delta(spec, a1, b1, j).idx
         if dc == 0:
             continue
-        xj = _word_elem(spec, (letter(spec, j, spec.one),))
-        accumulate(spec, acc, shuffle(xj, tail).idx, dc, (letter(spec, n - j, eab),))
+        accumulate_bilinear(spec, acc, _shuffle_words, {(letter(spec, j, spec.one),): 1},
+                            tail.idx, dc, (letter(spec, n - j, eab),))
     return _element(spec, acc)
-
-
-def _triangle_words(spec: FieldSpec, u: Word, v: Word) -> Element:
-    if not u:
-        return _word_elem(spec, v)
-    if not v:
-        return _word_elem(spec, u)
-    head = u[0]
-    inner = _shuffle_words(spec, u[1:], v)
-    return _element(spec, {(head,) + w: c for w, c in inner.idx.items()})
 
 
 # -- bilinear wrappers -----------------------------------------------------------
@@ -145,8 +135,19 @@ def diamond(a: Element, b: Element) -> Element:
 
 
 def triangle(a: Element, b: Element) -> Element:
-    """The triangle product a ▷ b = x_{a1,alpha}(a' ⧢ b); not commutative."""
-    return bilinear(_triangle_words, a, b)
+    """The triangle product a ▷ b = x_{a1,alpha}(a' ⧢ b); not commutative.
+    Each word u of ``a`` sums u's first letter times u' ⧢ b in one pass;
+    1 ▷ b = b."""
+    spec = a.spec
+    if b.spec is not spec:
+        check_field(spec, b.spec)
+    acc: dict = {}
+    for u, c in a.idx.items():
+        if u:
+            accumulate_bilinear(spec, acc, _shuffle_words, {u[1:]: 1}, b.idx, c, u[:1])
+        else:
+            accumulate(spec, acc, b.idx, c)
+    return _element(spec, acc)
 
 
 def shuffle_words(spec: FieldSpec, *ws: Word) -> Element:

@@ -20,10 +20,14 @@ view built on each read.
 Every sum of such combinations in the package goes through one accumulation
 kernel on index maps and the int tables ``spec.idx_ops``: :func:`accumulate`
 (``acc += c·terms``, optionally with a word prefixed to every key),
-:func:`accumulate_outer` (``acc += c·(left ⊗ right)``), and the
+:func:`accumulate_outer` (``acc += c·(left ⊗ right)``),
+:func:`accumulate_bilinear` (``acc += c·head·Σ op(l, r)`` over two index
+maps, each product added once, straight into ``acc``), and the
 :func:`linear` and :func:`bilinear` extensions of maps on words built on
-them.  The kernel deletes a key whose sum reaches zero, so its results hold
-no zero coefficient without a cleaning pass.
+them.  A caller that only adds a bilinear extension into its own sum calls
+:func:`accumulate_bilinear` and builds no Element of it.  The kernel
+deletes a key whose sum reaches zero, so its results hold no zero
+coefficient without a cleaning pass.
 
 Text forms:
 
@@ -297,10 +301,28 @@ def linear(op, e: Element) -> Element:
     return _element(spec, acc)
 
 
+def accumulate_bilinear(spec: FieldSpec, acc: dict, op, left: dict, right: dict,
+                        c: int = 1, head: Word = EMPTY) -> dict:
+    """In place, ``acc += c · head·Σ op(spec, l, r)`` over the terms of the
+    index maps ``left`` and ``right``, and return ``acc``: each product's
+    terms go straight into ``acc`` through :func:`accumulate`, and no
+    Element of the sum is built.  ``c`` defaults to 1 and ``head`` to the
+    empty word."""
+    if not c:
+        return acc
+    mul = spec.idx_ops[1]
+    for kl, cl in left.items():
+        row = mul[mul[c][cl]]
+        for kr, cr in right.items():
+            accumulate(spec, acc, op(spec, kl, kr).idx, row[cr], head)
+    return acc
+
+
 def bilinear(op, a: Element, b: Element) -> Element:
     """The bilinear extension of ``op(spec, key_a, key_b) -> Element`` to
-    ``a`` and ``b``.  On two single keys with coefficient 1 this is ``op``'s
-    own result, uncopied, as in :func:`linear`."""
+    ``a`` and ``b``, summed by :func:`accumulate_bilinear`.  On two single
+    keys with coefficient 1 this is ``op``'s own result, uncopied, as in
+    :func:`linear`."""
     spec = a.spec
     if b.spec is not spec:
         check_field(spec, b.spec)
@@ -309,13 +331,7 @@ def bilinear(op, a: Element, b: Element) -> Element:
         (kb, cb), = b.idx.items()
         if ca == 1 and cb == 1:
             return op(spec, ka, kb)
-    mul = spec.idx_ops[1]
-    acc: dict = {}
-    for ka, ca in a.idx.items():
-        row = mul[ca]
-        for kb, cb in b.idx.items():
-            accumulate(spec, acc, op(spec, ka, kb).idx, row[cb])
-    return _element(spec, acc)
+    return _element(spec, accumulate_bilinear(spec, {}, op, a.idx, b.idx))
 
 
 # -- enumeration ---------------------------------------------------------------

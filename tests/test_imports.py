@@ -6,7 +6,9 @@ modules must not import the fault switches: the negative controls install
 their corruptions from outside.  Each fault switch wraps a private function
 of the module named beside it in ``faults._WRAPPERS``, which no other module
 imports by name, so rebinding it there reaches every caller.  The hot
-recursions call the memoized cores, never the validating public wrappers.
+recursions call the memoized cores, never the validating public wrappers,
+and no Element-level product (``shuffle``, ``diamond``, ``triangle``): they
+sum word-level products straight into their own dicts.
 The memo registry belongs to ``ff.py``:
 every other module caches through ``ff.memoized`` and never reads
 ``_memos`` or calls a ``.memo(...)`` method itself.  The format of the
@@ -52,12 +54,16 @@ CHAIN_ORACLE = {"power_sum_d", "monic_enum", "laurent_inv_pow", "Poly"}
 # the validating public wrappers, and the recursions that call their cores instead
 PUBLIC_WRAPPERS = {"delta_coeff", "coproduct_letter", "bracket"}
 HOT_RECURSIONS = {
+    "_shuffle_step": "products.py",
     "_diamond_step": "products.py",
     "_bracket": "products.py",
     "_coproduct_letter": "coalgebra.py",
     "_coproduct_word": "coalgebra.py",
     "_coproduct_step": "coalgebra.py",
+    "_antipode_step": "coalgebra.py",
 }
+# the Element-level products, which build a product only for a caller to sum it again
+ELEMENT_PRODUCTS = {"shuffle", "diamond", "triangle"}
 
 
 def _tree(path):
@@ -162,13 +168,25 @@ def test_the_fault_targets_are_the_four_private_cores():
         "_delta", "_coproduct_letter", "_coproduct_word", "_antipode_word"}
 
 
+def _hot_calls(name, names):
+    """The calls of any of ``names`` in the hot recursion ``name``."""
+    fn = _top_level_functions(SRC / HOT_RECURSIONS[name])[name]
+    return sorted({f"line {node.lineno}: {node.func.id}" for node in ast.walk(fn)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in names})
+
+
 @pytest.mark.parametrize("name", sorted(HOT_RECURSIONS))
 def test_hot_recursions_call_no_validating_wrapper(name):
-    fn = _top_level_functions(SRC / HOT_RECURSIONS[name])[name]
-    bad = sorted({f"line {node.lineno}: {node.func.id}" for node in ast.walk(fn)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id in PUBLIC_WRAPPERS})
+    bad = _hot_calls(name, PUBLIC_WRAPPERS)
     assert not bad, f"{name} calls a validating wrapper instead of its core: {bad}"
+
+
+@pytest.mark.parametrize("name", sorted(HOT_RECURSIONS))
+def test_hot_recursions_call_no_element_level_product(name):
+    # each sums its word-level products straight into its own dict
+    bad = _hot_calls(name, ELEMENT_PRODUCTS)
+    assert not bad, f"{name} builds an Element-level product only to sum it again: {bad}"
 
 
 def _callers(name):

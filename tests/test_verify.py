@@ -43,6 +43,38 @@ def test_rng_determinism_and_split():
         Rng(1).below(0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10**6, 2**32 + 5, 2**63 + 1, 2**64 - 1, 2**64],
+                         ids=["1", "2", "3", "10^6", "2^32+5", "2^63+1", "2^64-1", "2^64"])
+def test_below_reduces_one_output_up_to_2_64(n):
+    # the draws every pinned report was taken with
+    a, b = Rng(11), Rng(11)
+    assert a.below(n) == b.next_u64() % n
+    assert a.state == b.state
+
+
+@pytest.mark.parametrize("n,outputs", [(2**64 + 1, 2), (63 * 64**11, 2), (2**128, 2),
+                                       (2**128 + 1, 3)],
+                         ids=["2^64+1", "63*64^11", "2^128", "2^128+1"])
+def test_below_joins_enough_outputs_to_cover_n(n, outputs):
+    a, b = Rng(11), Rng(11)
+    x = 0
+    for _ in range(outputs):
+        x = x << 64 | b.next_u64()
+    assert a.below(n) == x % n
+    assert a.state == b.state
+
+
+def test_random_element_reaches_the_deepest_words_past_2_64():
+    # at q = 64, weight 12 has 63 * 64^11 (about 2^72) words, 84 % of them of
+    # depth 12; a draw from one 64-bit output never reached past the first 2^64
+    spec = field_from_q(64)
+    rng = Rng(1)
+    depths = [len(w) for w in (next(iter(random_element(rng, 12, 1, spec).idx))
+                               for _ in range(600)) if word_weight(w) == 12]
+    assert len(depths) > 20
+    assert sum(d == 12 for d in depths) > len(depths) // 2
+
+
 def test_random_element_determinism(spec_q3):
     e1 = random_element(Rng(99), 4, 3, spec_q3)
     e2 = random_element(Rng(99), 4, 3, spec_q3)
