@@ -39,8 +39,9 @@ of positive weight),
     S(u) = -u - Σ S(u') ⧢ u''.
 
 The recursion sums it in one pass: each word-level S(u') ⧢ u'' goes straight
-into S(u)'s dict through ``words.accumulate_bilinear``, and no Element of a
-single product is built.
+into S(u)'s dict through ``words.accumulate_bilinear``.  As in ``products``,
+the word-level cores and their memos hold index maps (keyed by pairs of
+words for Δ); only the public functions build an Element.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .words import (
     Letter,
     TensorElement,
     Word,
+    accumulate,
     accumulate_bilinear,
     accumulate_outer,
     compositions,
@@ -64,11 +66,11 @@ from .words import (
 
 def coproduct_letter(x: Letter) -> TensorElement:
     """Δ of a single letter, by the closed formula above."""
-    return _coproduct_letter(x.eps.spec, x)
+    return _element(x.eps.spec, _coproduct_letter(x.eps.spec, x))
 
 
 @memoized("coproduct_letter")
-def _coproduct_letter(spec: FieldSpec, x: Letter) -> TensorElement:
+def _coproduct_letter(spec: FieldSpec, x: Letter) -> dict:
     n, eps = x.n, x.eps
     acc: dict = {(EMPTY, (x,)): 1}
     for r in range(1, n + 1):
@@ -78,34 +80,33 @@ def _coproduct_letter(spec: FieldSpec, x: Letter) -> TensorElement:
             cb = binom_mod_p(r + m - 2, m, spec.p)
             if cb == 0:
                 continue
-            br = _bracket(spec, comp) if comp else Element.one(spec)
-            if br.is_zero():
-                continue
-            accumulate_outer(spec, acc, {left: 1}, br.idx, spec.residue(cb).idx)
-    return _element(spec, acc)
+            br = _bracket(spec, comp) if comp else {EMPTY: 1}
+            if br:
+                accumulate_outer(spec, acc, {left: 1}, br, spec.residue(cb).idx)
+    return acc
 
 
-def _coproduct_word(spec: FieldSpec, u: Word) -> TensorElement:
+def _coproduct_word(spec: FieldSpec, u: Word) -> dict:
     if not u:
-        return TensorElement.from_pair(spec, EMPTY, EMPTY)
+        return {(EMPTY, EMPTY): 1}
     if len(u) == 1:
         return _coproduct_letter(spec, u[0])
     return _coproduct_step(spec, u)
 
 
 @memoized("coproduct")
-def _coproduct_step(spec: FieldSpec, u: Word) -> TensorElement:
+def _coproduct_step(spec: FieldSpec, u: Word) -> dict:
     head, v = u[0], u[1:]
     dh = _coproduct_letter(spec, head)
     dv = _coproduct_word(spec, v)
     mul = spec.idx_ops[1]
     acc: dict = {(EMPTY, u): 1}
-    for (al, bl), c1 in dh.idx.items():
+    for (al, bl), c1 in dh.items():
         if not al:
             continue
-        for (cl, dl), c2 in dv.idx.items():
-            accumulate_outer(spec, acc, {al + cl: mul[c1][c2]}, _shuffle_words(spec, bl, dl).idx)
-    return _element(spec, acc)
+        for (cl, dl), c2 in dv.items():
+            accumulate_outer(spec, acc, {al + cl: mul[c1][c2]}, _shuffle_words(spec, bl, dl))
+    return acc
 
 
 def coproduct(e: Element) -> TensorElement:
@@ -129,26 +130,26 @@ def tensor_shuffle(s: TensorElement, t: TensorElement) -> TensorElement:
     for (a, b), c1 in s.idx.items():
         row = mul[c1]
         for (c, d), c2 in t.idx.items():
-            accumulate_outer(spec, acc, _shuffle_words(spec, a, c).idx,
-                             _shuffle_words(spec, b, d).idx, row[c2])
+            accumulate_outer(spec, acc, _shuffle_words(spec, a, c),
+                             _shuffle_words(spec, b, d), row[c2])
     return _element(spec, acc)
 
 
-def _antipode_word(spec: FieldSpec, u: Word) -> Element:
+def _antipode_word(spec: FieldSpec, u: Word) -> dict:
     if not u:
-        return Element.one(spec)
+        return {EMPTY: 1}
     return _antipode_step(spec, u)
 
 
 @memoized("antipode")
-def _antipode_step(spec: FieldSpec, u: Word) -> Element:
+def _antipode_step(spec: FieldSpec, u: Word) -> dict:
     neg = spec.idx_ops[2]
     acc: dict = {u: neg[1]}
-    for (l, r), c in _coproduct_word(spec, u).idx.items():
+    for (l, r), c in _coproduct_word(spec, u).items():
         if l and r:
-            accumulate_bilinear(spec, acc, _shuffle_words, _antipode_word(spec, l).idx,
+            accumulate_bilinear(spec, acc, _shuffle_words, _antipode_word(spec, l),
                                 {r: 1}, neg[c])
-    return _element(spec, acc)
+    return acc
 
 
 def antipode(e: Element) -> Element:
@@ -160,53 +161,55 @@ def antipode(e: Element) -> Element:
 
 
 @memoized("mzv_letter")
-def _mzv_letter(spec: FieldSpec, n: int) -> TensorElement:
+def _mzv_letter(spec: FieldSpec, n: int) -> dict:
     x1 = letter(spec, 1, spec.one)
     if n == 1:
-        return _element(spec, {(EMPTY, (x1,)): 1, ((x1,), EMPTY): 1})
+        return {(EMPTY, (x1,)): 1, ((x1,), EMPTY): 1}
     xw1 = letter(spec, n - 1, spec.one)
-    out = tensor_shuffle(_mzv_letter(spec, 1), _mzv_letter(spec, n - 1))
-    out = out - _mzv_word(spec, (x1, xw1)) - _mzv_word(spec, (xw1, x1))
+    neg = spec.idx_ops[2]
+    acc = tensor_shuffle(_element(spec, _mzv_letter(spec, 1)),
+                         _element(spec, _mzv_letter(spec, n - 1))).idx
+    for pair in ((x1, xw1), (xw1, x1)):
+        accumulate(spec, acc, _mzv_word(spec, pair), neg[1])
     for j in range(1, n):
-        dc = delta_coeff(1, n - 1, j, spec)
-        if dc.idx == 0:
+        dc = delta_coeff(1, n - 1, j, spec).idx
+        if dc == 0:
             continue
         pair = (letter(spec, n - j, spec.one), letter(spec, j, spec.one))
-        out = out - _mzv_word(spec, pair).scale(dc)
-    return out
+        accumulate(spec, acc, _mzv_word(spec, pair), neg[dc])
+    return acc
 
 
-def _mzv_word(spec: FieldSpec, u: Word) -> TensorElement:
+def _mzv_word(spec: FieldSpec, u: Word) -> dict:
     """The weight-recursive coproduct on a trivial-character word."""
     if not u:
-        return TensorElement.from_pair(spec, EMPTY, EMPTY)
+        return {(EMPTY, EMPTY): 1}
     if len(u) == 1:
         return _mzv_letter(spec, u[0].n)
     return _mzv_step(spec, u)
 
 
 @memoized("mzv_word")
-def _mzv_step(spec: FieldSpec, u: Word) -> TensorElement:
+def _mzv_step(spec: FieldSpec, u: Word) -> dict:
     head, v = u[0], u[1:]
     dh = _mzv_letter(spec, head.n)
     dv = _mzv_word(spec, v)
     mul = spec.idx_ops[1]
     acc: dict = {(EMPTY, u): 1}
-    for (al, bl), c1 in dh.idx.items():
+    for (al, bl), c1 in dh.items():
         if not al:
             continue
-        for (cl, dl), c2 in dv.idx.items():
+        for (cl, dl), c2 in dv.items():
             left = triangle(Element.from_word(spec, al), Element.from_word(spec, cl))
-            right = _shuffle_words(spec, bl, dl)
-            accumulate_outer(spec, acc, left.idx, right.idx, mul[c1][c2])
-    return _element(spec, acc)
+            accumulate_outer(spec, acc, left.idx, _shuffle_words(spec, bl, dl), mul[c1][c2])
+    return acc
 
 
 def coproduct_mzv_recursive(n: int, spec: FieldSpec) -> TensorElement:
     """Δ(x_{n,1}) built by the weight recursion only.  Oracle use."""
     if n < 1:
         raise ValueError("weight must be >= 1")
-    return _mzv_letter(spec, n)
+    return _element(spec, _mzv_letter(spec, n))
 
 
 def coproduct_mzv_word(u: Word, spec: FieldSpec) -> TensorElement:
@@ -214,4 +217,4 @@ def coproduct_mzv_word(u: Word, spec: FieldSpec) -> TensorElement:
     for lt in u:
         if lt.eps.idx != 1:
             raise ValueError("oracle coproduct needs trivial characters")
-    return _mzv_word(spec, u)
+    return _element(spec, _mzv_word(spec, u))

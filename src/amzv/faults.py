@@ -12,7 +12,8 @@ check suite:
 
 The algebra code carries no trace of them.  Each switch wraps the private
 cores ``products._delta``, ``coalgebra._coproduct_letter`` and
-``_coproduct_word``, or ``coalgebra._antipode_word``.  :func:`inject_fault`
+``_coproduct_word``, or ``coalgebra._antipode_word``, and acts on the field
+index or zero-free index map it returns.  :func:`inject_fault`
 rebinds each one in the module that defines it.  No other module imports
 it, and the recursions and the public entry points look it up there at call
 time, so every caller sees the corruption.  On exit, also when the
@@ -27,7 +28,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from . import coalgebra, products
-from .words import EMPTY, Element, _element
+from .words import EMPTY, accumulate
 
 DELTA_CORRUPT = "delta-corrupt"
 DROP_UNIT_TENSOR = "drop-unit-tensor"
@@ -39,17 +40,19 @@ ALL_MODES = (DELTA_CORRUPT, DROP_UNIT_TENSOR, ANTIPODE_SIGN)
 def _bump_delta(delta):
     def corrupt(spec, r, s, i):
         val = delta(spec, r, s, i)
-        return val + spec.one if (r, s, i) == (1, 2, 2) else val
+        return spec.idx_ops[0][val][1] if (r, s, i) == (1, 2, 2) else val
     return corrupt
 
 
-def _drop_unit(t: Element, u) -> Element:
+def _drop_unit(t: dict, u) -> dict:
     """``t`` without its ``1 (x) u`` term; Δ(1) = 1 (x) 1 is kept."""
-    return _element(t.spec, {k: c for k, c in t.idx.items() if k != (EMPTY, u)}) if u else t
+    return {k: c for k, c in t.items() if k != (EMPTY, u)} if u else t
 
 
-def _plus_twice(s: Element, u) -> Element:
-    return s + Element.from_word(s.spec, u, s.spec.residue(2)) if u else s
+def _plus_twice(spec, s: dict, u) -> dict:
+    """A copy of ``s`` plus 2u; ``s`` itself where 2 = 0 or u = 1."""
+    two = spec.residue(2).idx
+    return accumulate(spec, dict(s), {u: 1}, two) if u and two else s
 
 
 # mode -> (module defining the private core, its name, corrupting wrapper of it)
@@ -60,7 +63,7 @@ _WRAPPERS = {
         (coalgebra, "_coproduct_word", lambda f: lambda spec, u: _drop_unit(f(spec, u), u)),
     ],
     ANTIPODE_SIGN: [
-        (coalgebra, "_antipode_word", lambda f: lambda spec, u: _plus_twice(f(spec, u), u)),
+        (coalgebra, "_antipode_word", lambda f: lambda spec, u: _plus_twice(spec, f(spec, u), u)),
     ],
 }
 

@@ -20,8 +20,9 @@ sum is never reduced prematurely.
 
 Word-level results are memoized per field (:func:`amzv.ff.memoized`); the
 associativity and compatibility checks would otherwise recompute identical
-subproblems exponentially often.  Empty operands are answered before the
-memo is consulted.
+subproblems exponentially often.  The word-level cores return index maps
+(``_delta`` a field index); only the public functions build an Element.
+Empty operands are answered before the memo is consulted, with ``{v: 1}``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from math import comb
 
 from .ff import FieldElem, FieldSpec, check_field, memoized
-from .words import Element, Word, accumulate, accumulate_bilinear, bilinear, letter, _element
+from .words import EMPTY, Element, Word, accumulate, accumulate_bilinear, bilinear, letter, _element
 
 
 def binom_mod_p(a: int, b: int, p: int) -> int:
@@ -60,65 +61,60 @@ def delta_coeff(r: int, s: int, i: int, spec: FieldSpec) -> FieldElem:
     """The overlap coefficient D(r,s,i) as an element of the prime subfield."""
     if r < 1 or s < 1 or not 1 <= i <= r + s - 1:
         raise ValueError(f"delta index out of range: r={r} s={s} i={i}")
-    return _delta(spec, r, s, i)
+    return spec.elements[_delta(spec, r, s, i)]
 
 
 @memoized("delta")
-def _delta(spec: FieldSpec, r: int, s: int, i: int) -> FieldElem:
+def _delta(spec: FieldSpec, r: int, s: int, i: int) -> int:
     if i % (spec.q - 1) == 0:
         m = (-1) ** (r - 1) * comb(i - 1, r - 1) + (-1) ** (s - 1) * comb(i - 1, s - 1)
     else:
         m = 0
-    return spec.residue(m)
+    return spec.residue(m).idx
 
 
 # -- word-level recursion ------------------------------------------------------
 
 
-def _word_elem(spec: FieldSpec, w: Word) -> Element:
-    return _element(spec, {w: 1})
-
-
-def _shuffle_words(spec: FieldSpec, u: Word, v: Word) -> Element:
+def _shuffle_words(spec: FieldSpec, u: Word, v: Word) -> dict:
     if not u:
-        return _word_elem(spec, v)
+        return {v: 1}
     if not v:
-        return _word_elem(spec, u)
+        return {u: 1}
     return _shuffle_step(spec, u, v)
 
 
 @memoized("shuffle")
-def _shuffle_step(spec: FieldSpec, u: Word, v: Word) -> Element:
-    acc = accumulate(spec, {}, _shuffle_words(spec, u[1:], v).idx, head=u[:1])
-    accumulate(spec, acc, _shuffle_words(spec, u, v[1:]).idx, head=v[:1])
-    accumulate(spec, acc, _diamond_words(spec, u, v).idx)
-    return _element(spec, acc)
+def _shuffle_step(spec: FieldSpec, u: Word, v: Word) -> dict:
+    acc = accumulate(spec, {}, _shuffle_words(spec, u[1:], v), head=u[:1])
+    accumulate(spec, acc, _shuffle_words(spec, u, v[1:]), head=v[:1])
+    return accumulate(spec, acc, _diamond_words(spec, u, v))
 
 
-def _diamond_words(spec: FieldSpec, u: Word, v: Word) -> Element:
+def _diamond_words(spec: FieldSpec, u: Word, v: Word) -> dict:
     if not u:
-        return _word_elem(spec, v)
+        return {v: 1}
     if not v:
-        return _word_elem(spec, u)
+        return {u: 1}
     return _diamond_step(spec, u, v)
 
 
 @memoized("diamond")
-def _diamond_step(spec: FieldSpec, u: Word, v: Word) -> Element:
+def _diamond_step(spec: FieldSpec, u: Word, v: Word) -> dict:
     x, y = u[0], v[0]
     a1, b1 = x.n, y.n
     tail = _shuffle_words(spec, u[1:], v[1:])
     eab = spec.elements[spec.idx_ops[1][x.eps.idx][y.eps.idx]]
     n = a1 + b1
     head = letter(spec, n, eab)
-    acc: dict = {(head,) + w: c for w, c in tail.idx.items()}
+    acc: dict = {(head,) + w: c for w, c in tail.items()}
     for j in range(1, n):
-        dc = _delta(spec, a1, b1, j).idx
+        dc = _delta(spec, a1, b1, j)
         if dc == 0:
             continue
         accumulate_bilinear(spec, acc, _shuffle_words, {(letter(spec, j, spec.one),): 1},
-                            tail.idx, dc, (letter(spec, n - j, eab),))
-    return _element(spec, acc)
+                            tail, dc, (letter(spec, n - j, eab),))
+    return acc
 
 
 # -- bilinear wrappers -----------------------------------------------------------
@@ -148,14 +144,6 @@ def triangle(a: Element, b: Element) -> Element:
         else:
             accumulate(spec, acc, b.idx, c)
     return _element(spec, acc)
-
-
-def shuffle_words(spec: FieldSpec, *ws: Word) -> Element:
-    """Shuffle of any number of words, folded left."""
-    out = Element.one(spec)
-    for w in ws:
-        out = shuffle(out, _word_elem(spec, w))
-    return out
 
 
 def horizontal(alpha: FieldElem, a: Element) -> Element:
@@ -188,16 +176,20 @@ def bracket(w: Word, spec: FieldSpec) -> Element:
             raise ValueError("bracket is defined on trivially-charactered words only")
     if not w:
         return Element.one(spec)
-    return _bracket(spec, tuple(lt.n for lt in w))
+    return _element(spec, _bracket(spec, tuple(lt.n for lt in w)))
 
 
 @memoized("bracket")
-def _bracket(spec: FieldSpec, comp: tuple[int, ...]) -> Element:
+def _bracket(spec: FieldSpec, comp: tuple[int, ...]) -> dict:
     """[x_{i_1} ... x_{i_m}] for the nonempty composition (i_1, ..., i_m)."""
     wt = sum(comp)
-    coeff = spec.residue(-1) ** len(comp)
+    mul = spec.idx_ops[1]
+    coeff = spec.idx_ops[2][1] if len(comp) % 2 else 1
     for n in comp:
-        coeff = coeff * _delta(spec, 1, wt + 1, n)
-        if coeff.idx == 0:
-            return Element.zero(spec)
-    return shuffle_words(spec, *((letter(spec, n, spec.one),) for n in comp)).scale(coeff)
+        coeff = mul[coeff][_delta(spec, 1, wt + 1, n)]
+        if coeff == 0:
+            return {}
+    acc = {EMPTY: coeff}
+    for n in comp:
+        acc = accumulate_bilinear(spec, {}, _shuffle_words, acc, {(letter(spec, n, spec.one),): 1})
+    return acc

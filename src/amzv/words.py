@@ -17,15 +17,16 @@ in; ``TensorElement`` is an alias.  Its coefficients are field indices:
 one, ``coeff`` returns one, and ``.terms`` is a read-only ``FieldElem``
 view built on each read.
 
-Every sum of such combinations in the package goes through one accumulation
-kernel on index maps and the int tables ``spec.idx_ops``: :func:`accumulate`
+The word-level cores and their memos trade in index maps alone, and an
+Element is built only where a public function returns.  Every sum of index
+maps goes through one accumulation kernel on them and the int tables
+``spec.idx_ops``: :func:`accumulate`
 (``acc += c·terms``, optionally with a word prefixed to every key),
 :func:`accumulate_outer` (``acc += c·(left ⊗ right)``),
 :func:`accumulate_bilinear` (``acc += c·head·Σ op(l, r)`` over two index
 maps, each product added once, straight into ``acc``), and the
 :func:`linear` and :func:`bilinear` extensions of maps on words built on
-them.  A caller that only adds a bilinear extension into its own sum calls
-:func:`accumulate_bilinear` and builds no Element of it.  The kernel
+them, which wrap the sum in an Element.  The kernel
 deletes a key whose sum reaches zero, so its results hold no zero
 coefficient without a cleaning pass.
 
@@ -287,42 +288,42 @@ def accumulate_outer(spec: FieldSpec, acc: dict, left: dict, right: dict, c: int
 
 
 def linear(op, e: Element) -> Element:
-    """The linear extension of ``op(spec, key) -> Element`` to ``e``.  On a
-    single key with coefficient 1 this is ``op``'s own result, uncopied:
-    Elements are immutable by convention."""
+    """The linear extension of ``op(spec, key) -> index map`` to ``e``.  On
+    a single key with coefficient 1 the result's ``idx`` is ``op``'s own map,
+    uncopied: Elements are immutable by convention."""
     spec = e.spec
     if len(e.idx) == 1:
         (k, c), = e.idx.items()
         if c == 1:
-            return op(spec, k)
+            return _element(spec, op(spec, k))
     acc: dict = {}
     for k, c in e.idx.items():
-        accumulate(spec, acc, op(spec, k).idx, c)
+        accumulate(spec, acc, op(spec, k), c)
     return _element(spec, acc)
 
 
 def accumulate_bilinear(spec: FieldSpec, acc: dict, op, left: dict, right: dict,
                         c: int = 1, head: Word = EMPTY) -> dict:
     """In place, ``acc += c · head·Σ op(spec, l, r)`` over the terms of the
-    index maps ``left`` and ``right``, and return ``acc``: each product's
-    terms go straight into ``acc`` through :func:`accumulate`, and no
-    Element of the sum is built.  ``c`` defaults to 1 and ``head`` to the
-    empty word."""
+    index maps ``left`` and ``right``, and return ``acc``: ``op`` returns an
+    index map, whose terms go straight into ``acc`` through
+    :func:`accumulate`.  ``c`` defaults to 1 and ``head`` to the empty
+    word."""
     if not c:
         return acc
     mul = spec.idx_ops[1]
     for kl, cl in left.items():
         row = mul[mul[c][cl]]
         for kr, cr in right.items():
-            accumulate(spec, acc, op(spec, kl, kr).idx, row[cr], head)
+            accumulate(spec, acc, op(spec, kl, kr), row[cr], head)
     return acc
 
 
 def bilinear(op, a: Element, b: Element) -> Element:
-    """The bilinear extension of ``op(spec, key_a, key_b) -> Element`` to
+    """The bilinear extension of ``op(spec, key_a, key_b) -> index map`` to
     ``a`` and ``b``, summed by :func:`accumulate_bilinear`.  On two single
-    keys with coefficient 1 this is ``op``'s own result, uncopied, as in
-    :func:`linear`."""
+    keys with coefficient 1 the result's ``idx`` is ``op``'s own map,
+    uncopied, as in :func:`linear`."""
     spec = a.spec
     if b.spec is not spec:
         check_field(spec, b.spec)
@@ -330,7 +331,7 @@ def bilinear(op, a: Element, b: Element) -> Element:
         (ka, ca), = a.idx.items()
         (kb, cb), = b.idx.items()
         if ca == 1 and cb == 1:
-            return op(spec, ka, kb)
+            return _element(spec, op(spec, ka, kb))
     return _element(spec, accumulate_bilinear(spec, {}, op, a.idx, b.idx))
 
 

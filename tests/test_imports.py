@@ -8,7 +8,11 @@ of the module named beside it in ``faults._WRAPPERS``, which no other module
 imports by name, so rebinding it there reaches every caller.  The hot
 recursions call the memoized cores, never the validating public wrappers,
 and no Element-level product (``shuffle``, ``diamond``, ``triangle``): they
-sum word-level products straight into their own dicts.
+sum word-level products straight into their own dicts.  No word-level core
+builds an Element: neither the hot recursions nor the dispatchers
+``_shuffle_words``, ``_diamond_words`` and ``_antipode_word`` call
+``_element`` or an ``Element`` or ``TensorElement`` constructor, since the
+cores trade in index maps and only the public functions wrap them.
 The memo registry belongs to ``ff.py``:
 every other module caches through ``ff.memoized`` and never reads
 ``_memos`` or calls a ``.memo(...)`` method itself.  The format of the
@@ -64,6 +68,11 @@ HOT_RECURSIONS = {
 }
 # the Element-level products, which build a product only for a caller to sum it again
 ELEMENT_PRODUCTS = {"shuffle", "diamond", "triangle"}
+# every word-level core: the hot recursions and the dispatchers in front of them
+WORD_LEVEL_CORES = {**HOT_RECURSIONS, "_shuffle_words": "products.py",
+                    "_diamond_words": "products.py", "_antipode_word": "coalgebra.py"}
+# what builds an Element: the raw constructor, the classes and their class methods
+ELEMENT_BUILDERS = {"_element", "Element", "TensorElement"}
 
 
 def _tree(path):
@@ -187,6 +196,21 @@ def test_hot_recursions_call_no_element_level_product(name):
     # each sums its word-level products straight into its own dict
     bad = _hot_calls(name, ELEMENT_PRODUCTS)
     assert not bad, f"{name} builds an Element-level product only to sum it again: {bad}"
+
+
+@pytest.mark.parametrize("name", sorted(WORD_LEVEL_CORES))
+def test_word_level_cores_build_no_element(name):
+    # they return index maps; the public functions wrap them
+    fn = _top_level_functions(SRC / WORD_LEVEL_CORES[name])[name]
+    bad = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Attribute):
+                f = f.value
+            if isinstance(f, ast.Name) and f.id in ELEMENT_BUILDERS:
+                bad.append(f"line {node.lineno}: {ast.unparse(node.func)}")
+    assert not bad, f"{name} builds an Element: {bad}"
 
 
 def _callers(name):

@@ -18,7 +18,7 @@ from amzv import Element, antipode, coproduct, delta_coeff, shuffle, triangle
 from amzv.coalgebra import _antipode_word
 from amzv.products import _diamond_words, _shuffle_words
 from amzv.verify import Rng, random_element
-from amzv.words import EMPTY, accumulate, accumulate_bilinear, basis_words, letter
+from amzv.words import EMPTY, accumulate, accumulate_bilinear, basis_words, letter, _element
 
 from conftest import get_spec
 
@@ -41,7 +41,7 @@ def _element_bilinear(op, a, b):
     out = Element.zero(spec)
     for l, cl in a.terms.items():
         for r, cr in b.terms.items():
-            out = out + op(spec, l, r).scale(cl * cr)
+            out = out + _element(spec, op(spec, l, r)).scale(cl * cr)
     return out
 
 
@@ -89,7 +89,7 @@ def test_the_antipode_recursion_is_its_public_formula(q):
             if l and r:
                 want = want - shuffle(antipode(Element.from_word(spec, l)),
                                       Element.from_word(spec, r)).scale(c)
-        assert _antipode_word(spec, u) == want, u
+        assert _antipode_word(spec, u) == want.idx, u
 
 
 @pytest.mark.parametrize("q", sorted(BOUNDS))
@@ -109,7 +109,7 @@ def test_the_diamond_recursion_is_its_shuffle_formula(q):
             for w, c in shuffle(xj, tail).terms.items():
                 want = want + Element.from_word(
                     spec, (letter(spec, n - j, eps),) + w, c * delta_coeff(x.n, y.n, j, spec))
-        assert _diamond_words(spec, u, v) == want, (u, v)
+        assert _diamond_words(spec, u, v) == want.idx, (u, v)
 
 
 @pytest.mark.parametrize("q", sorted(BOUNDS))

@@ -14,8 +14,8 @@ from amzv import (
     random_element,
     word_weight,
 )
-from amzv import Element, coproduct, faults, parse_element, parse_laurent, parse_word
-from amzv import ff, field_from_q, verify
+from amzv import Element, basis_words, coproduct, faults, parse_element, parse_laurent, parse_word
+from amzv import coalgebra, ff, field_from_q, products, verify
 from amzv.verify import CheckReport, Rng
 
 from conftest import get_spec
@@ -319,6 +319,27 @@ def test_antipode_sign_is_a_no_op_in_characteristic_two(q):
     spec = get_spec(q)
     with faults.inject_fault(faults.ANTIPODE_SIGN, spec):
         assert check_hopf(spec, 3).passed
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("mode", faults.ALL_MODES)
+def test_corrupted_cores_keep_their_maps_zero_free(mode, q):
+    # the switches act on index maps, which every sum assumes hold no 0
+    spec = get_spec(q)
+    words = [u for w in range(1, 5) for u in basis_words(w, spec)]
+    triples = [(r, s, i) for r in range(1, 5) for s in range(1, 5) for i in range(1, r + s)]
+    clean = {u: coalgebra._antipode_word(spec, u) for u in words}
+    clean_delta = {t: products._delta(spec, *t) for t in triples}
+    with faults.inject_fault(mode, spec):
+        for u in words:
+            assert 0 not in coalgebra._coproduct_word(spec, u).values(), u
+            assert 0 not in coalgebra._antipode_word(spec, u).values(), u
+            if mode == faults.ANTIPODE_SIGN and spec.p == 2:
+                assert coalgebra._antipode_word(spec, u) == clean[u], u
+        # a field index each, bumped by one at (1,2,2) alone under delta-corrupt
+        bumped = {t: spec.idx_ops[0][c][1] if t == (1, 2, 2) and mode == faults.DELTA_CORRUPT
+                  else c for t, c in clean_delta.items()}
+        assert {t: products._delta(spec, *t) for t in triples} == bumped
 
 
 def _amzv_bindings():
