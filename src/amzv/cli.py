@@ -168,7 +168,7 @@ def _run(args) -> int:
         print(format_element(antipode(a)))
         return 0
     if cmd == "powsum":
-        from .zeta import format_laurent, power_sum_lt_element
+        from .zeta import format_laurent, power_sum_lt
 
         try:
             w = parse_word(args.word, spec)
@@ -176,15 +176,13 @@ def _run(args) -> int:
             raise UsageError(str(exc)) from None
         if not w:
             raise UsageError("power sums need a nonempty word")
-        e = Element.from_word(spec, w)
         prec = _nonnegative(args.prec, "--prec")
         # S_d = S_{<d+1} - S_{<d}, both from the factorized route; the walk
         # to S_{<d+1} refuses a budget first and builds S_{<d} on its way
         if args.lt:
-            ps = power_sum_lt_element(e, args.d, prec)
+            ps = power_sum_lt(w, args.d, prec)
         else:
-            ps = power_sum_lt_element(e, args.d + 1, prec)
-            ps = ps - power_sum_lt_element(e, args.d, prec)
+            ps = power_sum_lt(w, args.d + 1, prec) - power_sum_lt(w, args.d, prec)
         print(format_laurent(ps))
         return 0
     if cmd == "zeta":

@@ -10,11 +10,12 @@ words, operands and both sides in canonical text, so a failure is replayable
 without rerunning the harness.  A report passes when no instance failed
 and at least one was checked: a check that checked nothing is no evidence.
 
-The harness caches nothing between calls: it builds the basis words of a
-weight on each call, draws each random word as an index that
-``amzv.words.basis_word`` unranks, listing no basis, and its numeric
-families read power sums from the factorized route of ``amzv.zeta``, never
-from the chain-enumeration oracle, which only the tests compare with it.
+The harness caches nothing between calls: each structural check builds one
+basis table per call and looks up in it every word that it wraps.  It draws
+each random word as an index that ``amzv.words.basis_word`` unranks,
+listing no basis, and its numeric families read power sums from the
+factorized route of ``amzv.zeta``, never from the chain-enumeration
+oracle, which only the tests compare with it.
 Within one call the Chen family keeps a table of the S_d it has read, keyed
 by (word, d), and drops it when the call returns.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from math import comb
 
 from .coalgebra import (
@@ -189,31 +190,22 @@ def random_element(rng: Rng, max_weight: int, max_terms: int, spec: FieldSpec) -
     return _element(spec, acc)
 
 
-def _with_elements(spec: FieldSpec, w: int) -> list:
-    """The basis words of weight w, each paired with its Element.  Built on
-    each call, not memoized, so the harness holds no basis word or Element
-    between calls."""
-    return [(u, Element.from_word(spec, u)) for u in basis_words(w, spec)]
+def _basis(spec: FieldSpec, bound: int) -> list:
+    """Rows of (word, Element), one per weight 0..bound: row w holds the
+    basis words of weight w, each with its one-word Element.  A check builds
+    one table per call; it is not memoized, so the harness holds no basis
+    word or Element between calls."""
+    return [[(u, Element.from_word(spec, u)) for u in basis_words(w, spec)]
+            for w in range(bound + 1)]
 
 
-def _words_up_to(spec: FieldSpec, bound: int, min_weight: int = 1):
-    for w in range(min_weight, bound + 1):
-        yield from _with_elements(spec, w)
-
-
-def _pairs_total_weight(spec: FieldSpec, bound: int):
-    rows = [_with_elements(spec, w) for w in range(bound)]
-    for wa in range(1, bound):
-        for wb in range(1, bound - wa + 1):
-            yield from product(rows[wa], rows[wb])
-
-
-def _triples_total_weight(spec: FieldSpec, bound: int):
-    rows = [_with_elements(spec, w) for w in range(bound - 1)]
-    for wa in range(1, bound - 1):
-        for wb in range(1, bound - wa):
-            for wc in range(1, bound - wa - wb + 1):
-                yield from product(rows[wa], rows[wb], rows[wc])
+def _tuples(rows, n: int, bound: int):
+    """Every n-tuple of entries of ``rows`` whose positive weights sum to at
+    most ``bound``: the weight tuples in lexicographic order, each yielding
+    the product of its rows."""
+    for ws in product(range(1, bound - n + 2), repeat=n):
+        if sum(ws) <= bound:
+            yield from product(*(rows[w] for w in ws))
 
 
 # -- algebra laws ---------------------------------------------------------------
@@ -228,7 +220,9 @@ def check_algebra(spec: FieldSpec, max_total_weight: int = 6) -> CheckReport:
     horizontal pair laws) up to one less.
     """
     rep = CheckReport("thm-commutative-algebra", spec.q, max_total_weight)
-    for (a, ea), (b, eb) in _pairs_total_weight(spec, max_total_weight):
+    table = _basis(spec, max_total_weight - 1)
+    elem = dict(chain.from_iterable(table))
+    for (a, ea), (b, eb) in _tuples(table, 2, max_total_weight):
         ab, ba = shuffle(ea, eb), shuffle(eb, ea)
         rep.expect(ab == ba, "shuffle-comm", u=a, v=b, lhs=ab, rhs=ba)
         dab, dba = diamond(ea, eb), diamond(eb, ea)
@@ -236,11 +230,11 @@ def check_algebra(spec: FieldSpec, max_total_weight: int = 6) -> CheckReport:
         # decomposition and head lemmas for the triangle product
         lhs = triangle(ea, eb) + triangle(eb, ea) + dab
         rep.expect(ab == lhs, "shuffle-decomposition", u=a, v=b, lhs=lhs, rhs=ab)
-        head = diamond(Element.from_word(spec, a[:1]), Element.from_word(spec, b[:1]))
-        tailsh = shuffle(Element.from_word(spec, a[1:]), Element.from_word(spec, b[1:]))
+        head = diamond(elem[a[:1]], elem[b[:1]])
+        tailsh = shuffle(elem[a[1:]], elem[b[1:]])
         rep.expect(dab == triangle(head, tailsh), "diamond-head", u=a, v=b)
 
-    for (a, ea), (b, eb), (c, ec) in _triples_total_weight(spec, max_total_weight - 1):
+    for (a, ea), (b, eb), (c, ec) in _tuples(table, 3, max_total_weight - 1):
         tab = triangle(ea, eb)
         rep.expect(shuffle(shuffle(ea, eb), ec) == shuffle(ea, shuffle(eb, ec)),
                    "shuffle-assoc", u=a, v=b, w=c)
@@ -253,11 +247,11 @@ def check_algebra(spec: FieldSpec, max_total_weight: int = 6) -> CheckReport:
                    "triangle-diamond-law", u=a, v=b, w=c)
 
     # horizontal maps: composition on words, distributivity over diamond
-    for w, ew in _words_up_to(spec, max_total_weight - 1):
+    for w, ew in chain.from_iterable(table[1:]):
         for al, be in product(spec.units, repeat=2):
             rep.expect(horizontal(al, horizontal(be, ew)) == horizontal(al * be, ew),
                        "horizontal-composition", w=w)
-    for (a, ea), (b, eb) in _pairs_total_weight(spec, max_total_weight - 1):
+    for (a, ea), (b, eb) in _tuples(table, 2, max_total_weight - 1):
         for al in spec.units:
             fa = horizontal(al, ea)
             for be in spec.units:
@@ -279,7 +273,9 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
     diamond-coproduct law."""
     rep = CheckReport("thm-compatibility-coassociativity", spec.q, max_weight)
     mul = spec.idx_ops[1]
-    for u, eu in _words_up_to(spec, max_weight):
+    table = _basis(spec, max_weight)
+    elem = dict(chain.from_iterable(table))
+    for u, eu in chain.from_iterable(table[1:]):
         du = coproduct(eu)
         wu = word_weight(u)
         rep.expect(all(word_weight(l) + word_weight(r) == wu for l, r in du.idx),
@@ -292,8 +288,8 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
         lhs: dict = {}
         rhs: dict = {}
         for (l, r), c in du.idx.items():
-            accumulate(spec, lhs, {r: 1}, mul[c][counit(Element.from_word(spec, l)).idx])
-            accumulate(spec, rhs, {l: 1}, mul[c][counit(Element.from_word(spec, r)).idx])
+            accumulate(spec, lhs, {r: 1}, mul[c][counit(elem[l]).idx])
+            accumulate(spec, rhs, {l: 1}, mul[c][counit(elem[r]).idx])
         rep.expect(lhs == eu.idx, "counit-left", u=u)
         rep.expect(rhs == eu.idx, "counit-right", u=u)
 
@@ -302,8 +298,8 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
         left3: dict = {}
         right3: dict = {}
         for (l, r), c in du.idx.items():
-            accumulate(spec, left3, coproduct(Element.from_word(spec, r)).idx, c, (l,))
-            accumulate_outer(spec, right3, coproduct(Element.from_word(spec, l)).idx, {r: c})
+            accumulate(spec, left3, coproduct(elem[r]).idx, c, (l,))
+            accumulate_outer(spec, right3, coproduct(elem[l]).idx, {r: c})
         rep.expect(left3 == {lk + (r,): v for (lk, r), v in right3.items()},
                    "coassociativity", u=u)
 
@@ -312,30 +308,30 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
         # twist is spelled out from h's definition on a word, not taken from
         # h, and is a bijection on words, so no two terms collide.
         for eps in spec.units:
-            lhs_t = coproduct(horizontal(eps, eu))
-            row = spec.idx_ops[1][eps.idx]
+            hu = horizontal(eps, eu)
+            lhs_t = coproduct(hu)
+            row = mul[eps.idx]
             acc = {
                 ((letter(spec, l[0].n, spec.elements[row[l[0].eps.idx]]),) + l[1:]
                  if l else l, r): c
                 for (l, r), c in du.idx.items()
             }
-            accumulate_outer(spec, acc, {EMPTY: 1}, horizontal(eps, eu).idx)
+            accumulate_outer(spec, acc, {EMPTY: 1}, hu.idx)
             accumulate(spec, acc, {(EMPTY, u): 1}, spec.idx_ops[2][1])
             rhs_t = _element(spec, acc)
             rep.expect(lhs_t == rhs_t, "coproduct-horizontal", u=u, eps=eps, lhs=lhs_t, rhs=rhs_t)
 
-    for (a, ea), (b, eb) in _pairs_total_weight(spec, max_weight):
+    for (a, ea), (b, eb) in _tuples(table, 2, max_weight):
         lhs_t = coproduct(shuffle(ea, eb))
         rhs_t = tensor_shuffle(coproduct(ea), coproduct(eb))
         rep.expect(lhs_t == rhs_t, "compatibility", u=a, v=b, lhs=lhs_t, rhs=rhs_t)
 
     # diamond-coproduct law on trivial-character words
-    for (a, ea), (b, eb) in _pairs_total_weight(spec, min(max_weight, 5)):
+    for (a, ea), (b, eb) in _tuples(table, 2, min(max_weight, 5)):
         if any(lt.eps.idx != 1 for lt in a + b):
             continue
         lhs_t = coproduct(diamond(ea, eb))
         da, db = coproduct(ea), coproduct(eb)
-        mul = spec.idx_ops[1]
         acc = accumulate_outer(spec, {}, {EMPTY: 1}, diamond(ea, eb).idx)
         for (l1, r1), c1 in da.idx.items():
             if not l1:
@@ -343,8 +339,8 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
             for (l2, r2), c2 in db.idx.items():
                 if not l2:
                     continue
-                dpart = diamond(Element.from_word(spec, l1), Element.from_word(spec, l2))
-                spart = shuffle(Element.from_word(spec, r1), Element.from_word(spec, r2))
+                dpart = diamond(elem[l1], elem[l2])
+                spart = shuffle(elem[r1], elem[r2])
                 accumulate_outer(spec, acc, dpart.idx, spart.idx, mul[c1][c2])
         rep.expect(lhs_t == _element(spec, acc), "diamond-coproduct", u=a, v=b)
     return rep
@@ -369,7 +365,9 @@ def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> Che
     ``ff.BUDGET``, read when it runs, the cap at which ``iter_basis_words``
     refuses them."""
     rep = CheckReport("thm-hopf-algebra", spec.q, max_weight)
-    for u, eu in _words_up_to(spec, max_weight, min_weight=0):
+    table = _basis(spec, max_weight)
+    elem = dict(chain.from_iterable(table))
+    for u, eu in chain.from_iterable(table):
         du = coproduct(eu)
         target = Element.one(spec).scale(counit(eu))
 
@@ -378,18 +376,18 @@ def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> Che
         right: dict = {}
         for (l, r), c in du.idx.items():
             accumulate_bilinear(spec, left, _shuffle_words,
-                                antipode(Element.from_word(spec, l)).idx, {r: 1}, c)
+                                antipode(elem[l]).idx, {r: 1}, c)
             accumulate_bilinear(spec, right, _shuffle_words,
-                                {l: 1}, antipode(Element.from_word(spec, r)).idx, c)
+                                {l: 1}, antipode(elem[r]).idx, c)
         lhs, rhs = _element(spec, left), _element(spec, right)
         rep.expect(lhs == target, "antipode-left", u=u, lhs=lhs, rhs=target)
         rep.expect(rhs == target, "antipode-right", u=u, lhs=rhs, rhs=target)
         rep.expect(antipode(eu).weights() in ({word_weight(u)}, set()), "antipode-grading", u=u)
 
     inv_bound = min(max_weight - 1, 5)
-    for u, eu in _words_up_to(spec, inv_bound):
+    for u, eu in chain.from_iterable(table[1:inv_bound + 1]):
         rep.expect(antipode(antipode(eu)) == eu, "antipode-involution", u=u)
-    for (a, ea), (b, eb) in _pairs_total_weight(spec, inv_bound):
+    for (a, ea), (b, eb) in _tuples(table, 2, inv_bound):
         rep.expect(antipode(shuffle(ea, eb)) == shuffle(antipode(ea), antipode(eb)),
                    "antipode-homomorphism", u=a, v=b)
 

@@ -23,7 +23,10 @@ tables.  The two per-field caches kept outside the registry, across
 and only ``words.py`` touches ``.letters`` and only ``zeta.py``
 ``.packings``.  In ``verify.py`` only ``CheckReport.expect`` counts
 instances and records failures, and the harness imports nothing of the
-chain oracle: its numeric families read the factorized route.  The algebra
+chain oracle: its numeric families read the factorized route.  Only
+``_basis``, which builds a check's one basis table, and
+``check_coproduct_oracle`` call ``Element.from_word`` there: every other
+word the harness wraps is looked up in that table.  The algebra
 modules and the harness work on ``Element.idx``, the field-index
 coefficients, and never read the ``FieldElem`` view ``.terms``.  The enumeration budget is checked where
 each route starts: ``zeta._check_budget`` is called only by ``monic_enum``
@@ -222,6 +225,13 @@ def _callers(name):
                 if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     yield path.name, getattr(top, "name", f"line {top.lineno}")
+
+
+def test_the_harness_wraps_basis_words_in_its_table_alone():
+    # each structural check looks its words up in the one table it built;
+    # the word oracle wraps its own few trivial-character words
+    assert sorted({top for path, top in _callers("from_word") if path == "verify.py"}) == [
+        "_basis", "check_coproduct_oracle"]
 
 
 def test_the_budget_is_checked_where_each_route_starts():

@@ -119,14 +119,14 @@ def test_repeat_call_is_cached_and_clear_memos_drops_it(name):
 
 def test_the_chain_oracle_and_the_harness_cache_nothing():
     # neither is a recursion: the oracle's own per-call sums enumerate each
-    # (s, degree) once, and the harness builds its basis words on each call
+    # (s, degree) once, and the harness builds one basis table per check call
     spec = field_from_q(3)
     a = Poly(spec, (spec.g, spec.one, spec.one))
     assert laurent_inv_pow(a, 2, 6) is not laurent_inv_pow(a, 2, 6)
     w = A(spec, "x[1,1]x[1,0]")
     assert power_sum_d(w, 2, 10) is not power_sum_d(w, 2, 10)
     verify.random_element(verify.Rng(1), 3, 3, spec)
-    assert len(verify._with_elements(spec, 3)) == 2 * 3 * 3
+    assert len(verify._basis(spec, 3)[3]) == 2 * 3 * 3
     assert sizes(spec) == {}
 
 

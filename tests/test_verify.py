@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import sys
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -226,6 +227,46 @@ def test_the_zeta_check_builds_no_basis(monkeypatch):
     built = _record_basis_weights(monkeypatch)
     rep = check_zeta_homomorphism(field_from_q(3), trials=5)
     assert rep.passed and built == []
+
+
+def _nested_loops(rows, n, bound):
+    """The n-tuples of positive total weight at most ``bound``, in the order
+    of one loop per slot, each weight running up from 1: the order every
+    pinned report was taken in."""
+    if n == 1:
+        for wa in range(1, bound + 1):
+            yield from product(rows[wa])
+    elif n == 2:
+        for wa in range(1, bound):
+            for wb in range(1, bound - wa + 1):
+                yield from product(rows[wa], rows[wb])
+    else:
+        for wa in range(1, bound - 1):
+            for wb in range(1, bound - wa):
+                for wc in range(1, bound - wa - wb + 1):
+                    yield from product(rows[wa], rows[wb], rows[wc])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_tuples_walk_the_nested_loops_in_order(q):
+    rows = verify._basis(get_spec(q), 6)
+    for n in (1, 2, 3):
+        for bound in range(7):
+            want = list(_nested_loops(rows, n, bound))
+            assert list(verify._tuples(rows, n, bound)) == want, (n, bound)
+            assert bool(want) == (bound >= n)
+
+
+@pytest.mark.parametrize("check", [check_algebra, check_coalgebra, check_hopf],
+                         ids=lambda c: c.__name__)
+def test_each_structural_check_lists_each_weight_once(check, monkeypatch):
+    # one table per call, sliced for the smaller bounds
+    asked = []
+    build = verify.basis_words
+    monkeypatch.setattr(verify, "basis_words",
+                        lambda w, spec: asked.append(w) or build(w, spec))
+    assert check(field_from_q(3), 5).passed
+    assert asked and sorted(asked) == sorted(set(asked)), asked
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
