@@ -298,12 +298,6 @@ class FieldSpec:
 
     # -- element access and I/O ----------------------------------------------
 
-    def elem(self, coeffs) -> FieldElem:
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.k:
-            raise ValueError(f"expected {self.k} coordinates, got {len(coeffs)}")
-        return self.elements[self._index(coeffs)]
-
     def residue(self, m: int) -> FieldElem:
         """The image of the integer m in the prime subfield."""
         return self.elements[m % self.p]

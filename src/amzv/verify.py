@@ -11,7 +11,11 @@ without rerunning the harness.  A report passes when no instance failed
 and at least one was checked: a check that checked nothing is no evidence.
 
 The harness caches nothing between calls: each structural check builds one
-basis table per call and looks up in it every word that it wraps.  It draws
+basis table per call and looks up in it every word that it wraps.  From
+it ``check_coalgebra`` builds one table of Δ of each word through this
+module's ``coproduct``, and ``check_hopf`` one of S through its
+``antipode``; each reads that map of a table word from its table alone,
+and a corruption of either name still reaches every site.  It draws
 each random word as an index that ``amzv.words.basis_word`` unranks,
 listing no basis, and its numeric families read power sums from the
 factorized route of ``amzv.zeta``, never from the chain-enumeration
@@ -275,8 +279,9 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
     mul = spec.idx_ops[1]
     table = _basis(spec, max_weight)
     elem = dict(chain.from_iterable(table))
+    delta = {u: coproduct(e) for u, e in elem.items()}
     for u, eu in chain.from_iterable(table[1:]):
-        du = coproduct(eu)
+        du = delta[u]
         wu = word_weight(u)
         rep.expect(all(word_weight(l) + word_weight(r) == wu for l, r in du.idx),
                    "coproduct-grading", u=u)
@@ -298,8 +303,8 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
         left3: dict = {}
         right3: dict = {}
         for (l, r), c in du.idx.items():
-            accumulate(spec, left3, coproduct(elem[r]).idx, c, (l,))
-            accumulate_outer(spec, right3, coproduct(elem[l]).idx, {r: c})
+            accumulate(spec, left3, delta[r].idx, c, (l,))
+            accumulate_outer(spec, right3, delta[l].idx, {r: c})
         rep.expect(left3 == {lk + (r,): v for (lk, r), v in right3.items()},
                    "coassociativity", u=u)
 
@@ -323,7 +328,7 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
 
     for (a, ea), (b, eb) in _tuples(table, 2, max_weight):
         lhs_t = coproduct(shuffle(ea, eb))
-        rhs_t = tensor_shuffle(coproduct(ea), coproduct(eb))
+        rhs_t = tensor_shuffle(delta[a], delta[b])
         rep.expect(lhs_t == rhs_t, "compatibility", u=a, v=b, lhs=lhs_t, rhs=rhs_t)
 
     # diamond-coproduct law on trivial-character words
@@ -331,7 +336,7 @@ def check_coalgebra(spec: FieldSpec, max_weight: int = 6) -> CheckReport:
         if any(lt.eps.idx != 1 for lt in a + b):
             continue
         lhs_t = coproduct(diamond(ea, eb))
-        da, db = coproduct(ea), coproduct(eb)
+        da, db = delta[a], delta[b]
         acc = accumulate_outer(spec, {}, {EMPTY: 1}, diamond(ea, eb).idx)
         for (l1, r1), c1 in da.idx.items():
             if not l1:
@@ -355,9 +360,10 @@ def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> Che
     properties of S, and the graded dimension formula.
 
     Each side of an antipode axiom, Σ S(u') ⧢ u'' or Σ u' ⧢ S(u'') over
-    Δu, is summed in one pass: S and Δ are read through this module's
-    ``antipode`` and ``coproduct``, and each word-level shuffle goes
-    straight into the side's dict through ``accumulate_bilinear``.
+    Δu, is summed in one pass: Δ is read through this module's
+    ``coproduct``, S of each table word from the call's table built through
+    its ``antipode``, and each word-level shuffle goes straight into the
+    side's dict through ``accumulate_bilinear``.
 
     The dimension family counts the basis words of each weight w up to
     ``dim_weight`` as they stream by, and keeps none of them.  It stops
@@ -366,7 +372,7 @@ def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> Che
     refuses them."""
     rep = CheckReport("thm-hopf-algebra", spec.q, max_weight)
     table = _basis(spec, max_weight)
-    elem = dict(chain.from_iterable(table))
+    anti = {u: antipode(e) for u, e in chain.from_iterable(table)}
     for u, eu in chain.from_iterable(table):
         du = coproduct(eu)
         target = Element.one(spec).scale(counit(eu))
@@ -375,20 +381,18 @@ def check_hopf(spec: FieldSpec, max_weight: int = 6, dim_weight: int = 8) -> Che
         left: dict = {}
         right: dict = {}
         for (l, r), c in du.idx.items():
-            accumulate_bilinear(spec, left, _shuffle_words,
-                                antipode(elem[l]).idx, {r: 1}, c)
-            accumulate_bilinear(spec, right, _shuffle_words,
-                                {l: 1}, antipode(elem[r]).idx, c)
+            accumulate_bilinear(spec, left, _shuffle_words, anti[l].idx, {r: 1}, c)
+            accumulate_bilinear(spec, right, _shuffle_words, {l: 1}, anti[r].idx, c)
         lhs, rhs = _element(spec, left), _element(spec, right)
         rep.expect(lhs == target, "antipode-left", u=u, lhs=lhs, rhs=target)
         rep.expect(rhs == target, "antipode-right", u=u, lhs=rhs, rhs=target)
-        rep.expect(antipode(eu).weights() in ({word_weight(u)}, set()), "antipode-grading", u=u)
+        rep.expect(anti[u].weights() in ({word_weight(u)}, set()), "antipode-grading", u=u)
 
     inv_bound = min(max_weight - 1, 5)
     for u, eu in chain.from_iterable(table[1:inv_bound + 1]):
-        rep.expect(antipode(antipode(eu)) == eu, "antipode-involution", u=u)
+        rep.expect(antipode(anti[u]) == eu, "antipode-involution", u=u)
     for (a, ea), (b, eb) in _tuples(table, 2, inv_bound):
-        rep.expect(antipode(shuffle(ea, eb)) == shuffle(antipode(ea), antipode(eb)),
+        rep.expect(antipode(shuffle(ea, eb)) == shuffle(anti[a], anti[b]),
                    "antipode-homomorphism", u=a, v=b)
 
     for w in range(dim_weight + 1):

@@ -58,10 +58,12 @@ first N - ds coefficients.  Whenever d > N - ds - 1 the truncated sum picks
 up a factor q from each coefficient that cannot influence the window, and
 q = 0 in characteristic p, so the whole power sum vanishes below the horizon;
 the kernel therefore only ever enumerates q^d vectors with d(s+1) < N.  That
-window rule lives in one function, ``_degree_end``, which only the kernel
-and the depth rule ``_lt_top`` read: S_{<d}(w) is zero below the horizon
-when min(d, ``_degree_end(s_1, N)``) is below the depth of w, and every
-reader of S_{<d} asks ``_lt_top`` for that.  This route is cross-checked
+window rule lives in one function, ``_degree_end``, which only the depth
+rule ``_lt_top`` reads: S_{<d}(w) is zero below the horizon when
+min(d, ``_degree_end(s_1, N)``) is below the depth of w, and every reader
+of S_{<d} asks ``_lt_top`` for that.  So every step of a walk sums a degree
+inside its head's window, and the kernel ``_depth1_window`` has one caller,
+the step, which takes S_0(s) = 1 itself.  This route is cross-checked
 against the oracle ``power_sum_d`` in the test suite.
 
 Coefficients are stored as field indices: a series window is a tuple of ints,
@@ -120,10 +122,6 @@ class Poly:
     def one(cls, spec: FieldSpec) -> "Poly":
         return cls(spec, (spec.one,))
 
-    @classmethod
-    def theta(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, (spec.zero, spec.one))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -143,42 +141,10 @@ class Poly:
                 out[i + j] = out[i + j] + a * b
         return Poly(spec, out)
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        out = Poly.one(self.spec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         return self.spec.key == other.spec.key and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.spec.key, self.coeffs))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.idx == 0:
-                continue
-            var = "" if i == 0 else ("theta" if i == 1 else f"theta^{i}")
-            if i == 0:
-                parts.append("1" if c.idx == 1 else self.spec.format_elem(c))
-            elif c.idx == 1:
-                parts.append(var)
-            else:
-                parts.append(f"{self.spec.format_elem(c)}*{var}")
-        return " + ".join(parts)
 
 
 def monic_enum(d: int, spec: FieldSpec) -> list[Poly]:
@@ -676,21 +642,15 @@ def _degree_end(s: int, N: int) -> int:
     return max(1, -(-N // (s + 1)))
 
 
-def _depth1_power_sum(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
-    """S_d((1); (s)) to absolute precision N, summing the expansions of
-    1/a^s over all monic a of degree d but only on the window that survives
-    the characteristic-p collapse (see module docstring)."""
-    if d == 0:
-        return Laurent.one(spec, N)
-    if d >= _degree_end(s, N):
-        return Laurent.zero(spec, N)
-    return _depth1_window(spec, s, d, N)
-
-
 @memoized("depth1_power_sum")
 def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
-    """:func:`_depth1_power_sum` for d >= 1 whose window below N is open;
-    :func:`_lt_word`, its one route, has refused a q^d past the budget."""
+    """S_d((1); (s)) to absolute precision N for d >= 1 whose window below N
+    is open, d(s + 1) < N: the expansions of 1/a^s over all monic a of
+    degree d, summed only on the window that survives the characteristic-p
+    collapse (see module docstring).  Its one caller is the step
+    :func:`_partial_sums`, whose degrees :func:`_lt_top` keeps inside the
+    window, and the step's one route, :func:`_lt_word`, has refused a q^d
+    past the budget."""
     v = d * s
     q = spec.q
     M = N - v
@@ -712,11 +672,13 @@ def _partial_sums(spec: FieldSpec, w: Word, t: int, N: int) -> Laurent:
 
         S_{<t}(w) = S_{<t-1}(w) + eps^(t-1) S_{t-1}(s) S_{<t-1}(v),
 
-    with S_{<t-1}(w) = 0 for t - 1 < len(w).  Where S_{t-1}(s) is zero the
-    step returns its predecessor and asks the tail nothing."""
+    with S_{<t-1}(w) = 0 for t - 1 < len(w).  S_0(s) is 1, and the step
+    reads every other S_{t-1}(s) from the kernel :func:`_depth1_window`; it
+    is its one caller.  Where S_{t-1}(s) is zero the step returns its
+    predecessor and asks the tail nothing."""
     head, d = w[0], t - 1
     acc = _partial_sums(spec, w, d, N) if d >= len(w) else Laurent.zero(spec, N)
-    h = _depth1_power_sum(spec, head.n, d, N)
+    h = _depth1_window(spec, head.n, d, N) if d else Laurent.one(spec, N)
     if h.is_zero():
         return acc
     term = h.scale(head.eps ** d)

@@ -53,7 +53,8 @@ def test_generator_values():
 def test_f4_arithmetic():
     s = field_make(2, 2, (1, 1, 1))
     g = s.g
-    g_plus_1 = s.elem((1, 1))
+    g_plus_1 = s.elements[3]
+    assert g_plus_1.coeffs == (1, 1)
     assert g * g == g_plus_1
     assert g.inverse() == g_plus_1
     assert g**3 == s.one
@@ -210,7 +211,9 @@ def test_tables_match_reference_default_moduli(q):
 ])
 def test_tables_match_reference_when_t_is_not_primitive(p, k, modulus, t_order):
     spec = field_make(p, k, modulus)
-    t = spec.elem((0, 1) + (0,) * (k - 2))
+    # coordinates read in base p: index p is the class of t
+    t = spec.elements[p]
+    assert t.coeffs == (0, 1) + (0,) * (k - 2)
     assert t ** t_order == spec.one and spec.g != t
     _check_against_reference(spec)
 

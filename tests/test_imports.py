@@ -31,11 +31,12 @@ modules and the harness work on ``Element.idx``, the field-index
 coefficients, and never read the ``FieldElem`` view ``.terms``.  The enumeration budget is checked where
 each route starts: ``zeta._check_budget`` is called only by ``monic_enum``
 and ``_lt_word``, so both refuse before any work.  The depth-one window end
-``zeta._degree_end`` is called only by the kernel's ``_depth1_power_sum``
-and by ``_lt_top``, the one depth rule that says which S_{<d}(w) are zero,
-so no reader of S_{<d} keeps its own copy of that rule.  The package has no
-runtime dependencies:
-every module it imports is in the standard library or is ``amzv`` itself.
+``zeta._degree_end`` is called only by ``_lt_top``, the one depth rule that
+says which S_{<d}(w) are zero, so no reader of S_{<d} keeps its own copy of
+that rule, and the depth-one kernel ``_depth1_window`` only by the step
+``_partial_sums``, whose degrees that rule keeps inside the window.  The
+package has no runtime dependencies: every module it imports is in the
+standard library or is ``amzv`` itself.
 A one-shot CLI request pays for compiling every module it loads, so no
 module that ``import amzv.cli`` loads imports ``dataclasses``, or imports
 ``zeta`` or ``verify`` when it is itself imported; the subcommands that
@@ -241,11 +242,16 @@ def test_the_budget_is_checked_where_each_route_starts():
         ("zeta.py", "_lt_word"), ("zeta.py", "monic_enum")]
 
 
-def test_the_window_end_is_read_by_the_kernel_and_the_depth_rule_alone():
+def test_the_window_end_is_read_by_the_depth_rule_alone():
     # every reader of S_{<d} asks _lt_top whether a word is zero, so the rule
     # has one copy
-    assert sorted(set(_callers("_degree_end"))) == [
-        ("zeta.py", "_depth1_power_sum"), ("zeta.py", "_lt_top")]
+    assert sorted(set(_callers("_degree_end"))) == [("zeta.py", "_lt_top")]
+
+
+def test_the_depth_one_kernel_is_called_by_the_step_alone():
+    # the step sums only degrees inside its head's window, so the kernel
+    # needs no window check of its own
+    assert sorted(set(_callers("_depth1_window"))) == [("zeta.py", "_partial_sums")]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "ff.py"),

@@ -75,7 +75,7 @@ CALLS = {
     "antipode": lambda sp: antipode(E(sp, "x[2,1]x[1,0]")),
     "mzv_letter": lambda sp: coproduct_mzv_recursive(3, sp),
     "mzv_word": lambda sp: coproduct_mzv_word(W(sp, "x[2,0]x[1,0]"), sp),
-    "depth1_power_sum": lambda sp: zeta._depth1_power_sum(sp, 1, 2, 12),
+    "depth1_power_sum": lambda sp: zeta._depth1_window(sp, 1, 2, 12),
     "partial_sums": lambda sp: zeta._partial_sums(sp, W(sp, "x[1,1]x[1,0]"), 5, 12),
 }
 
@@ -149,9 +149,8 @@ TRIVIAL = {
     "power sum at d < 0": (lambda sp: power_sum_d(A(sp, "x[1,0]"), -1, 10), {}),
     "S_<0 of a word": (lambda sp: power_sum_lt(A(sp, "x[2,1]x[1,0]"), 0, 10), {}),
     "zeta of 1": (lambda sp: zeta_trunc(Element.one(sp), 12), {}),
-    "depth1 at d = 0": (lambda sp: zeta._depth1_power_sum(sp, 1, 0, 12), {}),
-    "depth1 past the valuation": (lambda sp: zeta._depth1_power_sum(sp, 5, 3, 12), {}),
-    "depth1 past the window": (lambda sp: zeta._depth1_power_sum(sp, 2, 4, 12), {}),
+    # its one step sums degree 0, S_0 = 1, and asks the kernel nothing
+    "S_<1 of a letter": (lambda sp: power_sum_lt(A(sp, "x[2,1]"), 1, 12), {"partial_sums"}),
 }
 
 
@@ -177,11 +176,10 @@ def test_depth1_windows_outside_the_kernel_are_not_cached():
     spec = field_from_q(3)
     N = 12
     for s in (1, 2, 3):
-        for d in range(0, N + 1):
-            zeta._depth1_power_sum(spec, s, d, N)
+        zeta_trunc(E(spec, f"x[{s},0]"), N)
     # one entry per (s, d) with 1 <= d and d(s + 1) < N
     want = sum(1 for s in (1, 2, 3) for d in range(1, N + 1) if d * (s + 1) < N)
-    assert sizes(spec) == {"depth1_power_sum": want}
+    assert sizes(spec)["depth1_power_sum"] == want
 
 
 def test_zeta_asks_a_tail_only_for_its_heads_window():
