@@ -4,7 +4,7 @@ truncated numerics over F_q[theta] and a theorem verification harness.
 Importing the package loads none of its submodules.  Each public name, and
 each submodule name, is looked up in ``_HOME`` on first access (PEP 562),
 its submodule is imported then, and the value is kept in the package's
-globals, so later lookups are plain attribute reads.  A process that never
+globals, so later accesses are plain attribute reads.  A process that never
 touches ``zeta`` or ``verify`` never compiles them.
 """
 

@@ -2,7 +2,7 @@
 
 Fields are described by a :class:`FieldSpec`, built once via :func:`field_make`
 and then treated as immutable.  All q elements are created up front and every
-arithmetic operation is a table lookup returning one of those shared values,
+arithmetic operation reads a table and returns one of those shared values,
 so elements can be used freely as dictionary keys in the word-algebra layers.
 
 An element's coordinates ``(c_0, ..., c_{k-1})`` are those of
@@ -355,25 +355,21 @@ class BudgetExceededError(RuntimeError):
 
 def memoized(name: str):
     """Cache ``fn(spec, *args)`` in ``spec``'s memo ``name``, keyed by the
-    hashable ``args``.  Results are pure values, never ``None``, so
-    concurrent writers only race on identical data.  Callers answer trivial
-    inputs themselves, so those take no entry.  The cached function's
-    ``lookup(spec, *args)`` returns the cached result, or None if there is
-    none, and takes no entry either."""
+    hashable ``args``.  Results are never ``None``, and the first result
+    stored for a key is the one every call returns.  Every result is a pure
+    value but one: the table of ``zeta._partial_sums``, which walks extend
+    one partial sum at a time.  Entry i of it is one fixed value, and a walk
+    stores it at index i only, from entries it read by index, so concurrent
+    writers, here as in every memo, only race on identical data.  Callers
+    answer trivial inputs themselves, so those take no entry."""
     def decorate(fn):
         @functools.wraps(fn)
         def cached(spec: FieldSpec, *args):
             memo = spec._memos[name]
             out = memo.get(args)
             if out is None:
-                out = memo[args] = fn(spec, *args)
+                out = memo.setdefault(args, fn(spec, *args))
             return out
-
-        def lookup(spec: FieldSpec, *args):
-            memo = spec._memos.get(name)
-            return None if memo is None else memo.get(args)
-
-        cached.lookup = lookup
         return cached
     return decorate
 

@@ -31,8 +31,8 @@ routes:
   series at the end; a word that the depth rule makes zero is skipped
   before any walk.  The route enumerates no monic polynomial; its only
   enumeration is the depth-one kernel's coefficient vectors, and its memos
-  (the partial-sum steps and the depth-one sums they read again) are the
-  module's only ones.
+  (the tables of partial sums and the depth-one sums they read again) are
+  the module's only ones.
 
 Every enumeration visits the q^d monic polynomials or coefficient vectors of
 one degree d, and q^d is capped at ``amzv.ff.BUDGET``, read when it runs;
@@ -44,10 +44,11 @@ no vector.
 
 ``zeta_trunc`` is S_{<N+1}: every summand S_d has valuation >= d, so the sum
 is exact to the horizon.  The route peels one letter at a time,
-S_d(x_{s,eps} w) = eps^d S_d(s) S_{<d}(w), and one memoized step adds degree
-t - 1 to S_{<t-1}, asking the tail only where the head is nonzero; run for t
-in ascending order, it builds each S_{<t} once, with a stack as deep as the
-word, and a walk to S_{<d} resumes after the highest step already built.
+S_d(x_{s,eps} w) = eps^d S_d(s) S_{<d}(w).  Each word keeps one memoized
+table of its partial sums S_{<t}, and a walk to S_{<d} returns its entry or
+extends the table in one ascending loop, one degree per entry, asking the
+tail only where the head is nonzero: it builds each S_{<t} once, with a
+stack as deep as the word.
 The depth-one power sums S_d(s) go through a faster kernel: for a monic
 a = theta^d + c_{d-1}theta^{d-1} + ... + c_0,
 
@@ -61,10 +62,10 @@ the kernel therefore only ever enumerates q^d vectors with d(s+1) < N.  That
 window rule lives in one function, ``_degree_end``, which only the depth
 rule ``_lt_top`` reads: S_{<d}(w) is zero below the horizon when
 min(d, ``_degree_end(s_1, N)``) is below the depth of w, and every reader
-of S_{<d} asks ``_lt_top`` for that.  So every step of a walk sums a degree
-inside its head's window, and the kernel ``_depth1_window`` has one caller,
-the step, which takes S_0(s) = 1 itself.  This route is cross-checked
-against the oracle ``power_sum_d`` in the test suite.
+of S_{<d} asks ``_lt_top`` for that.  So every degree a walk sums is inside
+its head's window, and the kernel ``_depth1_window`` has one caller, the
+walk ``_lt_word``, which takes S_0(s) = 1 itself.  This route is
+cross-checked against the oracle ``power_sum_d`` in the test suite.
 
 Coefficients are stored as field indices: a series window is a tuple of ints,
 and ``+``, ``-`` and scaling look their results up in the per-field
@@ -567,7 +568,7 @@ def power_sum_d(w: Word, d: int, N: int) -> Laurent:
 
 def power_sum_lt(w: Word, d: int, N: int) -> Laurent:
     """S_{<d}(w) of a nonempty word = sum of S_m(w) over 0 <= m < d,
-    absolute precision N, by the factorized route (:func:`_partial_sums`)."""
+    absolute precision N, by the factorized route (:func:`_lt_word`)."""
     return _lt_word(word_to_array(w)[0].eps.spec, w, d, N)
 
 
@@ -606,29 +607,45 @@ def _lt_top(w: Word, d: int, N: int) -> int:
 
 
 def _lt_word(spec: FieldSpec, w: Word, d: int, N: int) -> Laurent:
-    """S_{<d}(w) of a nonempty word; zero, with no memo entry, when
-    :func:`_lt_top` says so.  The steps t = len(w), ..., top run in
-    ascending order: each finds its predecessor in the memo, so the stack
-    grows with the word's depth, not its degree.  The walk resumes after the
-    highest step already in the memo, so a caller that asks d, d + 1, ...
-    in turn calls each step once.  Before the first step the walk refuses
-    the first degree past the budget that it would sum, so it sums no
-    vector for a value it cannot finish."""
+    """S_{<d}(w) of a nonempty word w = x_{s,eps} v; zero, with no memo
+    entry, when :func:`_lt_top` says so.  It alone reads and extends the
+    table :func:`_partial_sums`: a walk to S_{<top} returns a built entry, or
+    sums the missing degrees in one ascending loop by
+
+        S_{<t+1}(w) = S_{<t}(w) + eps^t S_t(s) S_{<t}(v),
+
+    asking the tail only where S_t(s) is nonzero, so the stack grows with
+    the word's depth, not its degree, and a caller that asks d, d + 1, ...
+    in turn sums each degree once.  S_0(s) is 1, and every other S_t(s)
+    comes from the kernel :func:`_depth1_window`.  Each entry is stored by
+    a slice assignment at its own index, from a predecessor read by index,
+    so walks on other threads can only write an equal value there.  Before
+    the loop the walk refuses the first degree past the budget that it
+    would sum, so it sums no vector and stores no entry for a value it
+    cannot finish."""
     top = _lt_top(w, d, N)
     if not top:
         return Laurent.zero(spec, N)
-    t = top
-    while t >= len(w) and (acc := _built_partial_sums(spec, w, t, N)) is None:
-        t -= 1
-    # the steps t + 1, ..., top sum the head's degrees t, ..., top - 1 (from
-    # 1 on: degree 0 sums no vector), and every tail's degrees are lower
-    q, m = spec.q, max(1, t)
+    sums = _partial_sums(spec, w, N)
+    n, built = len(w), len(sums)
+    if top - n < built:
+        return sums[top - n]
+    # the loop sums the head's degrees n - 1 + built, ..., top - 1 (from 1
+    # on: degree 0 sums no vector), and every tail's degrees are lower
+    q, m = spec.q, max(1, n - 1 + built)
     while m < top and q**m <= ff.BUDGET:
         m += 1
     if m < top:
         _check_budget(q, m)
-    for t in range(t + 1, top + 1):
-        acc = _partial_sums(spec, w, t, N)
+    head, v = w[0], w[1:]
+    acc = sums[built - 1] if built else Laurent.zero(spec, N)
+    for i in range(built, top - n + 1):
+        t = n - 1 + i
+        h = _depth1_window(spec, head.n, t, N) if t else Laurent.one(spec, N)
+        if not h.is_zero():
+            term = h.scale(head.eps ** t)
+            acc = acc + (term * _lt_word(spec, v, t, N) if v else term)
+        sums[i:i + 1] = [acc]
     return acc
 
 
@@ -647,10 +664,9 @@ def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
     """S_d((1); (s)) to absolute precision N for d >= 1 whose window below N
     is open, d(s + 1) < N: the expansions of 1/a^s over all monic a of
     degree d, summed only on the window that survives the characteristic-p
-    collapse (see module docstring).  Its one caller is the step
-    :func:`_partial_sums`, whose degrees :func:`_lt_top` keeps inside the
-    window, and the step's one route, :func:`_lt_word`, has refused a q^d
-    past the budget."""
+    collapse (see module docstring).  Its one caller is the walk
+    :func:`_lt_word`, which sums only degrees that :func:`_lt_top` keeps
+    inside the window and has refused a q^d past the budget first."""
     v = d * s
     q = spec.q
     M = N - v
@@ -665,31 +681,11 @@ def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
 
 
 @memoized("partial_sums")
-def _partial_sums(spec: FieldSpec, w: Word, t: int, N: int) -> Laurent:
-    """S_{<t}(w) to absolute precision N, for a nonempty word w = x_{s,eps} v
-    and len(w) <= t <= ``_degree_end(s, N)``, by one degree of
-    S_d(w) = eps^d S_d(s) S_{<d}(v):
-
-        S_{<t}(w) = S_{<t-1}(w) + eps^(t-1) S_{t-1}(s) S_{<t-1}(v),
-
-    with S_{<t-1}(w) = 0 for t - 1 < len(w).  S_0(s) is 1, and the step
-    reads every other S_{t-1}(s) from the kernel :func:`_depth1_window`; it
-    is its one caller.  Where S_{t-1}(s) is zero the step returns its
-    predecessor and asks the tail nothing."""
-    head, d = w[0], t - 1
-    acc = _partial_sums(spec, w, d, N) if d >= len(w) else Laurent.zero(spec, N)
-    h = _depth1_window(spec, head.n, d, N) if d else Laurent.one(spec, N)
-    if h.is_zero():
-        return acc
-    term = h.scale(head.eps ** d)
-    if len(w) > 1:
-        term = term * _lt_word(spec, w[1:], d, N)
-    return acc + term
-
-
-# the steps already built, read without a memo entry; bound here, so a
-# wrapper put on ``_partial_sums`` does not hide it
-_built_partial_sums = _partial_sums.lookup
+def _partial_sums(spec: FieldSpec, w: Word, N: int) -> list[Laurent]:
+    """The table of the word's partial sums to absolute precision N: entry
+    i is S_{<len(w)+i}(w), and S_{<t}(w) = 0 below t = len(w).  It starts
+    empty, and only :func:`_lt_word` reads or extends it."""
+    return []
 
 
 def zeta_trunc(e: Element, N: int) -> Laurent:

@@ -33,8 +33,12 @@ each route starts: ``zeta._check_budget`` is called only by ``monic_enum``
 and ``_lt_word``, so both refuse before any work.  The depth-one window end
 ``zeta._degree_end`` is called only by ``_lt_top``, the one depth rule that
 says which S_{<d}(w) are zero, so no reader of S_{<d} keeps its own copy of
-that rule, and the depth-one kernel ``_depth1_window`` only by the step
-``_partial_sums``, whose degrees that rule keeps inside the window.  The
+that rule, and the depth-one kernel ``_depth1_window`` only by the walk
+``_lt_word``, whose degrees that rule keeps inside the window.  That walk
+alone reads the table of partial sums that ``_partial_sums`` hands out, an
+empty list per word, and writes it only by slice stores, one entry at its
+own index, so walks on other threads can only write equal values there.
+``ff.memoized`` adds no attribute to the function it caches.  The
 package has no runtime dependencies: every module it imports is in the
 standard library or is ``amzv`` itself.
 A one-shot CLI request pays for compiling every module it loads, so no
@@ -248,10 +252,49 @@ def test_the_window_end_is_read_by_the_depth_rule_alone():
     assert sorted(set(_callers("_degree_end"))) == [("zeta.py", "_lt_top")]
 
 
-def test_the_depth_one_kernel_is_called_by_the_step_alone():
-    # the step sums only degrees inside its head's window, so the kernel
+def test_the_depth_one_kernel_is_called_by_the_walk_alone():
+    # the walk sums only degrees inside its head's window, so the kernel
     # needs no window check of its own
-    assert sorted(set(_callers("_depth1_window"))) == [("zeta.py", "_partial_sums")]
+    assert sorted(set(_callers("_depth1_window"))) == [("zeta.py", "_lt_word")]
+
+
+def test_the_table_of_partial_sums_grows_by_slice_stores_in_the_walk_alone():
+    # a walk stores entry i at index i, from entries it read by index, so
+    # concurrent walks of one word write equal values; an append, extend or
+    # += would add an entry that another walk added already
+    assert sorted(set(_callers("_partial_sums"))) == [("zeta.py", "_lt_word")]
+    zeta = _top_level_functions(SRC / "zeta.py")
+    table, walk = zeta["_partial_sums"], zeta["_lt_word"]
+    assert not [n for stmt in table.body for n in ast.walk(stmt) if isinstance(n, ast.Call)]
+    bound = [node for node in ast.walk(walk) if isinstance(node, ast.Assign)
+             and getattr(node.value, "func", None) is not None
+             and getattr(node.value.func, "id", None) == "_partial_sums"]
+    assert len(bound) == 1 and [type(t) for t in bound[0].targets] == [ast.Name]
+    name = bound[0].targets[0].id
+    allowed, slice_stores = {id(bound[0].targets[0])}, 0
+    for node in ast.walk(walk):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == name:
+            allowed.add(id(node.value))
+            if isinstance(node.ctx, ast.Store):
+                assert isinstance(node.slice, ast.Slice), f"line {node.lineno}: not a slice store"
+                slice_stores += 1
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+              and [getattr(a, "id", None) for a in node.args] == [name]):
+            allowed.add(id(node.args[0]))
+    # every other use of the table (a method call, +=, an alias, an argument)
+    # could write it some other way
+    bad = [f"line {node.lineno}" for node in ast.walk(walk)
+           if isinstance(node, ast.Name) and node.id == name and id(node) not in allowed]
+    assert not bad and slice_stores == 1, bad
+
+
+def test_memoized_adds_no_attribute_to_what_it_caches():
+    # every read of a memo goes through the cached call itself, so a memo
+    # has one way in
+    memoized = _top_level_functions(SRC / "ff.py")["memoized"]
+    assert not [f"line {node.lineno}: .{node.attr}" for node in ast.walk(memoized)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+    assert "lookup" not in (SRC / "ff.py").read_text()
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "ff.py"),

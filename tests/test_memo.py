@@ -64,6 +64,18 @@ def A(spec, text):
     return word_to_array(W(spec, text))
 
 
+def table(spec, text, d, N):
+    """A word's table of partial sums, after a walk to S_{<d}."""
+    w = W(spec, text)
+    power_sum_lt(w, d, N)
+    return zeta._partial_sums(spec, w, N)
+
+
+def table_lengths(spec):
+    """(w, N) -> the length of that word's table of partial sums."""
+    return {key: len(sums) for key, sums in spec._memos["partial_sums"].items()}
+
+
 # memo name -> one call that fills it, through the function a caller uses
 CALLS = {
     "delta": lambda sp: delta_coeff(1, 2, 2, sp),
@@ -76,7 +88,7 @@ CALLS = {
     "mzv_letter": lambda sp: coproduct_mzv_recursive(3, sp),
     "mzv_word": lambda sp: coproduct_mzv_word(W(sp, "x[2,0]x[1,0]"), sp),
     "depth1_power_sum": lambda sp: zeta._depth1_window(sp, 1, 2, 12),
-    "partial_sums": lambda sp: zeta._partial_sums(sp, W(sp, "x[1,1]x[1,0]"), 5, 12),
+    "partial_sums": lambda sp: table(sp, "x[1,1]x[1,0]", 5, 12),
 }
 
 
@@ -184,24 +196,26 @@ def test_depth1_windows_outside_the_kernel_are_not_cached():
 
 def test_zeta_asks_a_tail_only_for_its_heads_window():
     # the head x[3,0] reaches d(3 + 1) < 16, so d <= 3, and depth 3 needs
-    # d >= 2, so S_<t is built at t = 3, 4; the tail x[1,0]x[1,0] alone would
-    # reach d(1 + 1) < 16, d <= 7, but is asked only up to t = 2
+    # d >= 2, so its table holds S_<3 and S_<4; the tail x[1,0]x[1,0] alone
+    # would reach d(1 + 1) < 16, d <= 7, but is asked only up to S_<2
     spec = field_from_q(2)
     zeta_trunc(E(spec, "x[3,0]x[1,0]x[1,0]"), 16)
-    asked = {(len(w), t) for w, t, N in spec._memos["partial_sums"]}
-    assert asked == {(3, 3), (3, 4), (2, 2), (1, 1)}
+    asked = {(len(w), n) for (w, N), n in table_lengths(spec).items()}
+    assert asked == {(3, 2), (2, 1), (1, 1)}
     # so the depth-one kernel ran at no degree above 3
     assert max(d for s, d, N in spec._memos["depth1_power_sum"]) == 3
 
 
 def test_partial_sums_stop_at_the_heads_window_end(capsys):
     # S_m(w) is zero below the horizon from its head's window end on, so
-    # S_{<d} at any d asks for no partial sum past that end
+    # S_{<d} at any d builds no partial sum past that end: the last entry
+    # of a word's table is S_{<len(w) - 1 + len(table)}
     spec = field_from_q(3)
     e = E(spec, "x[2,1]x[1,0]") + E(spec, "x[1,1]")
     assert zeta.power_sum_lt_element(e, 10**6, 14) == zeta_trunc(e, 14)
-    keys = spec._memos["partial_sums"]
-    assert keys and all(t <= zeta._degree_end(w[0].n, N) for w, t, N in keys)
+    lengths = table_lengths(spec)
+    assert lengths and all(len(w) - 1 + n <= zeta._degree_end(w[0].n, N)
+                           for (w, N), n in lengths.items())
     powsum = ["powsum", "--q", "3", "--d", str(10**6), "--prec", "14", "x[2,1]x[1,0]"]
     assert cli.main(powsum + ["--lt"]) == 0
     assert capsys.readouterr().out == "g^1*u^6 + u^8 + g^1*u^12 + O(u^14)\n"
@@ -217,9 +231,9 @@ def test_partial_sums_are_built_once_per_degree_in_any_order():
     arr = A(spec, "x[1,1]x[1,0]x[2,1]")
     D = zeta._degree_end(1, N)
     top = power_sum_lt(arr, D, N)
-    keys = set(spec._memos["partial_sums"])
+    lengths = table_lengths(spec)
     got = {d: power_sum_lt(arr, d, N) for d in reversed(range(D))}
-    assert set(spec._memos["partial_sums"]) == keys
+    assert table_lengths(spec) == lengths
     fresh = field_from_q(3)
     arr = A(fresh, "x[1,1]x[1,0]x[2,1]")
     want = {d: power_sum_lt(arr, d, N) for d in range(D + 1)}
@@ -228,23 +242,24 @@ def test_partial_sums_are_built_once_per_degree_in_any_order():
 
 
 def test_partial_sums_stack_grows_with_the_depth_not_the_degree(monkeypatch):
-    step = zeta._partial_sums
+    walk = zeta._lt_word
     depth = [0, 0]  # current, deepest
 
     def nested(*args):
         depth[0] += 1
         depth[1] = max(depth)
         try:
-            return step(*args)
+            return walk(*args)
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(zeta, "_partial_sums", nested)
-    # a depth-3 word whose head's window ends at D = 8
+    monkeypatch.setattr(zeta, "_lt_word", nested)
+    # a depth-3 word whose head's window ends at D = 8: each walk sums its
+    # degrees in a loop and nests only in its tail's walk
     e = E(field_from_q(2), "x[1,0]x[1,0]x[1,0]")
     assert zeta._degree_end(1, 16) == 8
     assert not zeta_trunc(e, 16).is_zero()
-    assert 3 <= depth[1] <= 2 * 3
+    assert depth[1] == 3
 
 
 def test_lowered_budget_raises_on_a_fresh_field(monkeypatch, capsys):

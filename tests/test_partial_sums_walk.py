@@ -1,39 +1,62 @@
-"""How often the factorized route calls its memoized step.
+"""How the factorized route builds and shares its tables of partial sums.
 
-``zeta._lt_word`` reaches S_{<d}(w) through the steps ``_partial_sums(w, t)``
-for t up to d.  It resumes after the highest step already in the memo, so a
-step that asks its tail for S_{<t-1}, right after its predecessor asked for
-S_{<t-2}, calls one new tail step and not the whole walk again.  Walking
-from the start every time made the calls grow with the square of the
-degree: 4 084 calls for the check below.
+``zeta._lt_word`` reaches S_{<d}(w) through one memoized table per word and
+precision, whose entry i is S_{<len(w)+i}(w).  A walk returns a built entry
+or extends the table in one ascending loop, one degree per entry, so a walk
+that asks its tail for S_{<t}, right after it asked for S_{<t-1}, builds one
+new tail entry and not the whole walk again.  Walking from the start every
+time made the work grow with the square of the degree: 4 084 step calls for
+the cold check below, where the tables hold 994 steps.
+
+A walk stores entry i at index i, by a slice assignment, from entries it
+read by index, so walks on several threads can share a table; an interrupted
+walk, or one that the budget refuses, leaves a table that the next walk
+completes to what a fresh field builds.
 """
 
-from amzv import field_from_q, parse_word, power_sum_lt, word_to_array, zeta
+import random
+import sys
+import threading
+
+import pytest
+
+from amzv import ff, field_from_q, parse_word, power_sum_lt, word_to_array, zeta
 from amzv.verify import check_zeta_homomorphism
+from amzv.zeta import BudgetExceededError
 
 
-def count_steps(monkeypatch):
+def tables(spec):
+    return spec._memos["partial_sums"]
+
+
+def steps(spec):
+    """Every entry of every table: the steps built so far."""
+    return sum(map(len, tables(spec).values()))
+
+
+def count_kernel_calls(monkeypatch):
     calls = [0]
-    step = zeta._partial_sums
+    kernel = zeta._depth1_window
 
     def counted(*args):
         calls[0] += 1
-        return step(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(zeta, "_partial_sums", counted)
+    monkeypatch.setattr(zeta, "_depth1_window", counted)
     return calls
 
 
-def test_a_cold_zeta_check_calls_each_step_about_twice(monkeypatch):
-    calls = count_steps(monkeypatch)
+def test_a_cold_zeta_check_builds_each_step_once(monkeypatch):
+    kernel_calls = count_kernel_calls(monkeypatch)
     spec = field_from_q(2)
     rep = check_zeta_homomorphism(spec, trials=25)
     assert rep.passed and rep.instances == 170
-    built = len(spec._memos["partial_sums"])
-    # each step is built once and asked once more, by its successor; the
-    # Chen family's words, read at chen_prec = 96, add 38 steps and 60 calls
-    assert built == 994
-    assert calls[0] == 1736 <= 2 * built
+    # the Chen family's words, read at chen_prec = 96, add 38 steps
+    assert len(tables(spec)) == 252 and steps(spec) == 994
+    # every step sums one degree: degree 0, only at a one-letter word's
+    # first entry, takes S_0 = 1, and every other degree asks the kernel once
+    letters = sum(1 for w, N in tables(spec) if len(w) == 1)
+    assert kernel_calls[0] + letters == 994
 
 
 def test_a_cold_zeta_check_walks_only_words_that_are_not_zero(monkeypatch):
@@ -53,14 +76,99 @@ def test_a_cold_zeta_check_walks_only_words_that_are_not_zero(monkeypatch):
 
 
 def test_asking_ascending_degrees_calls_one_new_step_each(monkeypatch):
-    calls = count_steps(monkeypatch)
+    kernel_calls = count_kernel_calls(monkeypatch)
     spec = field_from_q(3)
     arr = word_to_array(parse_word("x[1,1]x[1,0]", spec))
     N = 16  # the head's window ends at degree 8
     power_sum_lt(arr, 2, N)
     for d in range(3, 9):
-        before = calls[0]
+        built, before = steps(spec), kernel_calls[0]
         power_sum_lt(arr, d, N)
-        # S_<d(w) is one new step, which asks its predecessor and at most one
-        # new tail step, which asks its own predecessor
-        assert calls[0] - before <= 4, d
+        # S_<d(w) is one new entry, whose degree asks the tail for at most
+        # one new entry of its own
+        assert len(tables(spec)[arr, N]) == d - 1, d
+        assert 1 <= steps(spec) - built <= 2, d
+        assert kernel_calls[0] - before <= 2, d
+
+
+# words that share tails, so that walks on one thread extend the tables that
+# walks on another are reading
+SHARED_TAILS = ("x[1,0]", "x[1,1]x[1,0]", "x[2,1]x[1,0]x[1,1]", "x[1,0]x[1,0]",
+                "x[1,1]x[2,0]x[1,0]")
+
+
+def test_concurrent_walks_share_a_table_safely():
+    N, threads = 16, 4
+    fresh = field_from_q(3)
+    want = {(text, d): power_sum_lt(parse_word(text, fresh), d, N)
+            for text in SHARED_TAILS for d in range(1, 9)}
+    rng = random.Random(26)
+    wrong = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            spec = field_from_q(3)
+            words = {text: parse_word(text, spec) for text in SHARED_TAILS}
+            orders = [rng.sample(sorted(want), len(want)) for _ in range(threads)]
+            got = [{} for _ in range(threads)]
+
+            def walk(k):
+                for text, d in orders[k]:
+                    got[k][text, d] = power_sum_lt(words[text], d, N)
+
+            workers = [threading.Thread(target=walk, args=(k,)) for k in range(threads)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join()
+            wrong += sum(g != want for g in got)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == 0
+
+
+def fresh_walk(q, text, d, N):
+    spec = field_from_q(q)
+    return power_sum_lt(parse_word(text, spec), d, N), tables(spec)
+
+
+def test_an_interrupted_walk_leaves_a_consistent_table(monkeypatch):
+    # the kernel fails at S_2(3), which the tail x[3,0]x[4,0] asks for in
+    # its second step, while the head x[1,0] is in its second step too
+    text, d, N = "x[1,0]x[3,0]x[4,0]", 8, 16
+    want, want_tables = fresh_walk(2, text, d, N)
+    assert not want.is_zero() and sum(map(len, want_tables.values())) > 3
+    kernel = zeta._depth1_window
+
+    def failing(spec, s, m, prec):
+        if (s, m) == (3, 2):
+            raise RuntimeError("interrupted")
+        return kernel(spec, s, m, prec)
+
+    monkeypatch.setattr(zeta, "_depth1_window", failing)
+    spec = field_from_q(2)
+    w = parse_word(text, spec)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        power_sum_lt(w, d, N)
+    # each of the three walks stored its first entry and no other
+    assert [len(sums) for sums in tables(spec).values()] == [1, 1, 1]
+    monkeypatch.setattr(zeta, "_depth1_window", kernel)
+    assert power_sum_lt(w, d, N) == want
+    assert tables(spec) == want_tables
+
+
+def test_a_refused_walk_adds_no_entry(monkeypatch):
+    text, N = "x[1,1]x[1,0]", 16
+    spec = field_from_q(3)
+    w = parse_word(text, spec)
+    power_sum_lt(w, 4, N)
+    built = {key: list(sums) for key, sums in tables(spec).items()}
+    monkeypatch.setattr(ff, "BUDGET", 3**4)
+    with pytest.raises(BudgetExceededError, match=r"q\^d = 3\^5 exceeds budget 81"):
+        power_sum_lt(w, 8, N)
+    assert tables(spec) == built
+    monkeypatch.undo()
+    want, want_tables = fresh_walk(3, text, 8, N)
+    assert power_sum_lt(w, 8, N) == want
+    assert tables(spec) == want_tables
