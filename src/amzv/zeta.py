@@ -38,17 +38,21 @@ Every enumeration visits the q^d monic polynomials or coefficient vectors of
 one degree d, and q^d is capped at ``amzv.ff.BUDGET``, read when it runs;
 past the cap it raises :class:`BudgetExceededError`.  Each route refuses
 where it starts: ``monic_enum`` before it lists a polynomial, and a walk to
-S_{<d} before its first step, at the first degree it would sum past the
-cap.  Its tails sum only lower degrees, so a value that cannot finish sums
-no vector.
+S_{<d} before it reads its table, at the first degree past the cap that a
+walk from an empty table would sum.  So whether a value refuses does not
+depend on what the memos hold, and a refused walk adds no table.  Its tails
+sum only lower degrees, so a value that cannot finish sums no vector.
 
 ``zeta_trunc`` is S_{<N+1}: every summand S_d has valuation >= d, so the sum
 is exact to the horizon.  The route peels one letter at a time,
 S_d(x_{s,eps} w) = eps^d S_d(s) S_{<d}(w).  Each word keeps one memoized
 table of its partial sums S_{<t}, and a walk to S_{<d} returns its entry or
-extends the table in one ascending loop, one degree per entry, asking the
-tail only where the head is nonzero: it builds each S_{<t} once, with a
-stack as deep as the word.
+extends the table in one ascending loop, one degree per entry, walking the
+tail only where the head and the depth rule for the tail are nonzero: it
+builds each S_{<t} once, with a stack as deep as the word.  Each step
+stores one series: the head's window, scaled only when eps^t is not 1,
+times the tail's window in one product, added into a copy of the previous
+entry's window.
 The depth-one power sums S_d(s) go through a faster kernel: for a monic
 a = theta^d + c_{d-1}theta^{d-1} + ... + c_0,
 
@@ -61,20 +65,23 @@ q = 0 in characteristic p, so the whole power sum vanishes below the horizon;
 the kernel therefore only ever enumerates q^d vectors with d(s+1) < N.  That
 window rule lives in one function, ``_degree_end``, which only the depth
 rule ``_lt_top`` reads: S_{<d}(w) is zero below the horizon when
-min(d, ``_degree_end(s_1, N)``) is below the depth of w, and every reader
-of S_{<d} asks ``_lt_top`` for that.  So every degree a walk sums is inside
-its head's window, and the kernel ``_depth1_window`` has one caller, the
-walk ``_lt_word``, which takes S_0(s) = 1 itself.  This route is
-cross-checked against the oracle ``power_sum_d`` in the test suite.
+min(d, ``_degree_end(s_1, N)``) is below the depth of w.  Every reader of
+S_{<d} (``power_sum_lt``, ``power_sum_lt_element`` and the walk's step, for
+its tail) asks ``_lt_top`` once per read and hands the walk the last step it
+returns, so no walk applies the rule to its own word and none is started for
+a zero.  So every degree a walk sums is inside its head's window, and the
+kernel ``_depth1_window`` has one caller, the walk ``_lt_word``, which takes
+S_0(s) = 1 itself.  This route is cross-checked against the oracle
+``power_sum_d`` in the test suite.
 
 Coefficients are stored as field indices: a series window is a tuple of ints,
 and ``+``, ``-`` and scaling look their results up in the per-field
 ``add``/``mul``/``neg`` index tables (:attr:`FieldSpec.idx_ops`), which are
 built once per field and survive memo clearing.  Every product of series
-(``Laurent.__mul__`` and the powers (1 + h)^s of the inverse powers 1/a^s) is
-one product of two Python ints (``_mul_series``) in the layout that
-``_packing`` documents and builds the tables for, once per field and byte
-width, in ``FieldSpec.packings``, outside the memos.
+(``Laurent.__mul__``, the walk's step and the powers (1 + h)^s of the
+inverse powers 1/a^s) is one product of two Python ints (``_mul_series``)
+in the layout that ``_packing`` documents and builds the tables for, once
+per field and byte width, in ``FieldSpec.packings``, outside the memos.
 The unit-series inverse (``_unit_inv``) is a recursion on indices.
 :class:`FieldElem` values appear only at the boundary: the constructor,
 ``coeff``, ``coeffs``, ``scale``'s argument, and the text functions
@@ -569,31 +576,41 @@ def power_sum_d(w: Word, d: int, N: int) -> Laurent:
 def power_sum_lt(w: Word, d: int, N: int) -> Laurent:
     """S_{<d}(w) of a nonempty word = sum of S_m(w) over 0 <= m < d,
     absolute precision N, by the factorized route (:func:`_lt_word`)."""
-    return _lt_word(word_to_array(w)[0].eps.spec, w, d, N)
+    spec = word_to_array(w)[0].eps.spec
+    top = _lt_top(w, d, N)
+    return _lt_word(spec, w, top, N) if top else Laurent.zero(spec, N)
 
 
 def power_sum_lt_element(e: Element, d: int, N: int) -> Laurent:
     """Linear extension of S_{<d} to the word algebra; the empty word maps to 1.
 
     Every term is summed into one window of field indices below u^N, and one
-    :class:`Laurent` is built from it at the end.  A word that the depth rule
-    of :func:`_lt_top` makes zero is skipped before any walk or series."""
+    :class:`Laurent` is built from it at the end; a coefficient 1 is added
+    as it is, any other scales the word's value on the way in.  Each word's
+    last step is decided once, by :func:`_lt_top`, and a word that it makes
+    zero is skipped before any walk or series."""
     spec = e.spec
     add, mul, _ = spec.idx_ops
     out = [0] * N
     for w, c in e.idx.items():
         if not w:
             x = Laurent.one(spec, N)
-        elif _lt_top(w, d, N):
-            x = _lt_word(spec, w, d, N)
         else:
-            continue
+            top = _lt_top(w, d, N)
+            if not top:
+                continue
+            x = _lt_word(spec, w, top, N)
         # every value has valuation >= 0 and its window ends below u^N
-        row, k = mul[c], x.val
-        for i in x.idx:
-            out[k] = add[out[k]][row[i]]
-            k += 1
+        _add_window(out, add, x.val, x.idx if c == 1 else map(mul[c].__getitem__, x.idx))
     return _laurent(spec, 0, out, N)
+
+
+def _add_window(out: list[int], add, k: int, window) -> None:
+    """Add the index window that starts at exponent k into ``out``, a list
+    of the indices of the coefficients of u^0, u^1, ..."""
+    for c in window:
+        out[k] = add[out[k]][c]
+        k += 1
 
 
 def _lt_top(w: Word, d: int, N: int) -> int:
@@ -601,50 +618,73 @@ def _lt_top(w: Word, d: int, N: int) -> int:
     S_{<d}(w) is zero below u^N.  S_m(w) is zero below u^N for m below its
     depth minus one, and from its head's window end on, so the walk stops at
     min(d, ``_degree_end(s_1, N)``) and is empty when that is below the
-    depth.  This is the one depth rule; every reader of S_{<d} asks it."""
+    depth.  This is the one depth rule: every reader of S_{<d} asks it once
+    per read and hands the walk its answer."""
+    n = len(w)
+    if d < n:
+        return 0
     top = min(d, _degree_end(w[0].n, N))
-    return top if top >= len(w) else 0
+    return top if top >= n else 0
 
 
-def _lt_word(spec: FieldSpec, w: Word, d: int, N: int) -> Laurent:
-    """S_{<d}(w) of a nonempty word w = x_{s,eps} v; zero, with no memo
-    entry, when :func:`_lt_top` says so.  It alone reads and extends the
-    table :func:`_partial_sums`: a walk to S_{<top} returns a built entry, or
-    sums the missing degrees in one ascending loop by
+def _lt_word(spec: FieldSpec, w: Word, top: int, N: int) -> Laurent:
+    """S_{<top}(w) of a nonempty word w = x_{s,eps} v, for the nonzero
+    ``top`` that :func:`_lt_top` gave the caller, so len(w) <= top <=
+    ``_degree_end(s, N)``.  It alone reads and extends the table
+    :func:`_partial_sums`: a walk returns a built entry, or sums the missing
+    degrees in one ascending loop by
 
         S_{<t+1}(w) = S_{<t}(w) + eps^t S_t(s) S_{<t}(v),
 
-    asking the tail only where S_t(s) is nonzero, so the stack grows with
-    the word's depth, not its degree, and a caller that asks d, d + 1, ...
-    in turn sums each degree once.  S_0(s) is 1, and every other S_t(s)
-    comes from the kernel :func:`_depth1_window`.  Each entry is stored by
-    a slice assignment at its own index, from a predecessor read by index,
-    so walks on other threads can only write an equal value there.  Before
-    the loop the walk refuses the first degree past the budget that it
-    would sum, so it sums no vector and stores no entry for a value it
-    cannot finish."""
-    top = _lt_top(w, d, N)
-    if not top:
-        return Laurent.zero(spec, N)
+    asking the depth rule for the tail's last step and walking the tail only
+    where S_t(s) and that step are nonzero, so the stack grows with the
+    word's depth, not its degree, and a caller that asks d, d + 1, ... in
+    turn sums each degree once.  S_0(s) is 1, and every other S_t(s) comes
+    from the kernel :func:`_depth1_window`.  A step takes the kernel's
+    window, scales it only when eps^t is not 1, multiplies it by the tail's
+    window with one :func:`_mul_series` and adds the product into a copy of
+    the previous entry's window, so each new entry is one series.  Each
+    entry is stored by a slice assignment at its own index, from a
+    predecessor read by index, so walks on other threads can only write an
+    equal value there.  Before it fetches the table the walk refuses the
+    first degree past the budget that a walk from an empty table would sum,
+    so a value refuses exactly where a fresh field's walk does, and a
+    refused walk sums no vector and adds no table or entry."""
+    n, q = len(w), spec.q
+    # a walk from an empty table sums the head's degrees max(1, n - 1), ...,
+    # top - 1 (degree 0 sums no vector), and every tail's degrees are lower
+    if top > 1 and q ** (top - 1) > ff.BUDGET:
+        m = max(1, n - 1)
+        while q ** m <= ff.BUDGET:
+            m += 1
+        _check_budget(q, m)
     sums = _partial_sums(spec, w, N)
-    n, built = len(w), len(sums)
+    built = len(sums)
     if top - n < built:
         return sums[top - n]
-    # the loop sums the head's degrees n - 1 + built, ..., top - 1 (from 1
-    # on: degree 0 sums no vector), and every tail's degrees are lower
-    q, m = spec.q, max(1, n - 1 + built)
-    while m < top and q**m <= ff.BUDGET:
-        m += 1
-    if m < top:
-        _check_budget(q, m)
     head, v = w[0], w[1:]
+    add, mul, _ = spec.idx_ops
     acc = sums[built - 1] if built else Laurent.zero(spec, N)
     for i in range(built, top - n + 1):
         t = n - 1 + i
         h = _depth1_window(spec, head.n, t, N) if t else Laurent.one(spec, N)
-        if not h.is_zero():
-            term = h.scale(head.eps ** t)
-            acc = acc + (term * _lt_word(spec, v, t, N) if v else term)
+        k, window = h.val, h.idx
+        if window and v:
+            tail_top = _lt_top(v, t, N)
+            tail = _lt_word(spec, v, tail_top, N) if tail_top else None
+            if tail is None or not tail.idx:
+                window = ()
+        if window:
+            c = (head.eps ** t).idx
+            if c != 1:
+                window = list(map(mul[c].__getitem__, window))
+            if v:
+                k += tail.val
+                window = _mul_series(spec, window, tail.idx, N - k)
+            out = [0] * N
+            out[acc.val:acc.val + len(acc.idx)] = acc.idx
+            _add_window(out, add, k, window)
+            acc = _laurent(spec, 0, out, N)
         sums[i:i + 1] = [acc]
     return acc
 

@@ -23,6 +23,7 @@ import pytest
 from amzv import ff, field_from_q, parse_word, power_sum_lt, word_to_array, zeta
 from amzv.verify import check_zeta_homomorphism
 from amzv.zeta import BudgetExceededError
+from test_zeta_golden import GRID, golden_lines
 
 
 def tables(spec):
@@ -61,7 +62,9 @@ def test_a_cold_zeta_check_builds_each_step_once(monkeypatch):
 
 def test_a_cold_zeta_check_walks_only_words_that_are_not_zero(monkeypatch):
     # power_sum_lt_element skips each word whose S_{<d} the depth rule makes
-    # zero; asking _lt_word for them too made 2 771 calls here
+    # zero, and a step walks no tail that the rule makes zero; asking
+    # _lt_word for the words too made 2 771 calls here, and for the tails
+    # 1 176
     calls = [0]
     walk = zeta._lt_word
 
@@ -72,7 +75,27 @@ def test_a_cold_zeta_check_walks_only_words_that_are_not_zero(monkeypatch):
     monkeypatch.setattr(zeta, "_lt_word", counted)
     rep = check_zeta_homomorphism(field_from_q(2), trials=25)
     assert rep.passed and rep.instances == 170
-    assert calls[0] == 1176
+    assert calls[0] == 1140
+
+
+def test_every_walk_is_handed_a_top_inside_its_heads_window(monkeypatch):
+    # each reader asks the depth rule once and hands the walk its answer, so
+    # a walk never sees zeta_trunc's d = N + 1 or a tail's degree past its
+    # own window end
+    tops = []
+    walk = zeta._lt_word
+
+    def recorded(spec, w, top, N):
+        tops.append((w, top, N))
+        return walk(spec, w, top, N)
+
+    monkeypatch.setattr(zeta, "_lt_word", recorded)
+    assert check_zeta_homomorphism(field_from_q(2), trials=25).passed
+    for q in GRID:
+        golden_lines(q)
+    bad = [(w, top, N) for w, top, N in tops
+           if not len(w) <= top <= zeta._degree_end(w[0].n, N)]
+    assert len(tops) > 1140 and not bad, bad[:5]
 
 
 def test_asking_ascending_degrees_calls_one_new_step_each(monkeypatch):
@@ -172,3 +195,29 @@ def test_a_refused_walk_adds_no_entry(monkeypatch):
     want, want_tables = fresh_walk(3, text, 8, N)
     assert power_sum_lt(w, 8, N) == want
     assert tables(spec) == want_tables
+
+
+def test_a_refused_walk_on_a_new_word_adds_no_table(monkeypatch):
+    spec = field_from_q(3)
+    monkeypatch.setattr(ff, "BUDGET", 5)
+    with pytest.raises(BudgetExceededError, match=r"q\^d = 3\^2 exceeds budget 5"):
+        power_sum_lt(parse_word("x[1,0]", spec), 9, 20)
+    assert tables(spec) == {}
+
+
+def test_a_lowered_budget_refuses_a_built_value_as_on_a_fresh_field(monkeypatch):
+    # the walk decides before it reads its table, so whether a value refuses
+    # does not depend on what the memo holds
+    text, N = "x[1,1]x[1,0]", 16
+    spec = field_from_q(3)
+    w = parse_word(text, spec)
+    want = power_sum_lt(w, 5, N)
+    power_sum_lt(w, 8, N)
+    built = {key: list(sums) for key, sums in tables(spec).items()}
+    monkeypatch.setattr(ff, "BUDGET", 3**4)
+    for sp in (spec, field_from_q(3)):
+        with pytest.raises(BudgetExceededError, match=r"q\^d = 3\^5 exceeds budget 81"):
+            power_sum_lt(parse_word(text, sp), 8, N)
+    # S_{<5} sums degrees up to 4 only, so the built entry answers
+    assert power_sum_lt(w, 5, N) == want
+    assert tables(spec) == built
