@@ -39,9 +39,11 @@ one degree d, and q^d is capped at ``amzv.ff.BUDGET``, read when it runs;
 past the cap it raises :class:`BudgetExceededError`.  Each route refuses
 where it starts: ``monic_enum`` before it lists a polynomial, and a walk to
 S_{<d} before it reads its table, at the first degree past the cap that a
-walk from an empty table would sum.  So whether a value refuses does not
-depend on what the memos hold, and a refused walk adds no table.  Its tails
-sum only lower degrees, so a value that cannot finish sums no vector.
+walk from an empty table would sum; ``power_sum_lt_element`` runs that
+refusal for every word before it walks the first.  So whether a value
+refuses does not depend on what the memos hold, and a refused walk adds no
+table.  Its tails sum only lower degrees, so a value that cannot finish, of
+a word or of an element, sums no vector.
 
 ``zeta_trunc`` is S_{<N+1}: every summand S_d has valuation >= d, so the sum
 is exact to the horizon.  The route peels one letter at a time,
@@ -59,10 +61,23 @@ a = theta^d + c_{d-1}theta^{d-1} + ... + c_0,
     1/a^s = u^{ds} (1 + h(u))^{-s},   h(u) = sum_t c_{d-t} u^t,
 
 and summing the expansion over all q^d coefficient vectors needs only the
-first N - ds coefficients.  Whenever d > N - ds - 1 the truncated sum picks
-up a factor q from each coefficient that cannot influence the window, and
-q = 0 in characteristic p, so the whole power sum vanishes below the horizon;
-the kernel therefore only ever enumerates q^d vectors with d(s+1) < N.  That
+first M = N - ds coefficients.  The coefficient g_m of u^m in the unit part
+(1 + h)^(-s), like that of (1 + h)^s, depends on h_1..h_m only, so:
+
+- for m < d each value of g_m recurs q^(d - m) times over the vectors, and
+  q = 0 in characteristic p, so only g_d, ..., g_{M-1} are summed.  When
+  M <= d nothing is left and the whole power sum vanishes below the
+  horizon; the kernel therefore only ever enumerates q^d vectors with
+  d(s+1) < N, that is, when g_{M-1} is still summed.
+- in ``itertools.product`` order a vector shares every digit before its
+  last nonzero one, h_t, with its predecessor, so g keeps g_0..g_{t-1}, and
+  the recurrence g_m = -(H_1 g_{m-1} + ... + H_m g_0) of the inverse of
+  1 + H = (1 + h)^s runs from g_t on, into one list kept across the loop.
+  For s > 1 each vector's power (1 + h)^s is still computed whole, by
+  packed products (``_unit_pow``).
+
+The recurrence has one copy, ``_unit_inv``, which the kernel and the
+oracle's ``_unit_inv_pow`` (behind ``laurent_inv_pow``) share.  The
 window rule lives in one function, ``_degree_end``, which only the depth
 rule ``_lt_top`` reads: S_{<d}(w) is zero below the horizon when
 min(d, ``_degree_end(s_1, N)``) is below the depth of w.  Every reader of
@@ -82,7 +97,7 @@ built once per field and survive memo clearing.  Every product of series
 inverse powers 1/a^s) is one product of two Python ints (``_mul_series``)
 in the layout that ``_packing`` documents and builds the tables for, once
 per field and byte width, in ``FieldSpec.packings``, outside the memos.
-The unit-series inverse (``_unit_inv``) is a recursion on indices.
+The unit-series inverse (``_unit_inv``) is a recurrence on indices.
 :class:`FieldElem` values appear only at the boundary: the constructor,
 ``coeff``, ``coeffs``, ``scale``'s argument, and the text functions
 ``format_laurent`` / ``parse_laurent``.  Each binary operation checks once
@@ -419,15 +434,19 @@ def _run_decoder(spec: FieldSpec):
     return dec
 
 
-def _unit_inv(h, M: int, add, mul, neg) -> list[int]:
-    """The first M coefficients of 1/(1 + h_1 u + h_2 u^2 + ...), where
-    ``h[t - 1]`` is h_t."""
+def _unit_inv(h, g: list[int], start: int, add, mul, neg) -> list[int]:
+    """Fill ``g`` from index ``start`` >= 1 on with the coefficients of
+    1/(1 + h_1 u + h_2 u^2 + ...) below u^len(g), where ``h[t - 1]`` is h_t,
+    by the recurrence g_m = -(h_1 g_{m-1} + ... + h_m g_0), and return it.
+    ``g[:start]`` must already hold the first coefficients (g_0 = 1): g_m
+    reads h_1..h_m only, so a caller that changes h from digit ``start`` on
+    keeps the coefficients below it.  This is the one copy of the recurrence,
+    shared by the kernel :func:`_depth1_window` and the oracle's
+    :func:`_unit_inv_pow`."""
+    M = len(g)
     # (t, row of h_t in the product table) for every nonzero h_t
     terms = [(t, mul[ht]) for t, ht in enumerate(h[: M - 1], 1) if ht]
-    g = [0] * M
-    if M:
-        g[0] = 1
-    for m in range(1, M):
+    for m in range(start, M):
         acc = 0
         for t, row in terms:
             if t > m:
@@ -437,20 +456,27 @@ def _unit_inv(h, M: int, add, mul, neg) -> list[int]:
     return g
 
 
+def _unit_pow(spec: FieldSpec, h, s: int, M: int):
+    """The coefficients of u^1, ..., u^(M - 1) of (1 + h_1 u + h_2 u^2 + ...)^s,
+    for s >= 1, by binary powering with :func:`_mul_series`; the one of u^m
+    reads h_1..h_m only."""
+    pw, cur = None, [1, *h]
+    while True:
+        if s & 1:
+            pw = cur if pw is None else _mul_series(spec, pw, cur, M)
+        s >>= 1
+        if not s:
+            return pw[1:M]
+        cur = _mul_series(spec, cur, cur, M)
+
+
 def _unit_inv_pow(spec: FieldSpec, h, s: int, M: int) -> list[int]:
     """The first M coefficients of (1 + h_1 u + h_2 u^2 + ...)^(-s)."""
+    if not M:
+        return []
     if s > 1:
-        pw, cur = None, [1, *h]
-        while True:
-            if s & 1:
-                pw = cur if pw is None else _mul_series(spec, pw, cur, M)
-            s >>= 1
-            if not s:
-                break
-            cur = _mul_series(spec, cur, cur, M)
-        h = pw[1:]
-    add, mul, neg = spec.idx_ops
-    return _unit_inv(h, M, add, mul, neg)
+        h = _unit_pow(spec, h, s, M)
+    return _unit_inv(h, [1] + [0] * (M - 1), 1, *spec.idx_ops)
 
 
 def _fmt_exp(e: int) -> str:
@@ -565,7 +591,9 @@ def power_sum_d(w: Word, d: int, N: int) -> Laurent:
         for lt, m in zip(w, degs):
             s = lt.n
             if (s, m) not in sums:
-                sums[s, m] = sum((laurent_inv_pow(a, s, N) for a in monic_enum(m, spec)),
+                # 1/a^s starts at u^(ms), so N - ms coefficients reach u^N
+                k = max(0, N - m * s)
+                sums[s, m] = sum((laurent_inv_pow(a, s, k) for a in monic_enum(m, spec)),
                                  Laurent.zero(spec, N))
             scalar = scalar * lt.eps**m
             term = term * sums[s, m]
@@ -588,15 +616,20 @@ def power_sum_lt_element(e: Element, d: int, N: int) -> Laurent:
     :class:`Laurent` is built from it at the end; a coefficient 1 is added
     as it is, any other scales the word's value on the way in.  Each word's
     last step is decided once, by :func:`_lt_top`, and a word that it makes
-    zero is skipped before any walk or series."""
+    zero is skipped before any walk or series.  Every word's walk is passed
+    through the budget refusal :func:`_check_walk_budget` before the first
+    one starts, so an element that cannot finish sums no vector."""
     spec = e.spec
+    tops = {w: _lt_top(w, d, N) for w in e.idx if w}
+    for w, top in tops.items():
+        _check_walk_budget(spec.q, len(w), top)
     add, mul, _ = spec.idx_ops
     out = [0] * N
     for w, c in e.idx.items():
         if not w:
             x = Laurent.one(spec, N)
         else:
-            top = _lt_top(w, d, N)
+            top = tops[w]
             if not top:
                 continue
             x = _lt_word(spec, w, top, N)
@@ -627,6 +660,18 @@ def _lt_top(w: Word, d: int, N: int) -> int:
     return top if top >= n else 0
 
 
+def _check_walk_budget(q: int, n: int, top: int) -> None:
+    """Refuse a walk to S_{<top} of a word of depth n at the first degree
+    past the budget that a walk from an empty table would sum: the head's
+    degrees max(1, n - 1), ..., top - 1 (degree 0 sums no vector), since
+    every tail's degrees are lower."""
+    if top > 1 and q ** (top - 1) > ff.BUDGET:
+        m = max(1, n - 1)
+        while q ** m <= ff.BUDGET:
+            m += 1
+        _check_budget(q, m)
+
+
 def _lt_word(spec: FieldSpec, w: Word, top: int, N: int) -> Laurent:
     """S_{<top}(w) of a nonempty word w = x_{s,eps} v, for the nonzero
     ``top`` that :func:`_lt_top` gave the caller, so len(w) <= top <=
@@ -646,18 +691,13 @@ def _lt_word(spec: FieldSpec, w: Word, top: int, N: int) -> Laurent:
     the previous entry's window, so each new entry is one series.  Each
     entry is stored by a slice assignment at its own index, from a
     predecessor read by index, so walks on other threads can only write an
-    equal value there.  Before it fetches the table the walk refuses the
-    first degree past the budget that a walk from an empty table would sum,
-    so a value refuses exactly where a fresh field's walk does, and a
-    refused walk sums no vector and adds no table or entry."""
-    n, q = len(w), spec.q
-    # a walk from an empty table sums the head's degrees max(1, n - 1), ...,
-    # top - 1 (degree 0 sums no vector), and every tail's degrees are lower
-    if top > 1 and q ** (top - 1) > ff.BUDGET:
-        m = max(1, n - 1)
-        while q ** m <= ff.BUDGET:
-            m += 1
-        _check_budget(q, m)
+    equal value there.  Before it fetches the table the walk refuses, by
+    :func:`_check_walk_budget`, the first degree past the budget that a walk
+    from an empty table would sum, so a value refuses exactly where a fresh
+    field's walk does, and a refused walk sums no vector and adds no table
+    or entry."""
+    n = len(w)
+    _check_walk_budget(spec.q, n, top)
     sums = _partial_sums(spec, w, N)
     built = len(sums)
     if top - n < built:
@@ -703,19 +743,30 @@ def _degree_end(s: int, N: int) -> int:
 def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
     """S_d((1); (s)) to absolute precision N for d >= 1 whose window below N
     is open, d(s + 1) < N: the expansions of 1/a^s over all monic a of
-    degree d, summed only on the window that survives the characteristic-p
-    collapse (see module docstring).  Its one caller is the walk
-    :func:`_lt_word`, which sums only degrees that :func:`_lt_top` keeps
-    inside the window and has refused a q^d past the budget first."""
+    degree d, summed only on the coefficients u^(ds + m), d <= m < N - ds,
+    that survive the characteristic-p collapse.  It visits every one of
+    the q^d coefficient vectors, in ``itertools.product`` order, and
+    recomputes each one's unit part with :func:`_unit_inv` from its first
+    changed digit, its last nonzero one, on (see module docstring).  Its one
+    caller is the walk :func:`_lt_word`, which sums only degrees that
+    :func:`_lt_top` keeps inside the window and has refused a q^d past the
+    budget first."""
     v = d * s
-    q = spec.q
     M = N - v
-    add = spec.idx_ops[0]
+    add, mul, neg = spec.idx_ops
     total = [0] * M
-    for h in itertools.product(range(q), repeat=d):
-        # the unit part (1 + h_1 u + ... + h_d u^d)^(-s) of 1/a^s, mod u^M
-        g = _unit_inv_pow(spec, h, s, M)
-        for m in range(M):
+    # the unit part (1 + h_1 u + ... + h_d u^d)^(-s) of 1/a^s, mod u^M, for
+    # the current vector h; g_0 = 1 for every vector
+    g = [1] + [0] * (M - 1)
+    for h in itertools.product(range(spec.q), repeat=d):
+        # h shares every digit before its last nonzero one, h_t, with its
+        # predecessor, so g keeps its coefficients below u^t (t = 1 for h = 0)
+        t = d
+        while t > 1 and not h[t - 1]:
+            t -= 1
+        _unit_inv(_unit_pow(spec, h, s, M) if s > 1 else h, g, t, add, mul, neg)
+        # below u^d each g_m recurs q^(d - m) times, so it sums to zero
+        for m in range(d, M):
             total[m] = add[total[m]][g[m]]
     return _laurent(spec, v, total, N)
 

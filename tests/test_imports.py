@@ -30,7 +30,11 @@ word the harness wraps is looked up in that table.  The algebra
 modules and the harness work on ``Element.idx``, the field-index
 coefficients, and never read the ``FieldElem`` view ``.terms``.  The enumeration budget is checked where
 each route starts: ``zeta._check_budget`` is called only by ``monic_enum``
-and ``_lt_word``, so both refuse before any work.  The depth-one window end
+and ``_check_walk_budget``, which only ``_lt_word`` and
+``power_sum_lt_element`` call, so each refuses before any work, and an
+element before it walks any word.  The unit-series recurrence
+``zeta._unit_inv`` has one copy, called only by the kernel
+``_depth1_window`` and the oracle's ``_unit_inv_pow``.  The depth-one window end
 ``zeta._degree_end`` is called only by ``_lt_top``, the one depth rule that
 says which S_{<d}(w) are zero, so no reader of S_{<d} keeps its own copy of
 that rule, and the depth-one kernel ``_depth1_window`` only by the walk
@@ -240,10 +244,21 @@ def test_the_harness_wraps_basis_words_in_its_table_alone():
 
 
 def test_the_budget_is_checked_where_each_route_starts():
-    # monic_enum refuses before it lists a polynomial and _lt_word before its
-    # walk sums a vector; a check further down would refuse after the work
+    # monic_enum refuses before it lists a polynomial, _lt_word before its
+    # walk sums a vector and power_sum_lt_element before it walks any word,
+    # the last two through one helper; a check further down would refuse
+    # after the work
     assert sorted(set(_callers("_check_budget"))) == [
-        ("zeta.py", "_lt_word"), ("zeta.py", "monic_enum")]
+        ("zeta.py", "_check_walk_budget"), ("zeta.py", "monic_enum")]
+    assert sorted(set(_callers("_check_walk_budget"))) == [
+        ("zeta.py", "_lt_word"), ("zeta.py", "power_sum_lt_element")]
+
+
+def test_the_unit_series_recurrence_has_one_copy():
+    # the kernel and the oracle's inverse powers share _unit_inv, so a forked
+    # copy of the recurrence cannot drift from the oracle unseen
+    assert sorted(set(_callers("_unit_inv"))) == [
+        ("zeta.py", "_depth1_window"), ("zeta.py", "_unit_inv_pow")]
 
 
 def test_the_window_end_is_read_by_the_depth_rule_alone():

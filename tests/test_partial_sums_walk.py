@@ -20,7 +20,9 @@ import threading
 
 import pytest
 
-from amzv import ff, field_from_q, parse_word, power_sum_lt, word_to_array, zeta
+from amzv import (
+    ff, field_from_q, parse_element, parse_word, power_sum_lt, word_to_array, zeta, zeta_trunc,
+)
 from amzv.verify import check_zeta_homomorphism
 from amzv.zeta import BudgetExceededError
 from test_zeta_golden import GRID, golden_lines
@@ -203,6 +205,17 @@ def test_a_refused_walk_on_a_new_word_adds_no_table(monkeypatch):
     with pytest.raises(BudgetExceededError, match=r"q\^d = 3\^2 exceeds budget 5"):
         power_sum_lt(parse_word("x[1,0]", spec), 9, 20)
     assert tables(spec) == {}
+
+
+def test_an_element_refuses_before_any_word_is_walked(monkeypatch):
+    # the third word's walk is the one past the budget; the element decides
+    # every word's last step and refuses it before it walks the first
+    spec = field_from_q(3)
+    monkeypatch.setattr(ff, "BUDGET", 27)
+    e = parse_element("x[3,0] + x[2,1]x[1,0] + x[1,0]", spec)
+    with pytest.raises(BudgetExceededError, match=r"^q\^d = 3\^4 exceeds budget 27$"):
+        zeta_trunc(e, 14)
+    assert tables(spec) == {} and spec._memos["depth1_power_sum"] == {}
 
 
 def test_a_lowered_budget_refuses_a_built_value_as_on_a_fresh_field(monkeypatch):

@@ -26,7 +26,7 @@ from amzv import (
 )
 from amzv import cli, verify, zeta
 from amzv.verify import Rng, check_zeta_homomorphism, random_element
-from amzv.zeta import BudgetExceededError, _degree_end, _depth1_window
+from amzv.zeta import BudgetExceededError, _depth1_window
 
 from conftest import get_spec
 
@@ -338,12 +338,12 @@ def test_power_sum_budget(spec_q3):
     (2, 99999, "x[5,0]", 20),  # 16 666 open degrees; 2^20 is the first past it
 ])
 def test_depth_one_budget_refuses_before_any_vector(monkeypatch, q, prec, text, d):
-    # a late refusal fails at the first unit series it sums, not after
-    # running through the degrees below d
+    # a late refusal fails at the first kernel call, which the walk looks up
+    # by name, not after running through the degrees below d
     def summed(*args):
         raise AssertionError("a coefficient vector was summed before the refusal")
 
-    monkeypatch.setattr(zeta, "_unit_inv_pow", summed)
+    monkeypatch.setattr(zeta, "_depth1_window", summed)
     spec = field_from_q(q)
     with pytest.raises(BudgetExceededError, match=rf"^q\^d = {q}\^{d} exceeds budget 1000000$"):
         zeta_trunc(parse_element(text, spec), prec)
@@ -354,19 +354,26 @@ def test_depth_one_budget_refuses_before_any_vector(monkeypatch, q, prec, text, 
 # -- the fast depth-one kernel against plain enumeration -----------------------------
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_depth1_kernel_matches_enumeration(q):
-    # past the window the oracle's S_d is zero below u^N, which is what lets
-    # _lt_top stop there and the kernel skip a window check
+    # every degree d with q^d <= 4096, for s = 1, 2, p, q, q + 1, at the
+    # precision N whose top open degree sums the single coefficient
+    # u^(ds + d), M - d = 1, over vectors that carry through every digit.
+    # Past the window, N <= d(s + 1), the oracle's S_d is zero below u^N,
+    # which is what lets _lt_top stop there and the kernel skip a window check.
     spec = get_spec(q)
-    for s in (1, 2, 3):
-        for d in range(1, 4):
-            for N in (4, 9, 14):
-                slow = power_sum_d(arr1(spec, s), d, N)
-                if d < _degree_end(s, N):
-                    assert _depth1_window(spec, s, d, N) == slow
-                else:
-                    assert slow.is_zero(), (s, d, N)
+    top = 1
+    while q ** (top + 1) <= 4096:
+        top += 1
+    nonzero = 0
+    for s in sorted({1, 2, spec.p, q, q + 1}):
+        N = top * (s + 1) + 1
+        for d in range(1, top + 1):
+            slow = power_sum_d(arr1(spec, s), d, N)
+            assert slow.truncate(d * (s + 1)).is_zero(), (s, d)
+            assert _depth1_window(spec, s, d, N) == slow, (s, d, N)
+            nonzero += not slow.is_zero()
+    assert nonzero
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
