@@ -37,13 +37,15 @@ routes:
 Every enumeration visits the q^d monic polynomials or coefficient vectors of
 one degree d, and q^d is capped at ``amzv.ff.BUDGET``, read when it runs;
 past the cap it raises :class:`BudgetExceededError`.  Each route refuses
-where it starts: ``monic_enum`` before it lists a polynomial, and a walk to
-S_{<d} before it reads its table, at the first degree past the cap that a
-walk from an empty table would sum; ``power_sum_lt_element`` runs that
-refusal for every word before it walks the first.  So whether a value
-refuses does not depend on what the memos hold, and a refused walk adds no
-table.  Its tails sum only lower degrees, so a value that cannot finish, of
-a word or of an element, sums no vector.
+where it starts, once per read: ``monic_enum`` before it lists a
+polynomial, ``power_sum_lt`` before its walk to S_{<d} reads the word's
+table, at the first degree past the cap that a walk from an empty table
+would sum, and ``power_sum_lt_element`` runs that refusal for every word
+before it walks the first.  The walk checks nothing itself: its tails sum
+only lower degrees than its head, so where the head passes they pass.  So
+whether a value refuses does not depend on what the memos hold, a refused
+walk adds no table, and a value that cannot finish, of a word or of an
+element, sums no vector.
 
 ``zeta_trunc`` is S_{<N+1}: every summand S_d has valuation >= d, so the sum
 is exact to the horizon.  The route peels one letter at a time,
@@ -52,9 +54,9 @@ table of its partial sums S_{<t}, and a walk to S_{<d} returns its entry or
 extends the table in one ascending loop, one degree per entry, walking the
 tail only where the head and the depth rule for the tail are nonzero: it
 builds each S_{<t} once, with a stack as deep as the word.  Each step
-stores one series: the head's window, scaled only when eps^t is not 1,
-times the tail's window in one product, added into a copy of the previous
-entry's window.
+stores one series: the head's window times the tail's window in one
+product, added with the factor eps^t into a copy of the previous entry's
+window.
 The depth-one power sums S_d(s) go through a faster kernel: for a monic
 a = theta^d + c_{d-1}theta^{d-1} + ... + c_0,
 
@@ -77,9 +79,9 @@ first M = N - ds coefficients.  The coefficient g_m of u^m in the unit part
   packed products (``_unit_pow``).
 
 The recurrence has one copy, ``_unit_inv``, which the kernel and the
-oracle's ``_unit_inv_pow`` (behind ``laurent_inv_pow``) share.  The
-window rule lives in one function, ``_degree_end``, which only the depth
-rule ``_lt_top`` reads: S_{<d}(w) is zero below the horizon when
+oracle's ``laurent_inv_pow`` share.  The window rule lives in one
+function, ``_degree_end``, which only the depth rule ``_lt_top`` reads:
+S_{<d}(w) is zero below the horizon when
 min(d, ``_degree_end(s_1, N)``) is below the depth of w.  Every reader of
 S_{<d} (``power_sum_lt``, ``power_sum_lt_element`` and the walk's step, for
 its tail) asks ``_lt_top`` once per read and hands the walk the last step it
@@ -92,7 +94,12 @@ S_0(s) = 1 itself.  This route is cross-checked against the oracle
 Coefficients are stored as field indices: a series window is a tuple of ints,
 and ``+``, ``-`` and scaling look their results up in the per-field
 ``add``/``mul``/``neg`` index tables (:attr:`FieldSpec.idx_ops`), which are
-built once per field and survive memo clearing.  Every product of series
+built once per field and survive memo clearing.  Every sum of series
+windows (``+`` and ``-``, an element's sum over its words and the walk's
+step) goes through one kernel, ``_accumulate``, which adds c·u^k·window
+into a list of indices in place, as ``words.accumulate`` does for an
+Element; besides it only the depth-one kernel, its recurrence and the
+packed-product decoder read the ``add`` table.  Every product of series
 (``Laurent.__mul__``, the walk's step and the powers (1 + h)^s of the
 inverse powers 1/a^s) is one product of two Python ints (``_mul_series``)
 in the layout that ``_packing`` documents and builds the tables for, once
@@ -235,35 +242,26 @@ class Laurent:
         return _laurent(self.spec, self.val, self.idx, prec)
 
     def __add__(self, other: "Laurent") -> "Laurent":
-        spec = self.spec
-        check_field(spec, other.spec)
-        prec = min(self.prec, other.prec)
-        a, b = self.idx, other.idx
-        if not a:
-            return other.truncate(prec)
-        if not b:
-            return self.truncate(prec)
-        lo, hi = self.val, other.val
-        if lo > hi:
-            a, b, lo, hi = b, a, hi, lo
-        # a starts at u^lo, b at u^hi >= u^lo; the sum is known below prec
-        width = min(prec, max(lo + len(a), hi + len(b))) - lo
-        out = list(a[:width])
-        out += [0] * (width - len(out))
-        add = spec.idx_ops[0]
-        k = hi - lo
-        for c in b[: max(0, width - k)]:
-            if c:
-                out[k] = add[out[k]][c]
-            k += 1
-        return _laurent(spec, lo, out, prec)
+        return self._plus(other, 1)
 
     def __neg__(self) -> "Laurent":
         neg = self.spec.idx_ops[2]
         return _laurent(self.spec, self.val, [neg[c] for c in self.idx], self.prec)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + -other
+        return self._plus(other, self.spec.idx_ops[2][1])
+
+    def _plus(self, other: "Laurent", c: int) -> "Laurent":
+        """self + c·other for a nonzero field index c, known below the lower
+        horizon: two accumulations into one window from the lower valuation."""
+        spec = self.spec
+        check_field(spec, other.spec)
+        prec = min(self.prec, other.prec)
+        lo = min(self.val, other.val)
+        out = [0] * (prec - lo)
+        for x, cx in ((self, 1), (other, c)):
+            _accumulate(spec, out, x.val - lo, x.idx[:max(0, prec - x.val)], cx)
+        return _laurent(spec, lo, out, prec)
 
     def scale(self, c: FieldElem) -> "Laurent":
         check_field(self.spec, c.spec)
@@ -470,15 +468,6 @@ def _unit_pow(spec: FieldSpec, h, s: int, M: int):
         cur = _mul_series(spec, cur, cur, M)
 
 
-def _unit_inv_pow(spec: FieldSpec, h, s: int, M: int) -> list[int]:
-    """The first M coefficients of (1 + h_1 u + h_2 u^2 + ...)^(-s)."""
-    if not M:
-        return []
-    if s > 1:
-        h = _unit_pow(spec, h, s, M)
-    return _unit_inv(h, [1] + [0] * (M - 1), 1, *spec.idx_ops)
-
-
 def _fmt_exp(e: int) -> str:
     return f"u^({e})" if e < 0 else f"u^{e}"
 
@@ -512,6 +501,9 @@ def parse_laurent(text: str, spec: FieldSpec) -> Laurent:
     prec = None
     for raw in text.strip().split(" + "):
         term = raw.strip()
+        if prec is not None:
+            raise ValueError(f"series term {term!r} follows the precision marker; "
+                             "series text must end with its one precision marker")
         if term.startswith("O("):
             inner = term[2:-1]
             if not inner.startswith("u^") and inner != "u":
@@ -554,11 +546,14 @@ def laurent_inv_pow(a: Poly, s: int, prec_coeffs: int) -> Laurent:
         raise ValueError("exponent must be >= 1")
     if prec_coeffs < 0:
         raise ValueError("precision must be >= 0")
-    spec, d = a.spec, a.degree
-    # a = theta^d (1 + h(u)) with h_t the coefficient of theta^(d-t)
-    h = [a.coeffs[d - t].idx for t in range(1, min(d, prec_coeffs - 1) + 1)]
-    g = _unit_inv_pow(spec, h, s, prec_coeffs)
-    return _laurent(spec, d * s, g, d * s + prec_coeffs)
+    spec, d, M = a.spec, a.degree, prec_coeffs
+    # a = theta^d (1 + h(u)) with h_t the coefficient of theta^(d-t), and
+    # 1/a^s = u^(ds) (1 + h)^(-s); at M = 0 the horizon cuts g_0 = 1
+    h = [a.coeffs[d - t].idx for t in range(1, min(d, M - 1) + 1)]
+    if s > 1:
+        h = _unit_pow(spec, h, s, M)
+    g = _unit_inv(h, [1] + [0] * (M - 1), 1, *spec.idx_ops)
+    return _laurent(spec, d * s, g, d * s + M)
 
 
 def _chain_degrees(d: int, depth: int):
@@ -603,46 +598,53 @@ def power_sum_d(w: Word, d: int, N: int) -> Laurent:
 
 def power_sum_lt(w: Word, d: int, N: int) -> Laurent:
     """S_{<d}(w) of a nonempty word = sum of S_m(w) over 0 <= m < d,
-    absolute precision N, by the factorized route (:func:`_lt_word`)."""
+    absolute precision N, by the factorized route (:func:`_lt_word`) after
+    one budget refusal (:func:`_check_walk_budget`), which refuses exactly
+    where a fresh field's walk would, before any vector, table or entry."""
     spec = word_to_array(w)[0].eps.spec
     top = _lt_top(w, d, N)
+    _check_walk_budget(spec.q, len(w), top)
     return _lt_word(spec, w, top, N) if top else Laurent.zero(spec, N)
 
 
 def power_sum_lt_element(e: Element, d: int, N: int) -> Laurent:
     """Linear extension of S_{<d} to the word algebra; the empty word maps to 1.
 
-    Every term is summed into one window of field indices below u^N, and one
-    :class:`Laurent` is built from it at the end; a coefficient 1 is added
-    as it is, any other scales the word's value on the way in.  Each word's
-    last step is decided once, by :func:`_lt_top`, and a word that it makes
-    zero is skipped before any walk or series.  Every word's walk is passed
+    Every term is summed into one window of field indices below u^N by
+    :func:`_accumulate`, which scales the word's value by its coefficient on
+    the way in, and one :class:`Laurent` is built from it at the end; the
+    empty word adds its coefficient at u^0.  Each word's last step is
+    decided once, by :func:`_lt_top`, and a word that it makes zero is
+    skipped before any walk or series.  Every word's walk is passed
     through the budget refusal :func:`_check_walk_budget` before the first
     one starts, so an element that cannot finish sums no vector."""
     spec = e.spec
     tops = {w: _lt_top(w, d, N) for w in e.idx if w}
     for w, top in tops.items():
         _check_walk_budget(spec.q, len(w), top)
-    add, mul, _ = spec.idx_ops
     out = [0] * N
     for w, c in e.idx.items():
         if not w:
-            x = Laurent.one(spec, N)
-        else:
-            top = tops[w]
-            if not top:
-                continue
-            x = _lt_word(spec, w, top, N)
-        # every value has valuation >= 0 and its window ends below u^N
-        _add_window(out, add, x.val, x.idx if c == 1 else map(mul[c].__getitem__, x.idx))
+            # 1, cut at the horizon
+            _accumulate(spec, out, 0, (1,)[:N], c)
+        elif tops[w]:
+            # every value has valuation >= 0 and its window ends below u^N
+            x = _lt_word(spec, w, tops[w], N)
+            _accumulate(spec, out, x.val, x.idx, c)
     return _laurent(spec, 0, out, N)
 
 
-def _add_window(out: list[int], add, k: int, window) -> None:
-    """Add the index window that starts at exponent k into ``out``, a list
-    of the indices of the coefficients of u^0, u^1, ..."""
-    for c in window:
-        out[k] = add[out[k]][c]
+def _accumulate(spec: FieldSpec, out: list[int], k: int, window, c: int) -> None:
+    """In place, ``out += c · u^k · window``: ``out`` is a list of the
+    indices of the coefficients of u^0, u^1, ..., ``window`` an index window
+    that starts at exponent k and ends inside it, and ``c`` a nonzero field
+    index.  The series counterpart of :func:`amzv.words.accumulate`, and
+    the one place that sums series windows."""
+    add, mul, _ = spec.idx_ops
+    if c != 1:
+        window = map(mul[c].__getitem__, window)
+    for x in window:
+        out[k] = add[out[k]][x]
         k += 1
 
 
@@ -685,25 +687,20 @@ def _lt_word(spec: FieldSpec, w: Word, top: int, N: int) -> Laurent:
     where S_t(s) and that step are nonzero, so the stack grows with the
     word's depth, not its degree, and a caller that asks d, d + 1, ... in
     turn sums each degree once.  S_0(s) is 1, and every other S_t(s) comes
-    from the kernel :func:`_depth1_window`.  A step takes the kernel's
-    window, scales it only when eps^t is not 1, multiplies it by the tail's
-    window with one :func:`_mul_series` and adds the product into a copy of
-    the previous entry's window, so each new entry is one series.  Each
-    entry is stored by a slice assignment at its own index, from a
-    predecessor read by index, so walks on other threads can only write an
-    equal value there.  Before it fetches the table the walk refuses, by
-    :func:`_check_walk_budget`, the first degree past the budget that a walk
-    from an empty table would sum, so a value refuses exactly where a fresh
-    field's walk does, and a refused walk sums no vector and adds no table
-    or entry."""
+    from the kernel :func:`_depth1_window`.  A step multiplies the kernel's
+    window by the tail's window with one :func:`_mul_series` and adds the
+    product, times eps^t, into a copy of the previous entry's window with
+    :func:`_accumulate`, so each new entry is one series.  Each entry is
+    stored by a slice assignment at its own index, from a predecessor read
+    by index, so walks on other threads can only write an equal value
+    there.  The walk checks no budget: its callers refuse before it starts,
+    and its tails sum only lower degrees than its head."""
     n = len(w)
-    _check_walk_budget(spec.q, n, top)
     sums = _partial_sums(spec, w, N)
     built = len(sums)
     if top - n < built:
         return sums[top - n]
     head, v = w[0], w[1:]
-    add, mul, _ = spec.idx_ops
     acc = sums[built - 1] if built else Laurent.zero(spec, N)
     for i in range(built, top - n + 1):
         t = n - 1 + i
@@ -715,15 +712,12 @@ def _lt_word(spec: FieldSpec, w: Word, top: int, N: int) -> Laurent:
             if tail is None or not tail.idx:
                 window = ()
         if window:
-            c = (head.eps ** t).idx
-            if c != 1:
-                window = list(map(mul[c].__getitem__, window))
             if v:
                 k += tail.val
                 window = _mul_series(spec, window, tail.idx, N - k)
             out = [0] * N
             out[acc.val:acc.val + len(acc.idx)] = acc.idx
-            _add_window(out, add, k, window)
+            _accumulate(spec, out, k, window, (head.eps ** t).idx)
             acc = _laurent(spec, 0, out, N)
         sums[i:i + 1] = [acc]
     return acc

@@ -30,11 +30,14 @@ word the harness wraps is looked up in that table.  The algebra
 modules and the harness work on ``Element.idx``, the field-index
 coefficients, and never read the ``FieldElem`` view ``.terms``.  The enumeration budget is checked where
 each route starts: ``zeta._check_budget`` is called only by ``monic_enum``
-and ``_check_walk_budget``, which only ``_lt_word`` and
-``power_sum_lt_element`` call, so each refuses before any work, and an
-element before it walks any word.  The unit-series recurrence
+and ``_check_walk_budget``, which only ``power_sum_lt`` and
+``power_sum_lt_element`` call, so each refuses once per read, before any
+work, and an element before it walks any word.  The unit-series recurrence
 ``zeta._unit_inv`` has one copy, called only by the kernel
-``_depth1_window`` and the oracle's ``_unit_inv_pow``.  The depth-one window end
+``_depth1_window`` and the oracle's ``laurent_inv_pow``.  In ``zeta.py``
+one function sums series windows, ``_accumulate``: apart from it only the
+depth-one kernel, the recurrence and the packed-product decoder
+``_run_decoder`` read the add table.  The depth-one window end
 ``zeta._degree_end`` is called only by ``_lt_top``, the one depth rule that
 says which S_{<d}(w) are zero, so no reader of S_{<d} keeps its own copy of
 that rule, and the depth-one kernel ``_depth1_window`` only by the walk
@@ -244,21 +247,61 @@ def test_the_harness_wraps_basis_words_in_its_table_alone():
 
 
 def test_the_budget_is_checked_where_each_route_starts():
-    # monic_enum refuses before it lists a polynomial, _lt_word before its
-    # walk sums a vector and power_sum_lt_element before it walks any word,
-    # the last two through one helper; a check further down would refuse
-    # after the work
+    # monic_enum refuses before it lists a polynomial, power_sum_lt before
+    # its walk sums a vector and power_sum_lt_element before it walks any
+    # word, the last two through one helper; a check further down would
+    # refuse after the work, or again on every tail the walk reads
     assert sorted(set(_callers("_check_budget"))) == [
         ("zeta.py", "_check_walk_budget"), ("zeta.py", "monic_enum")]
     assert sorted(set(_callers("_check_walk_budget"))) == [
-        ("zeta.py", "_lt_word"), ("zeta.py", "power_sum_lt_element")]
+        ("zeta.py", "power_sum_lt"), ("zeta.py", "power_sum_lt_element")]
 
 
 def test_the_unit_series_recurrence_has_one_copy():
     # the kernel and the oracle's inverse powers share _unit_inv, so a forked
     # copy of the recurrence cannot drift from the oracle unseen
     assert sorted(set(_callers("_unit_inv"))) == [
-        ("zeta.py", "_depth1_window"), ("zeta.py", "_unit_inv_pow")]
+        ("zeta.py", "_depth1_window"), ("zeta.py", "laurent_inv_pow")]
+
+
+def _add_table_readers(path):
+    """The functions of ``path``, methods by ``Class.name``, that read the
+    add table: ``idx_ops[0]``, a name unpacked from the first place of
+    ``idx_ops`` or assigned ``idx_ops[0]``, or a parameter named ``add``."""
+    def first_of_idx_ops(node):
+        return (isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "idx_ops"
+                and getattr(node.slice, "value", None) == 0)
+
+    fns = []
+    for top in _tree(path).body:
+        if isinstance(top, ast.FunctionDef):
+            fns.append((top.name, top))
+        elif isinstance(top, ast.ClassDef):
+            fns += [(f"{top.name}.{fn.name}", fn) for fn in top.body
+                    if isinstance(fn, ast.FunctionDef)]
+    for name, fn in fns:
+        names = {a.arg for a in fn.args.args if a.arg == "add"}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+                if (isinstance(target, ast.Tuple) and target.elts
+                        and isinstance(target.elts[0], ast.Name)
+                        and getattr(node.value, "attr", None) == "idx_ops"):
+                    names.add(target.elts[0].id)
+                elif isinstance(target, ast.Name) and first_of_idx_ops(node.value):
+                    names.add(target.id)
+        if any(first_of_idx_ops(node) or (isinstance(node, ast.Name) and node.id in names
+                                          and isinstance(node.ctx, ast.Load))
+               for node in ast.walk(fn)):
+            yield name
+
+
+def test_series_windows_are_summed_by_one_kernel():
+    # every sum of series windows goes through _accumulate; the depth-one
+    # kernel, the unit recurrence it runs and the packed-product decoder add
+    # field elements of their own
+    assert sorted(_add_table_readers(SRC / "zeta.py")) == [
+        "_accumulate", "_depth1_window", "_run_decoder", "_unit_inv"]
 
 
 def test_the_window_end_is_read_by_the_depth_rule_alone():

@@ -6,8 +6,9 @@ its cached object on a repeat call and a fresh, equal one after
 ``clear_memos()``, and a public function that returns an Element wraps
 the cached index map itself, uncopied, as its ``idx``; trivial inputs (an
 empty word, a single letter, a degree below the depth or outside the
-window) are answered without taking a memo entry; and the enumeration budget ``amzv.ff.BUDGET`` is read when a sum
-runs, so it is part of no key.
+window) are answered without taking a memo entry; and the enumeration
+budget ``amzv.ff.BUDGET`` is read once per read of a value, where its route
+starts, before any memo is touched, so it is part of no key.
 """
 
 import ast

@@ -75,6 +75,16 @@ def test_parse_laurent_refuses_a_term_past_the_horizon(spec_q3):
             parse_laurent(text, spec_q3)
 
 
+def test_parse_laurent_refuses_a_marker_that_is_not_the_last_term(spec_q3):
+    # a term after the marker, or a second marker, would otherwise be read
+    # as if the text ended with the last marker it holds
+    for text, term in (("1 + O(u^3) + u", "u"), ("1 + O(u^2) + O(u^5)", "O(u^5)"),
+                       ("O(u^3) + 0", "0")):
+        with pytest.raises(ValueError, match=rf"term {re.escape(repr(term))} follows the "
+                                             r"precision marker"):
+            parse_laurent(text, spec_q3)
+
+
 def test_laurent_add_tracks_precision(spec_q2):
     a = L(spec_q2, "1 + u^2 + O(u^6)")
     b = L(spec_q2, "u + O(u^4)")
