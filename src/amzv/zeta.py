@@ -80,11 +80,11 @@ first M = N - ds coefficients.  The coefficient g_m of u^m in the unit part
 
 The recurrence has one copy, ``_unit_inv``, which the kernel and the
 oracle's ``laurent_inv_pow`` share.  The window rule lives in one
-function, ``_degree_end``, which only the depth rule ``_lt_top`` reads:
-S_{<d}(w) is zero below the horizon when
-min(d, ``_degree_end(s_1, N)``) is below the depth of w.  Every reader of
-S_{<d} (``power_sum_lt``, ``power_sum_lt_element`` and the walk's step, for
-its tail) asks ``_lt_top`` once per read and hands the walk the last step it
+function, the depth rule ``_lt_top``, which computes the head's window end
+D = max(1, ceil(N / (s_1 + 1))) itself: S_{<d}(w) is zero below the
+horizon when min(d, D) is below the depth of w.  Every reader of S_{<d}
+(``power_sum_lt``, ``power_sum_lt_element`` and the walk's step, for its
+tail) asks ``_lt_top`` once per read and hands the walk the last step it
 returns, so no walk applies the rule to its own word and none is started for
 a zero.  So every degree a walk sums is inside its head's window, and the
 kernel ``_depth1_window`` has one caller, the walk ``_lt_word``, which takes
@@ -102,13 +102,17 @@ Element; besides it only the depth-one kernel, its recurrence and the
 packed-product decoder read the ``add`` table.  Every product of series
 (``Laurent.__mul__``, the walk's step and the powers (1 + h)^s of the
 inverse powers 1/a^s) is one product of two Python ints (``_mul_series``)
-in the layout that ``_packing`` documents and builds the tables for, once
-per field and byte width, in ``FieldSpec.packings``, outside the memos.
-The unit-series inverse (``_unit_inv``) is a recurrence on indices.
-:class:`FieldElem` values appear only at the boundary: the constructor,
-``coeff``, ``coeffs``, ``scale``'s argument, and the text functions
-``format_laurent`` / ``parse_laurent``.  Each binary operation checks once
-that both operands live over the same field.
+in the layout that ``_packing`` documents; it builds a byte width's
+encoder, planes and decoder together, once per field and width, in
+``FieldSpec.packings``, outside the memos.  The unit-series inverse
+(``_unit_inv``) is a recurrence on indices.  :class:`FieldElem` values
+appear only at the boundary: the constructor, ``coeff``, ``coeffs``,
+``scale``'s argument, and the text functions: ``parse_laurent`` reads
+back the grammar that ``format_laurent`` prints, where every power of u is
+``u``, ``u^e`` or ``u^(-e)``, in a term and in the closing marker alike,
+and every coefficient is a field literal of ``FieldSpec.parse_elem``.
+Each binary operation checks once that both operands live over the same
+field.
 """
 
 from __future__ import annotations
@@ -378,9 +382,9 @@ def _packing(spec: FieldSpec, n: int) -> tuple:
       as the index of its remainder modulo the modulus; for k = 1 the
       residues are the indices.
 
-    They are cached in ``spec.packings`` under n, and shared per byte width
-    under ``("width", w)`` and per field under ``"dec"``; no memo holds
-    them, so they outlive ``clear_memos``.
+    A width's tables are built together, decoder included, and cached in
+    ``spec.packings`` under ``("width", w)`` and under every n of that
+    width; no memo holds them, so they outlive ``clear_memos``.
     """
     packings = spec.packings
     p, k = spec.p, spec.k
@@ -402,16 +406,13 @@ def _packing(spec: FieldSpec, n: int) -> tuple:
         # b * 256^j mod p is periodic in b with period p
         rows = (bytes(b * pow(256, j, p) % p for b in range(p)) for j in range(w))
         planes = tuple((row * (256 // p + 1))[:256] for row in rows)
-        dec = packings.get("dec")
-        if dec is None:
-            dec = packings["dec"] = _run_decoder(spec)
-        tables = packings["width", w] = (w, stride, enc, planes, dec)
+        tables = packings["width", w] = (w, stride, enc, planes, _run_decoder(spec))
     packings[n] = tables
     return tables
 
 
 def _run_decoder(spec: FieldSpec):
-    """The ``dec`` of :func:`_packing`, one per field."""
+    """The ``dec`` of :func:`_packing`, built with each width's tables."""
     k, p = spec.k, spec.p
     if k == 1:
         return bytes
@@ -440,7 +441,7 @@ def _unit_inv(h, g: list[int], start: int, add, mul, neg) -> list[int]:
     reads h_1..h_m only, so a caller that changes h from digit ``start`` on
     keeps the coefficients below it.  This is the one copy of the recurrence,
     shared by the kernel :func:`_depth1_window` and the oracle's
-    :func:`_unit_inv_pow`."""
+    :func:`laurent_inv_pow`."""
     M = len(g)
     # (t, row of h_t in the product table) for every nonzero h_t
     terms = [(t, mul[ht]) for t, ht in enumerate(h[: M - 1], 1) if ht]
@@ -490,46 +491,46 @@ def format_laurent(x: Laurent) -> str:
     return " + ".join(parts)
 
 
-_LTERM_RE = re.compile(r"^(?:(?P<coeff>g\^\d+|\d+)\*?)?(?:u(?:\^(?P<exp>\(?-?\d+\)?))?)?$")
+# u, u^e or u^(-e), as format_laurent prints a power of u, or O(...) around one
+_POWER_RE = re.compile(r"(O\()?u(?:\^(?:(\d+)|\((-\d+)\)))?(?(1)\))")
+
+
+def _power(text: str, marker: bool) -> int | None:
+    m = _POWER_RE.fullmatch(text)
+    return int(m[2] or m[3] or 1) if m and bool(m[1]) == marker else None
 
 
 def parse_laurent(text: str, spec: FieldSpec) -> Laurent:
-    """Parse the output of :func:`format_laurent` (tests use this).  A term
-    at or beyond the horizon, which ``format_laurent`` never prints, is
-    refused."""
-    coeffs: dict[int, FieldElem] = {}
-    prec = None
+    """Parse what :func:`format_laurent` prints (tests use this): terms ``0``,
+    ``c``, ``p`` or ``c*p`` for a field literal c and a power p of u, then one
+    marker ``O(p)``.  A term at or beyond the horizon is refused."""
+    terms, prec = [], None
     for raw in text.strip().split(" + "):
         term = raw.strip()
         if prec is not None:
             raise ValueError(f"series term {term!r} follows the precision marker; "
                              "series text must end with its one precision marker")
         if term.startswith("O("):
-            inner = term[2:-1]
-            if not inner.startswith("u^") and inner != "u":
+            if (prec := _power(term, True)) is None:
                 raise ValueError(f"bad precision marker {term!r}")
-            prec = 1 if inner == "u" else int(inner[2:].strip("()"))
-            continue
-        if term == "0":
-            continue
-        m = _LTERM_RE.match(term)
-        if m is None or (m.group("coeff") is None and "u" not in term):
-            raise ValueError(f"bad series term {term!r}")
-        c = spec.parse_elem(m.group("coeff")) if m.group("coeff") else spec.one
-        if "u" in term:
-            e = 1 if m.group("exp") is None else int(m.group("exp").strip("()"))
-        else:
-            e = 0
-        coeffs[e] = coeffs.get(e, spec.zero) + c
+        elif term != "0":
+            coeff, star, power = term.rpartition("*")
+            if not star:  # a power alone, or a coefficient alone at u^0
+                coeff, power = ("1", term) if term.startswith("u") else (term, "u^0")
+            e = _power(power, False)
+            if e is None:
+                raise ValueError(f"bad series term {term!r}")
+            terms.append((e, spec.parse_elem(coeff).idx))
     if prec is None:
         raise ValueError("series text must end with a precision marker O(u^N)")
-    if coeffs and max(coeffs) >= prec:
-        raise ValueError(f"series term at {_fmt_exp(max(coeffs))} is at or beyond "
+    if terms and max(terms)[0] >= prec:
+        raise ValueError(f"series term at {_fmt_exp(max(terms)[0])} is at or beyond "
                          f"the horizon O({_fmt_exp(prec)})")
-    if not coeffs:
-        return Laurent.zero(spec, prec)
-    lo = min(coeffs)
-    return Laurent(spec, lo, [coeffs.get(e, spec.zero) for e in range(lo, prec)], prec)
+    lo = min(terms)[0] if terms else prec
+    out = [0] * (prec - lo)
+    for e, c in terms:
+        _accumulate(spec, out, e - lo, (c,), 1)
+    return _laurent(spec, lo, out, prec)
 
 
 # -- power sums by monic enumeration (the oracle) ---------------------------------
@@ -651,14 +652,16 @@ def _accumulate(spec: FieldSpec, out: list[int], k: int, window, c: int) -> None
 def _lt_top(w: Word, d: int, N: int) -> int:
     """The last step of the walk to S_{<d}(w) for a nonempty word, or 0 when
     S_{<d}(w) is zero below u^N.  S_m(w) is zero below u^N for m below its
-    depth minus one, and from its head's window end on, so the walk stops at
-    min(d, ``_degree_end(s_1, N)``) and is empty when that is below the
-    depth.  This is the one depth rule: every reader of S_{<d} asks it once
-    per read and hands the walk its answer."""
+    depth minus one, and from its head's window end on: the first degree
+    D = max(1, ceil(N / (s_1 + 1))) from which S_m(s_1) is zero below u^N,
+    since m >= 1 has an open window iff m(s_1 + 1) < N (see module
+    docstring).  So the walk stops at min(d, D) and is empty when that is
+    below the depth.  This is the one depth rule: every reader of S_{<d}
+    asks it once per read and hands the walk its answer."""
     n = len(w)
     if d < n:
         return 0
-    top = min(d, _degree_end(w[0].n, N))
+    top = min(d, max(1, -(-N // (w[0].n + 1))))
     return top if top >= n else 0
 
 
@@ -676,10 +679,10 @@ def _check_walk_budget(q: int, n: int, top: int) -> None:
 
 def _lt_word(spec: FieldSpec, w: Word, top: int, N: int) -> Laurent:
     """S_{<top}(w) of a nonempty word w = x_{s,eps} v, for the nonzero
-    ``top`` that :func:`_lt_top` gave the caller, so len(w) <= top <=
-    ``_degree_end(s, N)``.  It alone reads and extends the table
-    :func:`_partial_sums`: a walk returns a built entry, or sums the missing
-    degrees in one ascending loop by
+    ``top`` that :func:`_lt_top` gave the caller, so len(w) <= top <= D,
+    the head's window end that :func:`_lt_top` computes.  It alone reads
+    and extends the table :func:`_partial_sums`: a walk returns a built
+    entry, or sums the missing degrees in one ascending loop by
 
         S_{<t+1}(w) = S_{<t}(w) + eps^t S_t(s) S_{<t}(v),
 
@@ -726,13 +729,6 @@ def _lt_word(spec: FieldSpec, w: Word, top: int, N: int) -> Laurent:
 # -- fast per-degree kernel for the zeta map --------------------------------------
 
 
-def _degree_end(s: int, N: int) -> int:
-    """The first degree D >= 1 from which on S_d(s) is zero below u^N:
-    D = max(1, ceil(N / (s + 1))), so d >= 1 has an open window iff
-    d(s + 1) < N (see module docstring)."""
-    return max(1, -(-N // (s + 1)))
-
-
 @memoized("depth1_power_sum")
 def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
     """S_d((1); (s)) to absolute precision N for d >= 1 whose window below N
@@ -742,9 +738,9 @@ def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
     the q^d coefficient vectors, in ``itertools.product`` order, and
     recomputes each one's unit part with :func:`_unit_inv` from its first
     changed digit, its last nonzero one, on (see module docstring).  Its one
-    caller is the walk :func:`_lt_word`, which sums only degrees that
-    :func:`_lt_top` keeps inside the window and has refused a q^d past the
-    budget first."""
+    caller is the walk :func:`_lt_word`, which sums only degrees below the
+    head's window end that :func:`_lt_top` computes, so the window is open,
+    and whose reader has refused a q^d past the budget first."""
     v = d * s
     M = N - v
     add, mul, neg = spec.idx_ops
@@ -777,7 +773,8 @@ def zeta_trunc(e: Element, N: int) -> Laurent:
     """The truncated zeta value of an element, exact to precision N: S_{<N+1}.
 
     Every word's S_d vanishes below the horizon from its head's window end
-    ``_degree_end(s_1, N)`` <= N + 1 on, so this is the full sum.  The empty
-    word maps to 1; the map is linear.
+    max(1, ceil(N / (s_1 + 1))) <= N + 1 on, where :func:`_lt_top` stops
+    each walk, so this is the full sum.  The empty word maps to 1; the map
+    is linear.
     """
     return power_sum_lt_element(e, N + 1, N)

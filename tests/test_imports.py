@@ -37,11 +37,13 @@ work, and an element before it walks any word.  The unit-series recurrence
 ``_depth1_window`` and the oracle's ``laurent_inv_pow``.  In ``zeta.py``
 one function sums series windows, ``_accumulate``: apart from it only the
 depth-one kernel, the recurrence and the packed-product decoder
-``_run_decoder`` read the add table.  The depth-one window end
-``zeta._degree_end`` is called only by ``_lt_top``, the one depth rule that
-says which S_{<d}(w) are zero, so no reader of S_{<d} keeps its own copy of
-that rule, and the depth-one kernel ``_depth1_window`` only by the walk
-``_lt_word``, whose degrees that rule keeps inside the window.  That walk
+``_run_decoder`` read the add table.  The depth rule ``zeta._lt_top``,
+which computes the head's window end and says which S_{<d}(w) are zero, is
+called only by the readers of S_{<d}, ``power_sum_lt``,
+``power_sum_lt_element`` and the walk ``_lt_word`` for its tails, so none
+keeps its own copy of that rule, and the depth-one kernel
+``_depth1_window`` only by that walk, whose degrees the rule keeps inside
+the window.  That walk
 alone reads the table of partial sums that ``_partial_sums`` hands out, an
 empty list per word, and writes it only by slice stores, one entry at its
 own index, so walks on other threads can only write equal values there.
@@ -304,10 +306,13 @@ def test_series_windows_are_summed_by_one_kernel():
         "_accumulate", "_depth1_window", "_run_decoder", "_unit_inv"]
 
 
-def test_the_window_end_is_read_by_the_depth_rule_alone():
-    # every reader of S_{<d} asks _lt_top whether a word is zero, so the rule
-    # has one copy
-    assert sorted(set(_callers("_degree_end"))) == [("zeta.py", "_lt_top")]
+def test_the_depth_rule_is_asked_by_the_readers_of_partial_sums_alone():
+    # every reader of S_{<d} asks _lt_top whether a word is zero and where
+    # its walk stops, and hands the walk that answer; the walk asks it for
+    # its tails only, so no reader keeps its own copy of the rule
+    assert sorted(set(_callers("_lt_top"))) == [
+        ("zeta.py", "_lt_word"), ("zeta.py", "power_sum_lt"),
+        ("zeta.py", "power_sum_lt_element")]
 
 
 def test_the_depth_one_kernel_is_called_by_the_walk_alone():

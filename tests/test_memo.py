@@ -215,7 +215,7 @@ def test_partial_sums_stop_at_the_heads_window_end(capsys):
     e = E(spec, "x[2,1]x[1,0]") + E(spec, "x[1,1]")
     assert zeta.power_sum_lt_element(e, 10**6, 14) == zeta_trunc(e, 14)
     lengths = table_lengths(spec)
-    assert lengths and all(len(w) - 1 + n <= zeta._degree_end(w[0].n, N)
+    assert lengths and all(len(w) - 1 + n <= zeta._lt_top(w, N + 1, N)
                            for (w, N), n in lengths.items())
     powsum = ["powsum", "--q", "3", "--d", str(10**6), "--prec", "14", "x[2,1]x[1,0]"]
     assert cli.main(powsum + ["--lt"]) == 0
@@ -230,7 +230,7 @@ def test_partial_sums_are_built_once_per_degree_in_any_order():
     N = 16
     spec = field_from_q(3)
     arr = A(spec, "x[1,1]x[1,0]x[2,1]")
-    D = zeta._degree_end(1, N)
+    D = zeta._lt_top(arr, N + 1, N)
     top = power_sum_lt(arr, D, N)
     lengths = table_lengths(spec)
     got = {d: power_sum_lt(arr, d, N) for d in reversed(range(D))}
@@ -257,8 +257,9 @@ def test_partial_sums_stack_grows_with_the_depth_not_the_degree(monkeypatch):
     monkeypatch.setattr(zeta, "_lt_word", nested)
     # a depth-3 word whose head's window ends at D = 8: each walk sums its
     # degrees in a loop and nests only in its tail's walk
-    e = E(field_from_q(2), "x[1,0]x[1,0]x[1,0]")
-    assert zeta._degree_end(1, 16) == 8
+    spec = field_from_q(2)
+    e = E(spec, "x[1,0]x[1,0]x[1,0]")
+    assert zeta._lt_top(W(spec, "x[1,0]x[1,0]x[1,0]"), 17, 16) == 8
     assert not zeta_trunc(e, 16).is_zero()
     assert depth[1] == 3
 

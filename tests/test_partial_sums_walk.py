@@ -96,7 +96,7 @@ def test_every_walk_is_handed_a_top_inside_its_heads_window(monkeypatch):
     for q in GRID:
         golden_lines(q)
     bad = [(w, top, N) for w, top, N in tops
-           if not len(w) <= top <= zeta._degree_end(w[0].n, N)]
+           if not len(w) <= top <= zeta._lt_top(w, N + 1, N)]
     assert len(tops) > 1140 and not bad, bad[:5]
 
 

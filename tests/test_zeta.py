@@ -85,6 +85,25 @@ def test_parse_laurent_refuses_a_marker_that_is_not_the_last_term(spec_q3):
             parse_laurent(text, spec_q3)
 
 
+@pytest.mark.parametrize("text, refusal", [
+    ("1 + O(u^3)x", "bad precision marker 'O(u^3)x'"),
+    ("1 + O(u^((3))", "bad precision marker 'O(u^((3))'"),
+    ("1 + O(u^3))", "bad precision marker 'O(u^3))'"),
+    ("O(u^(3)", "bad precision marker 'O(u^(3)'"),
+    ("1 + O(u^(3)", "bad precision marker 'O(u^(3)'"),
+    ("u^(2 + O(u^5)", "bad series term 'u^(2'"),
+    ("u^2) + O(u^5)", "bad series term 'u^2)'"),
+    ("2u + O(u^5)", "bad field literal '2u'"),
+    ("g^1u^2 + O(u^5)", "bad field literal 'g^1u^2'"),
+])
+def test_parse_laurent_refuses_text_that_format_laurent_never_prints(spec_q3, text, refusal):
+    # a power of u is u, u^e or u^(-e), in a term and in the marker alike,
+    # the marker is the whole last term, and a coefficient is a field
+    # literal joined to its power by *
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        parse_laurent(text, spec_q3)
+
+
 def test_laurent_add_tracks_precision(spec_q2):
     a = L(spec_q2, "1 + u^2 + O(u^6)")
     b = L(spec_q2, "u + O(u^4)")
@@ -116,6 +135,20 @@ def test_packed_product_tables_outlive_memo_clearing():
     # the repeat products add no entry and rebuild no table
     assert spec.packings == tables
     assert all(spec.packings[n] is t for n, t in tables.items())
+
+
+def test_packed_product_tables_are_cached_per_term_count_and_width_alone():
+    # a width's encoder, planes and decoder are built together, so the
+    # cache holds term counts and ("width", w) keys and nothing per field
+    for q, long in ((4, 130), (9, 40), (49, 6)):
+        spec = field_from_q(q)
+        for n in (1, 3, long):
+            x = Laurent(spec, 0, [spec.g] * n, n)
+            assert (x * x).prec == n
+        widths = {key: t for key, t in spec.packings.items() if type(key) is not int}
+        assert sorted(widths) == [("width", 1), ("width", 2)], q
+        assert all(t[0] == key[1] for key, t in widths.items())
+        assert all(any(t is u for u in widths.values()) for t in spec.packings.values())
 
 
 def test_laurent_truncate_below_valuation(spec_q2):
@@ -386,6 +419,38 @@ def test_depth1_kernel_matches_enumeration(q):
     assert nonzero
 
 
+def frobenius(x):
+    """x^p: c -> c^p on the coefficients and u^i -> u^(pi), horizon included."""
+    p, zero = x.spec.p, x.spec.zero
+    coeffs = [zero] * (p * len(x.coeffs))
+    coeffs[::p] = [c ** p for c in x.coeffs]
+    return Laurent(x.spec, p * x.val, coeffs, p * x.prec)
+
+
+def test_depth1_kernel_commutes_with_frobenius():
+    # Thakur: in characteristic p, S_d(ps) = S_d(s)^p, and the p-th power of
+    # a value known below u^N is known below u^(pN).  This checks windows of
+    # s > 1 without the chain oracle, which shares _unit_inv and _unit_pow
+    # with the kernel, and reaches ps that the test above skips, such as 4, 6
+    # and 8 at q = 2
+    total = nonzero = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        spec = field_from_q(q)
+        p = spec.p
+        for s, N in itertools.product(range(1, 5), range(1, 16)):
+            d = 1
+            while q ** d <= 256 and d * (p * s + 1) < p * N:
+                # S_d(s) is zero below u^N past its window, d(s + 1) >= N
+                low = (_depth1_window(spec, s, d, N) if d * (s + 1) < N
+                       else Laurent.zero(spec, N))
+                got = _depth1_window(spec, p * s, d, p * N)
+                assert got == frobenius(low), (q, s, d, N)
+                total += 1
+                nonzero += not got.is_zero()
+                d += 1
+    assert total == 812 and nonzero == 155
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_depth1_zeta_stops_at_the_window_end(q):
     # the oracle sums every degree with d*s < N (valuation bound), so a
@@ -416,7 +481,7 @@ def test_the_chain_oracle_takes_no_factorized_route(monkeypatch):
         for d in range(4):
             want[text, d] = power_sum_lt(arr, d + 1, N) - power_sum_lt(arr, d, N)
     assert any(not v.is_zero() for v in want.values())
-    for name in ("_partial_sums", "_depth1_window", "_degree_end"):
+    for name in ("_partial_sums", "_depth1_window", "_lt_top"):
         monkeypatch.setattr(zeta, name, _refuse)
     spec = field_from_q(3)
     for text in words:
