@@ -23,6 +23,8 @@ and a unit's inverse and powers come from its discrete log and the tuple
 Units are printed in exponent form ``g^j`` where ``g`` is a fixed primitive
 element chosen deterministically (the first element, in coordinate order,
 whose multiplicative order is q - 1).  Zero prints as ``0``.
+:meth:`FieldSpec.parse_elem` reads these back, ``1``, and residues such as
+``3`` on prime fields, in ASCII digits with no sign, underscore or space.
 
 The per-field memo policy lives here too: :func:`memoized` caches
 ``fn(spec, *args)`` by ``args`` in a registry on the spec that no other
@@ -37,9 +39,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from collections import defaultdict
 
 MAX_Q = 64
+
+# g^j or a numeral, in ASCII digits (a str pattern's \d takes any Unicode digit)
+_LITERAL_RE = re.compile(r"g\^([0-9]+)|([0-9]+)")
 
 # Fixed irreducible moduli (ascending coefficients, monic) used when the
 # caller does not supply one.  Keeping a single table makes the element
@@ -317,22 +323,13 @@ class FieldSpec:
         return f"g^{self._log[e.idx]}"
 
     def parse_elem(self, text: str) -> FieldElem:
-        """Parse a field literal: ``0``, ``g^j``, or (prime fields) a residue."""
-        text = text.strip()
-        if text == "0":
-            return self.zero
-        if text == "1":
-            return self.one
-        if text.startswith("g^"):
-            try:
-                j = int(text[2:])
-            except ValueError:
-                raise ValueError(f"bad field literal {text!r}") from None
-            if j < 0:
-                raise ValueError(f"bad field literal {text!r}")
-            return self.unit_from_exp(j)
-        if self.k == 1 and text.isdigit():
-            return self.residue(int(text))
+        """Read a field literal exactly as given: ``g^j``, or a numeral, which
+        is a residue on prime fields and ``0`` or ``1`` on every field."""
+        m = _LITERAL_RE.fullmatch(text)
+        if m and m[1]:
+            return self.unit_from_exp(int(m[1]))
+        if m and (self.k == 1 or m[2] in ("0", "1")):
+            return self.residue(int(m[2]))
         raise ValueError(f"bad field literal {text!r}")
 
     def clear_memos(self) -> None:

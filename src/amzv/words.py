@@ -32,9 +32,9 @@ coefficient without a cleaning pass.
 
 Text forms:
 
-* word:     ``1`` or a run of ``x[n,j]`` with character ``g^j``
-* element:  ``term ( " + " term )*`` where ``term = [coeff "*"] word`` and
-  ``coeff = "g^" nat | residue`` (residues on prime fields only)
+* word:     ``1`` or a run of ``x[n,j]`` (ASCII digits), character ``g^j``
+* element:  ``term ( " + " term )*`` where ``term = [coeff "*"] word``,
+  split at its last ``*``, and ``coeff`` is a literal of ``parse_elem``
 * tensor:   terms ``[coeff "*"] left ⊗ right`` (ASCII variant ``(x)``)
 
 Formatting is canonical: terms are sorted by (weight, depth, letterwise
@@ -444,7 +444,7 @@ def basis_words(w: int, spec: FieldSpec) -> list[Word]:
 
 # -- parsing and formatting -----------------------------------------------------
 
-_WORD_RE = re.compile(r"x\[(\d+),(\d+)\]")
+_WORD_RE = re.compile(r"x\[([0-9]+),([0-9]+)\]")
 
 
 def parse_word(text: str, spec: FieldSpec) -> Word:
@@ -461,8 +461,6 @@ def parse_word(text: str, spec: FieldSpec) -> Word:
         if m is None:
             raise ValueError(f"bad word syntax at {text[pos:]!r}")
         n, j = int(m.group(1)), int(m.group(2))
-        if n < 1:
-            raise ValueError("letter weight must be >= 1")
         if j > spec.q - 2:
             raise ValueError(
                 f"character exponent {j} out of range for q = {spec.q}"
@@ -486,12 +484,8 @@ def parse_element(text: str, spec: FieldSpec) -> Element:
         return Element.zero(spec)
     out: dict = {}
     for term in text.split(" + "):
-        term = term.strip()
-        if "*" in term:
-            coeff_txt, word_txt = term.split("*", 1)
-            c = spec.parse_elem(coeff_txt)
-        else:
-            c, word_txt = spec.one, term
+        coeff_txt, star, word_txt = term.strip().rpartition("*")
+        c = spec.parse_elem(coeff_txt) if star else spec.one
         accumulate(spec, out, {parse_word(word_txt, spec): 1}, c.idx)
     return _element(spec, out)
 

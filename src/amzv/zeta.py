@@ -18,8 +18,9 @@ its index as the positive array ((eps_1..eps_n); (s_1..s_n)), and each
 letter carries its s and eps.  The public power-sum functions take two
 routes:
 
-- ``power_sum_d`` is an oracle only, sharing only the series kernel with
-  the route below: the brute-force side of the tests' power-sum checks.
+- ``power_sum_d`` is an oracle only, the brute-force side of the tests'
+  power-sum checks; of the route below it shares the series arithmetic
+  and ``_unit_inv``, and it takes the powers of 1/a by ``Laurent`` products.
   The sum over one chain of degrees factors into per-degree sums
   E(s, m) = sum of 1/a^s over monic a of degree m, so it enumerates the
   monic polynomials of each degree once per call.  It keeps no memo, and
@@ -79,10 +80,11 @@ first M = N - ds coefficients.  The coefficient g_m of u^m in the unit part
   packed products (``_unit_pow``).
 
 The recurrence has one copy, ``_unit_inv``, which the kernel and the
-oracle's ``laurent_inv_pow`` share.  The window rule lives in one
-function, the depth rule ``_lt_top``, which computes the head's window end
-D = max(1, ceil(N / (s_1 + 1))) itself: S_{<d}(w) is zero below the
-horizon when min(d, D) is below the depth of w.  Every reader of S_{<d}
+oracle's ``laurent_inv_pow`` share; ``_unit_pow`` is the kernel's alone.
+The window rule lives in one function, the depth rule ``_lt_top``, which
+computes the head's window end D = max(1, ceil(N / (s_1 + 1))) itself:
+S_{<d}(w) is zero below the horizon when min(d, D) is below the depth of
+w.  Every reader of S_{<d}
 (``power_sum_lt``, ``power_sum_lt_element`` and the walk's step, for its
 tail) asks ``_lt_top`` once per read and hands the walk the last step it
 returns, so no walk applies the rule to its own word and none is started for
@@ -100,11 +102,11 @@ step) goes through one kernel, ``_accumulate``, which adds c·u^k·window
 into a list of indices in place, as ``words.accumulate`` does for an
 Element; besides it only the depth-one kernel, its recurrence and the
 packed-product decoder read the ``add`` table.  Every product of series
-(``Laurent.__mul__``, the walk's step and the powers (1 + h)^s of the
-inverse powers 1/a^s) is one product of two Python ints (``_mul_series``)
-in the layout that ``_packing`` documents; it builds a byte width's
-encoder, planes and decoder together, once per field and width, in
-``FieldSpec.packings``, outside the memos.  The unit-series inverse
+(``Laurent.__mul__``, the walk's step and the kernel's powers (1 + h)^s)
+is one product of two Python ints (``_mul_series``) in the layout that
+``_packing`` documents; it builds a byte width's encoder, planes and
+decoder together, once per field and width, in ``FieldSpec.packings``,
+outside the memos.  The unit-series inverse
 (``_unit_inv``) is a recurrence on indices.  :class:`FieldElem` values
 appear only at the boundary: the constructor, ``coeff``, ``coeffs``,
 ``scale``'s argument, and the text functions: ``parse_laurent`` reads
@@ -458,7 +460,7 @@ def _unit_inv(h, g: list[int], start: int, add, mul, neg) -> list[int]:
 def _unit_pow(spec: FieldSpec, h, s: int, M: int):
     """The coefficients of u^1, ..., u^(M - 1) of (1 + h_1 u + h_2 u^2 + ...)^s,
     for s >= 1, by binary powering with :func:`_mul_series`; the one of u^m
-    reads h_1..h_m only."""
+    reads h_1..h_m only.  The kernel :func:`_depth1_window` alone calls it."""
     pw, cur = None, [1, *h]
     while True:
         if s & 1:
@@ -491,8 +493,8 @@ def format_laurent(x: Laurent) -> str:
     return " + ".join(parts)
 
 
-# u, u^e or u^(-e), as format_laurent prints a power of u, or O(...) around one
-_POWER_RE = re.compile(r"(O\()?u(?:\^(?:(\d+)|\((-\d+)\)))?(?(1)\))")
+# u, u^e or u^(-e) (ASCII digits), as format_laurent prints a power of u, or O(...) of one
+_POWER_RE = re.compile(r"(O\()?u(?:\^(?:([0-9]+)|\((-[0-9]+)\)))?(?(1)\))")
 
 
 def _power(text: str, marker: bool) -> int | None:
@@ -538,7 +540,7 @@ def parse_laurent(text: str, spec: FieldSpec) -> Laurent:
 
 def laurent_inv_pow(a: Poly, s: int, prec_coeffs: int) -> Laurent:
     """1/a^s for monic a, with ``prec_coeffs`` correct coefficients from the
-    valuation s*deg(a) on (geometric-series expansion of the unit part)."""
+    valuation s*deg(a) on: 1/a by ``_unit_inv``, then s - 1 products."""
     if not a.coeffs:
         raise ValueError("cannot invert the zero polynomial")
     if not a.is_monic():
@@ -548,13 +550,15 @@ def laurent_inv_pow(a: Poly, s: int, prec_coeffs: int) -> Laurent:
     if prec_coeffs < 0:
         raise ValueError("precision must be >= 0")
     spec, d, M = a.spec, a.degree, prec_coeffs
-    # a = theta^d (1 + h(u)) with h_t the coefficient of theta^(d-t), and
-    # 1/a^s = u^(ds) (1 + h)^(-s); at M = 0 the horizon cuts g_0 = 1
+    # a = theta^d (1 + h(u)) with h_t the coefficient of theta^(d-t), so
+    # 1/a = u^d (1 + h)^(-1); at M = 0 the horizon cuts g_0 = 1
     h = [a.coeffs[d - t].idx for t in range(1, min(d, M - 1) + 1)]
-    if s > 1:
-        h = _unit_pow(spec, h, s, M)
-    g = _unit_inv(h, [1] + [0] * (M - 1), 1, *spec.idx_ops)
-    return _laurent(spec, d * s, g, d * s + M)
+    out = inv = _laurent(spec, d, _unit_inv(h, [1] + [0] * (M - 1), 1, *spec.idx_ops), d + M)
+    # each factor's horizon d + M puts the power's at ds + M; the kernel's
+    # _unit_pow stays unshared, so the route-vs-oracle differentials check it
+    for _ in range(s - 1):
+        out = out * inv
+    return out
 
 
 def _chain_degrees(d: int, depth: int):

@@ -1,11 +1,14 @@
 import itertools
+import re
 
 import pytest
 
-from amzv import ff, field_from_q, field_make
+from amzv import ff, field_from_q, field_make, parse_element
 from amzv.ff import MAX_Q, FieldSpec
 
 SMALL_QS = [2, 3, 4, 5, 7, 8, 9]
+# every field with a default modulus, and the primes below 8
+SUPPORTED_QS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64]
 
 
 @pytest.fixture(scope="module", params=SMALL_QS)
@@ -79,7 +82,9 @@ def test_pow_edge_cases(spec):
         spec.zero.inverse()
 
 
-def test_exponent_literals(spec):
+@pytest.mark.parametrize("q", SUPPORTED_QS)
+def test_exponent_literals(q):
+    spec = field_from_q(q)
     seen = set()
     for j in range(spec.q - 1):
         u = spec.unit_from_exp(j)
@@ -98,6 +103,35 @@ def test_residue_literals_prime_field():
     assert s.parse_elem("3") == s.residue(3)
     # normalized back out to exponent form
     assert s.format_elem(s.residue(3)) in {f"g^{j}" for j in range(4)}
+    # every residue on every prime field, against 1 + 1 + ... + 1
+    for p in (n for n in range(2, MAX_Q + 1) if all(n % d for d in range(2, n))):
+        s = field_make(p)
+        m_ones = s.zero
+        for m in range(p):
+            assert s.parse_elem(str(m)) == m_ones
+            assert s.parse_elem(s.format_elem(m_ones)) == m_ones
+            m_ones = m_ones + s.one
+
+
+# a literal is ASCII digits with no sign, underscore or space, exactly as
+# given; a residue other than 0 and 1 is read on prime fields only (0 and 1
+# on every field: test_exponent_literals)
+@pytest.mark.parametrize("q, text", [
+    *((5, text) for text in ("g^1_0", "g^+1", "g^ 1", "g^-0", " g^1", "٣", "²")),
+    (4, "2"),
+])
+def test_parse_elem_refuses_what_format_elem_never_prints(q, text):
+    spec = field_from_q(q)
+    with pytest.raises(ValueError, match=re.escape(f"bad field literal {text!r}")):
+        spec.parse_elem(text)
+
+
+@pytest.mark.parametrize("text, literal", [
+    ("g^+1*x[1,0]", "g^+1"), ("٣*x[1,0]", "٣"), ("g^1 *x[1,0]", "g^1 "),
+])
+def test_parse_element_reads_its_coefficients_exactly_as_given(text, literal):
+    with pytest.raises(ValueError, match=re.escape(f"bad field literal {literal!r}")):
+        parse_element(text, field_from_q(5))
 
 
 def test_make_errors():

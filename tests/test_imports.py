@@ -34,7 +34,9 @@ and ``_check_walk_budget``, which only ``power_sum_lt`` and
 ``power_sum_lt_element`` call, so each refuses once per read, before any
 work, and an element before it walks any word.  The unit-series recurrence
 ``zeta._unit_inv`` has one copy, called only by the kernel
-``_depth1_window`` and the oracle's ``laurent_inv_pow``.  In ``zeta.py``
+``_depth1_window`` and the oracle's ``laurent_inv_pow``, and the kernel's
+power ``_unit_pow`` is called by the kernel alone, so the differentials
+against the oracle check it.  In ``zeta.py``
 one function sums series windows, ``_accumulate``: apart from it only the
 depth-one kernel, the recurrence and the packed-product decoder
 ``_run_decoder`` read the add table.  The depth rule ``zeta._lt_top``,
@@ -50,6 +52,9 @@ own index, so walks on other threads can only write equal values there.
 ``ff.memoized`` adds no attribute to the function it caches.  The
 package has no runtime dependencies: every module it imports is in the
 standard library or is ``amzv`` itself.
+Text is read in ASCII digits: no regular-expression literal uses ``\\d``
+or ``\\w``, which in a ``str`` pattern match every Unicode digit or letter,
+and no module calls ``.isdigit()``, ``.isdecimal()`` or ``.isnumeric()``.
 A one-shot CLI request pays for compiling every module it loads, so no
 module that ``import amzv.cli`` loads imports ``dataclasses``, or imports
 ``zeta`` or ``verify`` when it is itself imported; the subcommands that
@@ -90,6 +95,9 @@ WORD_LEVEL_CORES = {**HOT_RECURSIONS, "_shuffle_words": "products.py",
                     "_diamond_words": "products.py", "_antipode_word": "coalgebra.py"}
 # what builds an Element: the raw constructor, the classes and their class methods
 ELEMENT_BUILDERS = {"_element", "Element", "TensorElement"}
+# the pattern classes and str methods that take every Unicode digit or letter
+UNICODE_CLASSES = (r"\d", r"\w")
+UNICODE_DIGIT_TESTS = {"isdigit", "isdecimal", "isnumeric"}
 
 
 def _tree(path):
@@ -264,6 +272,30 @@ def test_the_unit_series_recurrence_has_one_copy():
     # copy of the recurrence cannot drift from the oracle unseen
     assert sorted(set(_callers("_unit_inv"))) == [
         ("zeta.py", "_depth1_window"), ("zeta.py", "laurent_inv_pow")]
+
+
+def test_the_kernels_unit_power_is_not_shared_with_the_oracle():
+    # the oracle raises 1/a to the s-th power by Laurent products, so the
+    # route-vs-oracle differentials see a fault in _unit_pow
+    assert sorted(set(_callers("_unit_pow"))) == [("zeta.py", "_depth1_window")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_text_is_read_in_ascii_digits(path):
+    # in a str pattern \d and \w match every Unicode digit or letter, and
+    # str.isdigit, isdecimal and isnumeric pass digits such as ٣ and ²
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        f = node.func
+        if f.attr in UNICODE_DIGIT_TESTS:
+            bad.append(f"line {node.lineno}: .{f.attr}()")
+        elif getattr(f.value, "id", None) == "re":
+            bad += [f"line {node.lineno}: {arg.value!r}" for arg in node.args
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                    and any(cls in arg.value for cls in UNICODE_CLASSES)]
+    assert not bad, f"{path.name} reads Unicode digits or letters: {bad}"
 
 
 def _add_table_readers(path):

@@ -50,7 +50,8 @@ def test_parse_letters(spec_q3):
     ]
 
 
-@pytest.mark.parametrize("bad", ["x[1,3]", "x[1,2]", "x[0,0]", "x[1,0]y", "", "xx"])
+@pytest.mark.parametrize("bad", ["x[1,3]", "x[1,2]", "x[0,0]", "x[1,0]y", "", "xx",
+                                 "x[١,0]", "x[1,٠]"])
 def test_parse_errors(bad, spec_q3):
     with pytest.raises(ValueError):
         parse_word(bad, spec_q3)

@@ -95,6 +95,9 @@ def test_parse_laurent_refuses_a_marker_that_is_not_the_last_term(spec_q3):
     ("u^2) + O(u^5)", "bad series term 'u^2)'"),
     ("2u + O(u^5)", "bad field literal '2u'"),
     ("g^1u^2 + O(u^5)", "bad field literal 'g^1u^2'"),
+    ("u^١ + O(u^3)", "bad series term 'u^١'"),
+    ("1 + O(u^٣)", "bad precision marker 'O(u^٣)'"),
+    ("g^1 *u + O(u^3)", "bad field literal 'g^1 '"),
 ])
 def test_parse_laurent_refuses_text_that_format_laurent_never_prints(spec_q3, text, refusal):
     # a power of u is u, u^e or u^(-e), in a term and in the marker alike,
