@@ -485,8 +485,10 @@ def parse_element(text: str, spec: FieldSpec) -> Element:
     out: dict = {}
     for term in text.split(" + "):
         coeff_txt, star, word_txt = term.strip().rpartition("*")
+        # the word first, so a stray * inside it is reported in the word
+        w = parse_word(word_txt, spec)
         c = spec.parse_elem(coeff_txt) if star else spec.one
-        accumulate(spec, out, {parse_word(word_txt, spec): 1}, c.idx)
+        accumulate(spec, out, {w: 1}, c.idx)
     return _element(spec, out)
 
 

@@ -35,14 +35,15 @@ routes:
   (the tables of partial sums and the depth-one sums they read again) are
   the module's only ones.
 
-Every enumeration visits the q^d monic polynomials or coefficient vectors of
-one degree d, and q^d is capped at ``amzv.ff.BUDGET``, read when it runs;
-past the cap it raises :class:`BudgetExceededError`.  Each route refuses
-where it starts, once per read: ``monic_enum`` before it lists a
-polynomial, ``power_sum_lt`` before its walk to S_{<d} reads the word's
-table, at the first degree past the cap that a walk from an empty table
-would sum, and ``power_sum_lt_element`` runs that refusal for every word
-before it walks the first.  The walk checks nothing itself: its tails sum
+Every enumeration covers the q^d monic polynomials or coefficient vectors
+of one degree d (the kernel below visits 2q^(d-1) of the vectors, one per
+unit orbit of the leading digit), and q^d is capped at ``amzv.ff.BUDGET``,
+read when it runs; past the cap it raises :class:`BudgetExceededError`.
+Each route refuses where it starts, once per read: ``monic_enum`` before it
+lists a polynomial, ``power_sum_lt`` before its walk to S_{<d} reads the
+word's table, at the first degree past the cap that a walk from an empty
+table would sum, and ``power_sum_lt_element`` runs that refusal for every
+word before it walks the first.  The walk checks nothing itself: its tails sum
 only lower degrees than its head, so where the head passes they pass.  So
 whether a value refuses does not depend on what the memos hold, a refused
 walk adds no table, and a value that cannot finish, of a word or of an
@@ -70,8 +71,17 @@ first M = N - ds coefficients.  The coefficient g_m of u^m in the unit part
 - for m < d each value of g_m recurs q^(d - m) times over the vectors, and
   q = 0 in characteristic p, so only g_d, ..., g_{M-1} are summed.  When
   M <= d nothing is left and the whole power sum vanishes below the
-  horizon; the kernel therefore only ever enumerates q^d vectors with
-  d(s+1) < N, that is, when g_{M-1} is still summed.
+  horizon; the kernel therefore only ever sums a degree with d(s+1) < N,
+  that is, when g_{M-1} is still summed.
+- a unit lambda of F_q acts by (lambda.h)_t = lambda^t h_t, and
+  1 + (lambda.h)(u) = (1 + h)(lambda u), so g_m(lambda.h) = lambda^m g_m(h).
+  The map (lambda, h) -> lambda.h is a bijection from the units times the
+  vectors with h_1 = 1 onto those with h_1 != 0, and the character sum
+  sum over lambda of lambda^m is -1 when (q - 1) | m and 0 otherwise
+  (Thakur, *Function Field Arithmetic*, 2004).  So the kernel visits the
+  2q^(d-1) vectors with h_1 in {0, 1}: those with h_1 = 0 add every g_m,
+  and each with h_1 = 1 adds -g_m for its orbit, at (q - 1) | m only.  At
+  q = 2 that is every vector, and -1 = 1.
 - in ``itertools.product`` order a vector shares every digit before its
   last nonzero one, h_t, with its predecessor, so g keeps g_0..g_{t-1}, and
   the recurrence g_m = -(H_1 g_{m-1} + ... + H_m g_0) of the inverse of
@@ -738,30 +748,39 @@ def _depth1_window(spec: FieldSpec, s: int, d: int, N: int) -> Laurent:
     """S_d((1); (s)) to absolute precision N for d >= 1 whose window below N
     is open, d(s + 1) < N: the expansions of 1/a^s over all monic a of
     degree d, summed only on the coefficients u^(ds + m), d <= m < N - ds,
-    that survive the characteristic-p collapse.  It visits every one of
-    the q^d coefficient vectors, in ``itertools.product`` order, and
-    recomputes each one's unit part with :func:`_unit_inv` from its first
-    changed digit, its last nonzero one, on (see module docstring).  Its one
-    caller is the walk :func:`_lt_word`, which sums only degrees below the
-    head's window end that :func:`_lt_top` computes, so the window is open,
-    and whose reader has refused a q^d past the budget first."""
-    v = d * s
+    that survive the characteristic-p collapse.  It visits the 2q^(d-1)
+    coefficient vectors whose leading digit h_1 is 0 or 1, in
+    ``itertools.product`` order, and recomputes each one's unit part with
+    :func:`_unit_inv` from its first changed digit, its last nonzero one,
+    on.  A vector with h_1 = 1 stands for its orbit under the units of F_q,
+    which scale g_m by lambda^m and sum to -g_m where (q - 1) | m and to
+    zero elsewhere (see module docstring).  Its one caller is the walk
+    :func:`_lt_word`, which sums only degrees below the head's window end
+    that :func:`_lt_top` computes, so the window is open, and whose reader
+    has refused a q^d past the budget first."""
+    q, v = spec.q, d * s
     M = N - v
     add, mul, neg = spec.idx_ops
-    total = [0] * M
+    # the sums of g_m over the vectors with h_1 = 0 and with h_1 = 1
+    total, lead = [0] * M, [0] * M
+    # below u^d each g_m recurs q^(d - m) times, so it sums to zero; a vector
+    # with h_1 = 1 stands for its orbit h_1 != 0, where g_m sums to -g_m when
+    # (q - 1) | m and to zero otherwise (see module docstring)
+    blocks = (total, range(d, M)), (lead, range(-(-d // (q - 1)) * (q - 1), M, q - 1))
     # the unit part (1 + h_1 u + ... + h_d u^d)^(-s) of 1/a^s, mod u^M, for
     # the current vector h; g_0 = 1 for every vector
     g = [1] + [0] * (M - 1)
-    for h in itertools.product(range(spec.q), repeat=d):
+    for h in itertools.product(range(2), *[range(q)] * (d - 1)):
         # h shares every digit before its last nonzero one, h_t, with its
         # predecessor, so g keeps its coefficients below u^t (t = 1 for h = 0)
         t = d
         while t > 1 and not h[t - 1]:
             t -= 1
         _unit_inv(_unit_pow(spec, h, s, M) if s > 1 else h, g, t, add, mul, neg)
-        # below u^d each g_m recurs q^(d - m) times, so it sums to zero
-        for m in range(d, M):
-            total[m] = add[total[m]][g[m]]
+        acc, ms = blocks[h[0]]
+        for m in ms:
+            acc[m] = add[acc[m]][g[m]]
+    _accumulate(spec, total, 0, lead, neg[1])
     return _laurent(spec, v, total, N)
 
 

@@ -57,6 +57,12 @@ def test_parse_errors(bad, spec_q3):
         parse_word(bad, spec_q3)
 
 
+def test_parse_element_reports_a_stray_star_in_the_word(spec_q3):
+    # the coefficient runs to the term's last *, so the word is what is bad
+    with pytest.raises(ValueError, match=r"^bad word syntax at '7,0\]'$"):
+        parse_element("g^1*x[*7,0]", spec_q3)
+
+
 def test_format_element_examples(spec_q3):
     assert format_element(Element.zero(spec_q3)) == "0"
     x2 = Element.from_word(spec_q3, W(spec_q3, "x[2,0]"))

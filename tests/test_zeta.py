@@ -454,6 +454,47 @@ def test_depth1_kernel_commutes_with_frobenius():
     assert total == 812 and nonzero == 155
 
 
+def test_scaling_h_by_a_unit_scales_the_unit_part_by_its_powers():
+    # the lemma the kernel's orbit cut rests on: (λ·h)_t = λ^t h_t gives
+    # 1 + (λ·h)(u) = (1 + h)(λu), so g_m(λ·h) = λ^m g_m(h) for the unit part
+    # g = (1 + h)^(-s); checked here without the kernel's sum
+    M = 8
+    for q in (3, 4, 5, 7, 8, 9):
+        spec = get_spec(q)
+        add, mul, neg = spec.idx_ops
+
+        def unit_part(h, s):
+            return zeta._unit_inv(zeta._unit_pow(spec, h, s, M) if s > 1 else h,
+                                  [1] + [0] * (M - 1), 1, add, mul, neg)
+
+        for s in sorted({1, 2, 3, q}):
+            for d in (1, 2):
+                for h in itertools.product(range(q), repeat=d):
+                    g = unit_part(h, s)
+                    for lam in range(1, q):
+                        pw = [1]
+                        while len(pw) < M:
+                            pw.append(mul[pw[-1]][lam])
+                        scaled = unit_part(tuple(mul[pw[t]][ht] for t, ht in enumerate(h, 1)), s)
+                        assert scaled == [mul[pw[m]][g[m]] for m in range(M)], (q, s, h, lam)
+
+
+@pytest.mark.parametrize("q,d,s", [(2, 8, 1), (2, 5, 3), (3, 6, 1), (4, 5, 2), (5, 4, 1), (7, 3, 3)])
+def test_depth1_kernel_visits_two_vectors_per_leading_digit_orbit(monkeypatch, q, d, s):
+    # one vector with h_1 = 1 stands for the q - 1 with h_1 != 0, so the
+    # kernel runs the unit recurrence 2q^(d-1) times, not q^d; at q = 2 that
+    # is every vector
+    calls, unit_inv = [], zeta._unit_inv
+
+    def counted(*args):
+        calls.append(1)
+        return unit_inv(*args)
+
+    monkeypatch.setattr(zeta, "_unit_inv", counted)
+    _depth1_window.__wrapped__(get_spec(q), s, d, d * (s + 1) + 3)
+    assert len(calls) == 2 * q ** (d - 1)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_depth1_zeta_stops_at_the_window_end(q):
     # the oracle sums every degree with d*s < N (valuation bound), so a
